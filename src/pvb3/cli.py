@@ -65,7 +65,7 @@ from .lie import (
     pbw_coefficients,
     pv3_lie_quotient,
 )
-from .nq import nilpotent_quotient
+from .nq import CollectionBudget, nilpotent_quotient
 from .suite import SuiteOptions, run_suite
 from .word import Alphabet, GenMap
 
@@ -516,6 +516,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+    except CollectionBudget as err:
+        print("unknown: %s" % err, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ transforms so the factorisation can be re-verified by exact multiplication.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 
@@ -144,11 +145,6 @@ def smith_normal_form(mat: IntMatrix) -> SmithForm:
         for row in a:
             row[i] += q * row[j]
         _add_row(vt, i, j, q)
-
-    def col_neg(i):
-        for row in a:
-            row[i] = -row[i]
-        _neg_row(vt, i)
 
     t = 0
     bound = min(m, n)
@@ -331,6 +327,67 @@ def kernel_basis(mat: IntMatrix) -> list[tuple[int, ...]]:
 
 
 def cokernel_invariants(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
-    """(free rank, torsion factors) of Z^ncols / row span."""
-    sf = smith_normal_form(mat)
-    return mat.ncols - sf.rank, sf.torsion
+    """(free rank, torsion factors) of Z^ncols / row span.
+
+    Sparse elimination on row dicts takes +-1 pivots in order of lowest
+    Markowitz cost (|row| - 1) * (|col| - 1), ties broken by (row, col).  A
+    pivot clears its column by row operations only, then its row and column
+    are dropped, which leaves the cokernel unchanged.  Only the block left
+    without a unit entry goes through the dense Smith form.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(mat.entries):
+        if any(row):
+            rows[i] = {j: x for j, x in enumerate(row) if x}
+            for j in rows[i]:
+                cols.setdefault(j, set()).add(i)
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    # Every live unit entry has a heap item with its current cost; items
+    # whose cost or entry has since changed are skipped when popped.
+    heap = [(cost(i, j), i, j) for i, r in rows.items()
+            for j, x in r.items() if x in (1, -1)]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        c, i, j = heapq.heappop(heap)
+        r = rows.get(i)
+        if r is None or r.get(j) not in (1, -1) or c != cost(i, j):
+            continue
+        pivots += 1
+        del rows[i]
+        for col in r:
+            cols[col].discard(i)
+        touched = sorted(cols[j])
+        for k in touched:
+            rk = rows[k]
+            f = rk[j] * r[j]
+            for col, x in r.items():
+                y = rk.get(col, 0) - f * x
+                if y:
+                    rk[col] = y
+                    cols[col].add(k)
+                else:
+                    del rk[col]
+                    cols[col].discard(k)
+            if not rk:
+                del rows[k]
+        for col in r:
+            for k in cols[col]:
+                if rows[k][col] in (1, -1):
+                    heapq.heappush(heap, (cost(k, col), k, col))
+        for k in touched:
+            if k in rows:
+                for col, x in rows[k].items():
+                    if x in (1, -1):
+                        heapq.heappush(heap, (cost(k, col), k, col))
+    free = mat.ncols - pivots
+    if not rows:
+        return free, ()
+    live = sorted({j for r in rows.values() for j in r})
+    sf = smith_normal_form(IntMatrix.from_rows(
+        [[rows[i].get(j, 0) for j in live] for i in sorted(rows)]))
+    return free - sf.rank, sf.torsion

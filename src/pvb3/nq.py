@@ -19,7 +19,7 @@ raises :class:`CollectionBudget` instead of looping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from bisect import bisect_right
 
 from .fpres import Presentation
 from .intlinalg import IntMatrix, cokernel_invariants, hermite_normal_form
@@ -152,15 +152,20 @@ class PcSystem:
     def _overlap_pairs(self, max_weight: int):
         """(way1, way2) letter sequences whose collections must agree."""
         n = self.num
-        for i, j, k in combinations(range(n), 3):
-            # k > j > i as generator indices
-            if self.weights[i] + self.weights[j] + self.weights[k] > max_weight:
-                continue
-            u_ji = self.comms.get((j, i), self.zero())
-            u_kj = self.comms.get((k, j), self.zero())
-            way1 = [(k, 1), (i, 1), (j, 1)] + self.expand(u_ji)
-            way2 = [(j, 1), (k, 1)] + self.expand(u_kj) + [(i, 1)]
-            yield ("triple %d %d %d" % (k, j, i), way1, way2)
+        w = self.weights
+        # Weights never decrease along the index, so for i < j < k the
+        # admissible k form a prefix, and once w[i] + 2 w[j] is too heavy
+        # no later j has any.
+        for i in range(n):
+            for j in range(i + 1, n):
+                if w[i] + 2 * w[j] > max_weight:
+                    break
+                u_ji = self.expand(self.comms.get((j, i), self.zero()))
+                for k in range(j + 1, bisect_right(w, max_weight - w[i] - w[j])):
+                    u_kj = self.comms.get((k, j), self.zero())
+                    way1 = [(k, 1), (i, 1), (j, 1)] + u_ji
+                    way2 = [(j, 1), (k, 1)] + self.expand(u_kj) + [(i, 1)]
+                    yield ("triple %d %d %d" % (k, j, i), way1, way2)
         for j in range(n):
             dj = self.orders[j]
             if dj < 2:

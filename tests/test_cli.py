@@ -9,7 +9,9 @@ import json
 
 import pytest
 
+from pvb3 import cli
 from pvb3.cli import main
+from pvb3.nq import CollectionBudget
 
 
 def run(capsys, *argv):
@@ -169,6 +171,17 @@ def test_nq_layers_and_images(capsys):
     assert lines[0] == "degree 1: rank 6"
     assert lines[1] == "degree 2: rank 9"
     assert "-> (0, 0, 0, 0, 0, 0, -1," in lines[2]
+
+
+def test_nq_budget_stop_reports_unknown(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise CollectionBudget("collection exceeded 10 steps")
+
+    monkeypatch.setattr(cli, "nilpotent_quotient", exhausted)
+    code, out, err = run(capsys, "nq", "pv3", "--class", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "unknown: collection exceeded 10 steps\n"
 
 
 def test_nq_reads_presentation_files(tmp_path, capsys):

@@ -43,11 +43,17 @@ small_entries = st.integers(min_value=-9, max_value=9)
 
 
 @st.composite
-def matrices(draw, max_dim=5):
+def matrices(draw, max_dim=5, entries=small_entries):
     m = draw(st.integers(min_value=1, max_value=max_dim))
     n = draw(st.integers(min_value=1, max_value=max_dim))
-    rows = [[draw(small_entries) for _ in range(n)] for _ in range(m)]
+    rows = [[draw(entries) for _ in range(n)] for _ in range(m)]
     return IntMatrix.from_rows(rows)
+
+
+def smith_invariants(m):
+    """Reference (free rank, torsion) of the cokernel, read off the dense Smith form."""
+    sf = smith_normal_form(m)
+    return m.ncols - sf.rank, sf.torsion
 
 
 def test_diagonal_two_three_has_factors_one_six():
@@ -178,3 +184,56 @@ def test_matrix_multiplication_shapes_and_identity():
     assert (m * IntMatrix.identity(3)).entries == m.entries
     with pytest.raises(ValueError):
         m * m
+
+
+@given(matrices(max_dim=7))
+@settings(max_examples=300)
+def test_cokernel_matches_smith_form(m):
+    assert cokernel_invariants(m) == smith_invariants(m)
+
+
+@given(matrices(max_dim=6, entries=st.sampled_from([0, 2, 3, 4, 6])))
+@settings(max_examples=200)
+def test_cokernel_without_unit_entries_matches_smith_form(m):
+    # no +-1 pivot exists, so the whole matrix is the leftover block
+    assert cokernel_invariants(m) == smith_invariants(m)
+
+
+@given(matrices(max_dim=5),
+       st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=6))
+@settings(max_examples=200)
+def test_cokernel_of_rank_deficient_matrix_matches_smith_form(m, picks):
+    repeated = IntMatrix.from_rows(list(m.entries) + [m.row(p % m.nrows) for p in picks])
+    assert cokernel_invariants(repeated) == smith_invariants(repeated)
+    assert cokernel_invariants(repeated) == cokernel_invariants(m)
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_cokernel_through_unit_pivot_cascades(data):
+    # Rows [I | B] and [0 | C] have the cokernel of C.  Random row
+    # operations hide the unit diagonal, so each pivot fills in and exposes
+    # the next.
+    r, k, n = (data.draw(st.integers(min_value=1, max_value=4)) for _ in range(3))
+    b_rows = [[data.draw(small_entries) for _ in range(n)] for _ in range(r)]
+    c_rows = [[data.draw(small_entries) for _ in range(n)] for _ in range(k)]
+    rows = ([[int(i == j) for j in range(r)] + row for i, row in enumerate(b_rows)]
+            + [[0] * r + row for row in c_rows])
+    ops = data.draw(st.lists(st.tuples(st.integers(0, r + k - 1), st.integers(0, r + k - 1),
+                                       st.integers(-3, 3)), max_size=12))
+    for i, j, q in ops:
+        if i != j:
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    mixed = IntMatrix.from_rows(rows)
+    expected = smith_invariants(IntMatrix.from_rows(c_rows))
+    assert cokernel_invariants(mixed) == smith_invariants(mixed) == expected
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 4), (4, 2)])
+def test_cokernel_of_zero_matrix_is_free(m, n):
+    assert cokernel_invariants(IntMatrix.zero(m, n)) == (n, ())
+
+
+def test_cokernel_of_matrix_without_rows_is_trivial():
+    assert cokernel_invariants(IntMatrix.from_rows([])) == (0, ()) == \
+        smith_invariants(IntMatrix.from_rows([]))

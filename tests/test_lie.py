@@ -100,6 +100,12 @@ def test_pv3_quotient_dimensions():
     assert q.torsion(4) == ((), (), (), ())
 
 
+def test_pv3_degree_five_matches_the_koszul_dual_series():
+    # prod_k (1 - t^k)^(-phi_k) = 1 / (1 - 6t + 6t^2), the Koszul dual of
+    # the cohomology ranks (1, 6, 6), gives phi_5 = 474.
+    assert pv3_lie_quotient().invariants(5) == (474, ())
+
+
 def test_free_factor_contributes_five_in_degree_two():
     with_c2 = pv3_lie_quotient().dims(2)
     without = pv3_lie_quotient(include_free_generator=False).dims(2)

@@ -1,5 +1,7 @@
 """Nilpotent quotients: layer invariants, images, refutation fallback."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from pvb3.fpres import (
     mapping_torus_presentation,
     pv_presentation,
 )
-from pvb3.nq import CollectionBudget, lcs_ranks, nilpotent_quotient
+from pvb3.nq import CollectionBudget, PcSystem, lcs_ranks, nilpotent_quotient
 from pvb3.word import Alphabet, GenMap, Word
 
 AB = Alphabet(("a", "b"))
@@ -203,3 +205,59 @@ def test_collection_budget_is_enforced():
 def test_class_must_be_positive():
     with pytest.raises(ValueError):
         nilpotent_quotient(F2, 0)
+
+
+def reference_overlap_pairs(system, max_weight):
+    """The full C(n, 3) triple walk filtered by weight, kept as the oracle
+    for the bucketed enumeration in PcSystem._overlap_pairs."""
+    n = system.num
+    for i, j, k in combinations(range(n), 3):
+        if system.weights[i] + system.weights[j] + system.weights[k] > max_weight:
+            continue
+        u_ji = system.comms.get((j, i), system.zero())
+        u_kj = system.comms.get((k, j), system.zero())
+        way1 = [(k, 1), (i, 1), (j, 1)] + system.expand(u_ji)
+        way2 = [(j, 1), (k, 1)] + system.expand(u_kj) + [(i, 1)]
+        yield ("triple %d %d %d" % (k, j, i), way1, way2)
+    for j in range(n):
+        dj = system.orders[j]
+        if dj < 2:
+            continue
+        vj = system.powers[j]
+        for i in range(j):
+            if system.weights[i] + system.weights[j] > max_weight:
+                continue
+            u_ji = system.expand(system.comms.get((j, i), system.zero()))
+            yield ("power-left %d %d" % (j, i),
+                   system.expand(vj) + [(i, 1)],
+                   [(j, 1)] * (dj - 1) + [(i, 1), (j, 1)] + u_ji)
+        for k in range(j + 1, n):
+            if system.weights[j] + system.weights[k] > max_weight:
+                continue
+            u_kj = system.expand(system.comms.get((k, j), system.zero()))
+            yield ("power-right %d %d" % (k, j),
+                   [(k, 1)] + system.expand(vj),
+                   [(j, 1), (k, 1)] + u_kj + [(j, 1)] * (dj - 1))
+        yield ("power-self %d" % j,
+               [(j, 1)] + system.expand(vj),
+               system.expand(vj) + [(j, 1)])
+
+
+def test_bucketed_overlaps_match_the_full_triple_walk(monkeypatch):
+    working = []
+    bucketed = PcSystem._overlap_pairs
+
+    def spy(system, max_weight):
+        working.append((system, max_weight))
+        return bucketed(system, max_weight)
+
+    monkeypatch.setattr(PcSystem, "_overlap_pairs", spy)
+    names = Alphabet(("a", "t"))
+    ka, kt = names.gens()
+    nilpotent_quotient(pv_presentation(3), 4)
+    nilpotent_quotient(Presentation(names, (kt * ka * kt.inv() * ka,)), 4)
+    assert [w for _, w in working] == [2, 3, 4, 2, 3, 4]
+    assert any(any(o >= 2 for o in system.orders) for system, _ in working)
+    for system, max_weight in working:
+        assert list(bucketed(system, max_weight)) == \
+            list(reference_overlap_pairs(system, max_weight))
