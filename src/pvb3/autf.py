@@ -46,11 +46,6 @@ class Automorphism:
         return Automorphism(e, e)
 
     @staticmethod
-    def from_images(alphabet: Alphabet, forward: dict, backward: dict) -> "Automorphism":
-        return Automorphism(GenMap.from_dict(alphabet, alphabet, forward),
-                            GenMap.from_dict(alphabet, alphabet, backward))
-
-    @staticmethod
     def inner(w: Word) -> "Automorphism":
         """Conjugation x |-> w^-1 x w."""
         fw = GenMap(w.alphabet, w.alphabet, tuple(x.conj(w) for x in w.alphabet.gens()))

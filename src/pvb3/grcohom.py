@@ -78,7 +78,8 @@ class ExtElement:
     terms: dict
 
     def __post_init__(self):
-        assert all(c for c in self.terms.values())
+        if not all(self.terms.values()):
+            raise ValueError("exterior element with a zero coefficient")
 
     def __eq__(self, other):
         return (isinstance(other, ExtElement)

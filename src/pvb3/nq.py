@@ -391,17 +391,22 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
     return new_system, layer
 
 
+def quotient_tower(pres: Presentation, class_: int, budget: int = DEFAULT_BUDGET):
+    """Yield the quotients of class 1, 2, ..., class_, each stage built on
+    the one before it."""
+    layers = []
+    for c in range(1, class_ + 1):
+        system, layer = _stage_one(pres, budget) if c == 1 else _advance(system, pres, c)
+        layers.append(layer)
+        yield NilpotentQuotient(pres, c, system, tuple(layers))
+
+
 def nilpotent_quotient(pres: Presentation, class_: int,
                        budget: int = DEFAULT_BUDGET) -> NilpotentQuotient:
     """Polycyclic presentation of G/gamma_{class_+1} with layer invariants."""
     if class_ < 1:
         raise ValueError("class must be at least 1")
-    system, layer = _stage_one(pres, budget)
-    layers = [layer]
-    for c in range(2, class_ + 1):
-        system, layer = _advance(system, pres, c)
-        layers.append(layer)
-    return NilpotentQuotient(pres, class_, system, tuple(layers))
+    return list(quotient_tower(pres, class_, budget))[-1]
 
 
 def lcs_ranks(pres: Presentation, class_: int,

@@ -64,7 +64,7 @@ from .lie import (
     pbw_consistency,
     pv3_lie_quotient,
 )
-from .nq import CollectionBudget, lcs_ranks, nilpotent_quotient
+from .nq import CollectionBudget, lcs_ranks, nilpotent_quotient, quotient_tower
 from .word import Alphabet, GenMap
 
 PASS = "PASS"
@@ -415,14 +415,13 @@ def _check_separation(options: SuiteOptions):
     control = (gen["l12"] * gen["l13"] * gen["l23"],
                gen["l23"] * gen["l13"] * gen["l12"])
     separated = {}
-    for c in range(2, options.class_ + 1):
-        q = nilpotent_quotient(pres, c)
+    for q in quotient_tower(pres, options.class_):
         if q.image(control[0]) != q.image(control[1]):
             return FAIL, ("words equal by the defining relation differ "
-                          "at class %d" % c)
+                          "at class %d" % q.class_)
         for label, u, v in pairs:
             if label not in separated and q.image(u) != q.image(v):
-                separated[label] = c
+                separated[label] = q.class_
         if len(separated) == len(pairs):
             break
     missing = [label for label, _, _ in pairs if label not in separated]

@@ -32,10 +32,6 @@ class Alphabet:
             if not name or not name[0].isalpha():
                 raise ValueError("generator name must start with a letter: %r" % name)
 
-    @staticmethod
-    def from_names(names) -> "Alphabet":
-        return Alphabet(tuple(names))
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -110,10 +106,7 @@ class Word:
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return self.inv() ** (-k)
-        out = self.alphabet.identity()
-        for _ in range(k):
-            out = out * self
-        return out
+        return Word(self.alphabet, self.letters * k)
 
     def conj(self, x: "Word") -> "Word":
         """self conjugated by x, i.e. x^-1 self x."""
@@ -190,10 +183,11 @@ class GenMap:
     def __call__(self, w: Word) -> Word:
         if w.alphabet != self.source:
             raise ValueError("word %s is not over the source alphabet" % w)
-        out = self.target.identity()
+        letters = []
         for g, s in w.letters:
-            out = out * (self.images[g] if s == 1 else self.images[g].inv())
-        return out
+            image = self.images[g].letters
+            letters.extend(image if s == 1 else ((h, -t) for h, t in reversed(image)))
+        return Word(self.target, tuple(letters))
 
     def then(self, other: "GenMap") -> "GenMap":
         """Composite applying self first, then other."""

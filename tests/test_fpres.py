@@ -1,5 +1,7 @@
 """Presentations, the distinguished groups, and consequence certificates."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from pvb3.autf import Automorphism
 from pvb3.fpres import (
     REFUTED,
+    UNKNOWN,
     VERIFIED,
     CertificateStep,
     ConsequenceResult,
@@ -28,8 +31,13 @@ from pvb3.fpres import (
     q3_relator_families,
     residual_nilpotence_criterion,
     verify_certificate,
+    _decode,
+    _encode,
+    _join,
 )
-from pvb3.word import Alphabet, GenMap, Word
+from pvb3.intlinalg import in_row_lattice
+from pvb3.nq import nilpotent_quotient
+from pvb3.word import Alphabet, GenMap, Word, free_reduce
 
 AB = Alphabet(("a", "b"))
 a, b = AB.gens()
@@ -344,3 +352,162 @@ def test_stable_letter_name_clash_is_rejected():
 def test_extend_embedding():
     inc = extend_embedding(AB, Alphabet(("a", "b", "t")))
     assert inc(a * b.inv()).letters == ((0, 1), (1, -1))
+
+
+# -- the int-encoded search against the Word-based one it replaced -----------
+
+
+def oracle_is_consequence(pres, w, bounds=SearchBounds()):
+    """The search as it was before it ran on int-encoded letters: a Word
+    for every state, and one nilpotent quotient built per refutation class."""
+    if w.alphabet != pres.alphabet:
+        raise ValueError("word is not over the presentation alphabet")
+    if w.is_identity:
+        return ConsequenceResult(VERIFIED, ())
+    if not in_row_lattice(pres.relator_matrix(), w.exponent_vector()):
+        return ConsequenceResult(REFUTED, None, "nonzero in the abelianisation")
+    core, outer = w.cyclic_reduction()
+    if not outer.is_identity:
+        inner = oracle_is_consequence(pres, core, bounds)
+        if inner.status != VERIFIED:
+            return inner
+        shift = outer.inv()
+        certificate = tuple(
+            CertificateStep(shift * step.conjugator, step.relator_index, step.sign)
+            for step in inner.certificate)
+        assert verify_certificate(pres, w, certificate)
+        return ConsequenceResult(VERIFIED, certificate)
+
+    inserts = []
+    for idx, r in enumerate(pres.relators):
+        for s in (1, -1):
+            inserts.append((idx, s, (r ** s).letters))
+    start = w.letters
+    heap = [(0, len(start), start)]
+    came_from = {start: None}
+    found = None
+    while heap and len(came_from) < bounds.max_states:
+        steps, _, letters = heapq.heappop(heap)
+        if steps >= bounds.max_steps:
+            continue
+        for p in range(0, min(len(letters), bounds.max_prefix) + 1):
+            head, tail = letters[:p], letters[p:]
+            for idx, s, rel_letters in inserts:
+                key = Word(pres.alphabet, head + rel_letters + tail).letters
+                if key in came_from:
+                    continue
+                came_from[key] = (letters, p, idx, s)
+                if not key:
+                    found = key
+                    break
+                heapq.heappush(heap, (steps + 1, len(key), key))
+            if found is not None:
+                break
+        if found is not None:
+            break
+
+    if found is not None:
+        moves = []
+        key = found
+        while came_from[key] is not None:
+            parent, p, idx, s = came_from[key]
+            moves.append((parent, p, idx, s))
+            key = parent
+        moves.reverse()
+        certificate = tuple(
+            CertificateStep(Word(pres.alphabet, parent[:p]), idx, -s)
+            for parent, p, idx, s in moves)
+        assert verify_certificate(pres, w, certificate)
+        return ConsequenceResult(VERIFIED, certificate)
+
+    for c in range(2, bounds.refute_class + 1):
+        if not nilpotent_quotient(pres, c).image_is_trivial(w):
+            return ConsequenceResult(
+                REFUTED, None, "nonzero in the class-%d quotient" % c)
+    return ConsequenceResult(UNKNOWN, None,
+                             "bounds exhausted without certificate or refutation")
+
+
+SEARCH_PRESENTATIONS = {"pv3": pv_presentation(3), "pv3-new": pv3_new_presentation(),
+                        "g3": g3_presentation()}
+
+
+@st.composite
+def free_words(draw, alphabet, min_len=0, max_len=3):
+    letters = draw(st.lists(
+        st.tuples(st.integers(0, len(alphabet) - 1), st.sampled_from((1, -1))),
+        min_size=min_len, max_size=max_len))
+    return Word(alphabet, tuple(letters))
+
+
+@st.composite
+def search_questions(draw):
+    """A presentation and a word: a product of conjugated relators, freely
+    reduced so that factors may cancel into each other; a word with zero
+    exponent sums; or a commutator."""
+    pres = SEARCH_PRESENTATIONS[draw(st.sampled_from(sorted(SEARCH_PRESENTATIONS)))]
+    alphabet = pres.alphabet
+    kind = draw(st.sampled_from(("product", "h1-trivial", "commutator")))
+    if kind == "product":
+        w = alphabet.identity()
+        for _ in range(draw(st.integers(1, 3))):
+            r = pres.relators[draw(st.integers(0, len(pres.relators) - 1))]
+            w = w * r.conj(draw(free_words(alphabet))) ** draw(st.sampled_from((1, -1)))
+    elif kind == "h1-trivial":
+        x = draw(free_words(alphabet, 1, 4))
+        back = draw(st.permutations(x.inv().letters))
+        w = x * Word(alphabet, tuple(back))
+    else:
+        w = draw(free_words(alphabet, 1, 2)).comm(draw(free_words(alphabet, 1, 2)))
+    return pres, w
+
+
+@given(search_questions(),
+       st.builds(SearchBounds, max_states=st.sampled_from((200, 2000)),
+                 refute_class=st.sampled_from((2, 3))))
+@settings(max_examples=60, deadline=None)
+def test_search_matches_word_based_oracle(question, bounds):
+    pres, w = question
+    assert is_consequence(pres, w, bounds) == oracle_is_consequence(pres, w, bounds)
+
+
+def test_search_matches_oracle_when_bounds_run_out():
+    # neither commutator gets a certificate from a 300-state search; the
+    # first is refuted in the class-2 quotient, and the second stays
+    # UNKNOWN because refutation is allowed no quotient beyond class 1
+    pres = pv_presentation(3)
+    l12, l21, l13 = pres.alphabet.gens()[:3]
+    for w, bounds, status in (
+            (l12.comm(l13), SearchBounds(max_states=300, refute_class=2), REFUTED),
+            (l12.comm(l21), SearchBounds(max_states=300, refute_class=1), UNKNOWN)):
+        res = is_consequence(pres, w, bounds)
+        assert res.status == status
+        assert res == oracle_is_consequence(pres, w, bounds)
+
+
+def codes(word):
+    return _encode(word.letters)
+
+
+def test_join_cancels_a_whole_relator():
+    x, y = AB.gens()
+    head = codes(x * y)
+    rel = codes((x * y).inv())
+    assert _join(head, rel) == ()
+    assert _join(_join(head, rel), codes(b)) == codes(b)
+
+
+def test_join_cancellation_runs_from_head_into_tail():
+    head, rel, tail = codes(a * b), codes(b.inv()), codes(a.inv() * b * b)
+    assert _join(_join(head, rel), tail) == codes(b * b)
+    assert _join(_join(head, rel), codes(a.inv())) == ()
+
+
+@given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), max_size=8),
+       st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), max_size=8))
+def test_join_is_free_reduction_of_the_concatenation(u, v):
+    u, v = free_reduce(u), free_reduce(v)
+    assert _join(_encode(u), _encode(v)) == _encode(free_reduce(u + v))
+    assert _decode(_encode(u)) == u
+    # the encoding orders states exactly as the letter pairs do
+    assert (_encode(u) < _encode(v)) == (u < v)

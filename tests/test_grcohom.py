@@ -11,6 +11,7 @@ from pvb3.grcohom import (
     WEDGE_BASIS,
     WEDGE_BLOCKS,
     WEDGE_HOMOLOGY_IMAGES,
+    ExtElement,
     Exterior,
     beer_rank,
     dual_restriction,
@@ -76,6 +77,13 @@ def test_exterior_product_is_bilinear_and_associative(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert (x * y) * z == x * (y * z)
     assert x * y == -(y * x)
+
+
+def test_exterior_element_rejects_a_zero_coefficient():
+    E = Exterior(("x", "y"))
+    with pytest.raises(ValueError):
+        ExtElement(E, {(0,): 1, (1,): 0})
+    assert E.element({(0,): 1, (1,): 0}) == E.gen("x")
 
 
 def test_exterior_vector_round_trip():

@@ -17,7 +17,8 @@ from pvb3.fpres import (
     mapping_torus_presentation,
     pv_presentation,
 )
-from pvb3.nq import CollectionBudget, PcSystem, lcs_ranks, nilpotent_quotient
+from pvb3.nq import (CollectionBudget, PcSystem, lcs_ranks, nilpotent_quotient,
+                     quotient_tower)
 from pvb3.word import Alphabet, GenMap, Word
 
 AB = Alphabet(("a", "b"))
@@ -261,3 +262,15 @@ def test_bucketed_overlaps_match_the_full_triple_walk(monkeypatch):
     for system, max_weight in working:
         assert list(bucketed(system, max_weight)) == \
             list(reference_overlap_pairs(system, max_weight))
+
+
+def test_quotient_tower_matches_separate_builds():
+    # one chain of stages gives every class exactly as a fresh build does,
+    # and later stages leave the quotients already yielded untouched
+    names = Alphabet(("a", "t"))
+    ka, kt = names.gens()
+    for pres in (pv_presentation(3), Presentation(names, (kt * ka * kt.inv() * ka,))):
+        tower = list(quotient_tower(pres, 4))
+        assert [q.class_ for q in tower] == [1, 2, 3, 4]
+        assert tower == [nilpotent_quotient(pres, c) for c in range(1, 5)]
+    assert list(quotient_tower(F2, 0)) == []

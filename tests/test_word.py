@@ -141,3 +141,20 @@ def test_exponent_vector():
 def test_abelianisation_matrix():
     f = GenMap.from_dict(AB, AB, {"a": a * a * b, "b": a * b})
     assert f.abelianisation_matrix().entries == ((2, 1), (1, 1))
+
+
+@given(words(), genmaps())
+def test_genmap_matches_the_product_of_images(w, f):
+    # the letter-by-letter product the one-pass substitution replaced
+    out = AB.identity()
+    for g, s in w.letters:
+        out = out * (f.images[g] if s == 1 else f.images[g].inv())
+    assert f(w) == out
+
+
+@given(words(max_len=6), st.integers(-4, 4))
+def test_power_matches_repeated_multiplication(w, k):
+    out = AB.identity()
+    for _ in range(abs(k)):
+        out = out * (w if k > 0 else w.inv())
+    assert w ** k == out
