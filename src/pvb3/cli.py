@@ -58,7 +58,6 @@ from .grcohom import (
     pv3_ring,
     stability_rank,
 )
-from .intlinalg import IntMatrix, rank, row_lattices_equal
 from .lie import (
     derivation_check,
     enveloping_invariants,
@@ -171,6 +170,18 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def _assignments(specs) -> tuple[list[str], list[str]]:
+    """Names and image texts of NAME=WORD assignments, in order."""
+    names, images = [], []
+    for spec in specs:
+        name, sep, image = spec.partition("=")
+        if not sep:
+            raise ParseError("assignment must be NAME=WORD, got %r" % spec, 1, 1)
+        names.append(name.strip())
+        images.append(image)
+    return names, images
+
+
 def _substitution_from_args(args) -> tuple[GenMap, Alphabet]:
     if args.rule:
         f, g = pv3_new_generators()
@@ -178,13 +189,7 @@ def _substitution_from_args(args) -> tuple[GenMap, Alphabet]:
         return genmap, genmap.source
     if not args.assign:
         raise ParseError("need --rule or at least one --assign", 1, 1)
-    names, images = [], []
-    for spec in args.assign:
-        name, _, image = spec.partition("=")
-        if not _:
-            raise ParseError("assignment must be NAME=WORD, got %r" % spec, 1, 1)
-        names.append(name.strip())
-        images.append(image)
+    names, images = _assignments(args.assign)
     source = Alphabet(tuple(args.gens.split(","))) if args.gens \
         else Alphabet(tuple(names))
     target = Alphabet(tuple(args.target_gens.split(","))) if args.target_gens \
@@ -205,13 +210,7 @@ def cmd_check_hom(args) -> int:
     pres = _load_presentation(args.presentation)
     if not args.assign:
         raise ParseError("need one --assign NAME=WORD per generator", 1, 1)
-    names, images = [], []
-    for spec in args.assign:
-        name, sep, image = spec.partition("=")
-        if not sep:
-            raise ParseError("assignment must be NAME=WORD, got %r" % spec, 1, 1)
-        names.append(name.strip())
-        images.append(image)
+    names, images = _assignments(args.assign)
     if tuple(names) != pres.alphabet.names:
         raise ParseError("assignments must cover the generators in order: %s"
                          % " ".join(pres.alphabet.names), 1, 1)
@@ -332,12 +331,12 @@ def cmd_cohomology(args) -> int:
         return 0
     ring = g3_ring() if args.flavour == "g3" else pv3_ring()
     top = args.max_degree
-    for degree in range(top + 1):
-        free, torsion = ring.invariants(degree)
+    invariants = [ring.invariants(d) for d in range(top + 1)]
+    for degree, (free, torsion) in enumerate(invariants):
         print(_layer_line(degree, free, torsion))
     if args.flavour == "pv3":
         closed = tuple(beer_rank(3, r) for r in range(top + 1))
-        match = ring.ranks(top) == closed
+        match = tuple(free for free, _ in invariants) == closed
         print("matches closed form %s: %s" % (closed, "yes" if match else "NO"))
         print("free-factor relation rank: %d" % stability_rank())
         return 0 if match else 1

@@ -29,7 +29,7 @@ free reduction before being returned.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 from .grammar import parse_presentation_text

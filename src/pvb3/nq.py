@@ -5,10 +5,14 @@ polycyclic presentation.  Each stage appends central "tail" generators of
 the next weight to every relation that is not the definition of an existing
 generator, enforces associativity and power-overlap consistency together
 with the original relators, and then cuts the tail lattice down by the
-resulting integral constraints.  Definitions never receive tails, and the
-image relation of every eliminated original generator always does; both
-points are load-bearing, each failure mode having a small group that
-detects it.
+resulting integral constraints.  Class 1 is the first such stage, over the
+trivial group: its tails are the images of the original generators and its
+constraints are the exponent vectors of the relators.  Definitions never
+receive tails, and the image relation of every eliminated original
+generator always does; both points are load-bearing, each failure mode
+having a small group that detects it.  Each stage eliminates its constraint
+lattice once, by one Hermite normal form: the unit pivots pick the tails to
+eliminate, and the remaining rows give the layer invariants.
 
 Normal forms are exponent vectors over the polycyclic generators, computed
 by collection from the left.  Collection is deterministic (leftmost
@@ -126,10 +130,16 @@ class PcSystem:
                 w[p:p + 1] = [(g, 1)] * (d - 1) + self.expand_inv(self.powers[g])
                 p = max(0, p - 1)
                 continue
-            if d >= 2 and s == 1 and w[p:p + d] == [(g, 1)] * d:
-                w[p:p + d] = self.expand(self.powers[g])
-                p = max(0, p - 1)
-                continue
+            if d >= 2 and s == 1:
+                # A full run starts at p, or ends at p when a swap brought its
+                # last letter in from the right; for d >= 3 the latter cannot
+                # be seen from the run's start, which lies behind p.
+                run = [(g, 1)] * d
+                start = p if w[p:p + d] == run else p - d + 1
+                if start >= 0 and w[start:start + d] == run:
+                    w[start:start + d] = self.expand(self.powers[g])
+                    p = max(0, start - 1)
+                    continue
             p += 1
         vec = self.zero()
         for g, s in w:
@@ -220,53 +230,6 @@ class NilpotentQuotient:
         return tuple(free for free, _ in self.layers)
 
 
-def _negated_rest(row, col, index_of) -> list[int]:
-    """-1 times the entries of an HNF row after its pivot, reindexed."""
-    out = [0] * len(index_of)
-    for m in range(col + 1, len(row)):
-        if row[m]:
-            target = index_of[m]
-            if target is None:
-                raise AssertionError("HNF row references an eliminated column")
-            out[target] -= row[m]
-    return out
-
-
-def _stage_one(pres: Presentation, budget: int) -> tuple[PcSystem, tuple[int, tuple[int, ...]]]:
-    n = pres.num_gens
-    matrix = pres.relator_matrix()
-    rows, pivots = hermite_normal_form(matrix)
-    pivot_at = {col: (val, row) for row, (col, val) in zip(rows, pivots)}
-    eliminated = {col for col, (val, _) in pivot_at.items() if val == 1}
-    kept = [col for col in range(n) if col not in eliminated]
-    index_of = [None] * n
-    for new, col in enumerate(kept):
-        index_of[col] = new
-
-    weights = [1] * len(kept)
-    orders = [0] * len(kept)
-    powers: dict[int, list[int]] = {}
-    images: list[list[int]] = []
-    definitions = set()
-    for col in kept:
-        if col in pivot_at:
-            val, row = pivot_at[col]
-            orders[index_of[col]] = val
-            powers[index_of[col]] = _negated_rest(row, col, index_of)[:len(kept)]
-    for k in range(n):
-        if k in eliminated:
-            _, row = pivot_at[k]
-            images.append(_negated_rest(row, k, index_of)[:len(kept)])
-        else:
-            unit = [0] * len(kept)
-            unit[index_of[k]] = 1
-            images.append(unit)
-            definitions.add(("img", k))
-
-    system = PcSystem(weights, orders, powers, {}, images, definitions, budget)
-    return system, cokernel_invariants(matrix)
-
-
 def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
         -> tuple[PcSystem, tuple[int, tuple[int, ...]]]:
     base = system.num
@@ -323,13 +286,15 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
     if s == 0:
         return system, (0, ())
 
-    lattice = IntMatrix.from_rows(constraint_rows or [[0] * s])
-    layer = cokernel_invariants(lattice)
-
-    rows, pivots = hermite_normal_form(lattice)
+    rows, pivots = hermite_normal_form(IntMatrix.from_rows(constraint_rows or [[0] * s]))
     pivot_at = {col: (val, row) for row, (col, val) in zip(rows, pivots)}
     eliminated = {col for col, (val, _) in pivot_at.items() if val == 1}
     survivors = [m for m in range(s) if m not in eliminated]
+    # The HNF clears every entry above a unit pivot, so the other rows are
+    # zero on the eliminated tails and present the layer on the survivors.
+    layer = cokernel_invariants(IntMatrix.from_rows(
+        [[row[m] for m in survivors] for row, (_, val) in zip(rows, pivots) if val != 1]
+        or [[0] * len(survivors)]))
     tail_index = [None] * s
     for new, m in enumerate(survivors):
         tail_index[m] = base + new
@@ -394,9 +359,10 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
 def quotient_tower(pres: Presentation, class_: int, budget: int = DEFAULT_BUDGET):
     """Yield the quotients of class 1, 2, ..., class_, each stage built on
     the one before it."""
+    system = PcSystem([], [], {}, {}, [[] for _ in range(pres.num_gens)], set(), budget)
     layers = []
     for c in range(1, class_ + 1):
-        system, layer = _stage_one(pres, budget) if c == 1 else _advance(system, pres, c)
+        system, layer = _advance(system, pres, c)
         layers.append(layer)
         yield NilpotentQuotient(pres, c, system, tuple(layers))
 

@@ -89,6 +89,15 @@ def test_check_hom_requires_full_assignment(capsys):
     assert "cover the generators" in err
 
 
+@pytest.mark.parametrize("argv", [("subst", "x", "--assign", "x"),
+                                  ("check-hom", "g3", "--assign", "a1")])
+def test_assignment_without_equals_sign_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "assignment must be NAME=WORD, got '%s'" % argv[-1] in err
+
+
 def test_consequence_search_certifies_a_relator_conjugate(capsys):
     code, out, _ = run(capsys, "consequence", "pv3",
                        "l31 l32 l12 l31^-1 l32^-1 l12^-1")

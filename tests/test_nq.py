@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvb3 import nq
 from pvb3.autf import Automorphism
 from pvb3.fpres import (
     REFUTED,
@@ -13,10 +14,12 @@ from pvb3.fpres import (
     MappingTorus,
     Presentation,
     SearchBounds,
+    g3_presentation,
     is_consequence,
     mapping_torus_presentation,
     pv_presentation,
 )
+from pvb3.intlinalg import cokernel_invariants, hermite_normal_form
 from pvb3.nq import (CollectionBudget, PcSystem, lcs_ranks, nilpotent_quotient,
                      quotient_tower)
 from pvb3.word import Alphabet, GenMap, Word
@@ -203,6 +206,17 @@ def test_collection_budget_is_enforced():
         nilpotent_quotient(pv_presentation(3), 3, budget=50)
 
 
+def test_torsion_of_order_three_and_more_collects():
+    # a swap can complete a run of a^n from the right, behind the collector's
+    # position; for n = 2 that run is always seen from its start
+    for n in (2, 3, 4, 5):
+        pres = Presentation(AB, (a ** n,))
+        q = nilpotent_quotient(pres, 3)
+        assert q.layers == ((1, (n,)), (0, (n,)), (0, (n, n)))
+        assert q.system.is_consistent(3)
+        assert q.image_is_trivial(b.inv() * a ** n * b)
+
+
 def test_class_must_be_positive():
     with pytest.raises(ValueError):
         nilpotent_quotient(F2, 0)
@@ -257,7 +271,7 @@ def test_bucketed_overlaps_match_the_full_triple_walk(monkeypatch):
     ka, kt = names.gens()
     nilpotent_quotient(pv_presentation(3), 4)
     nilpotent_quotient(Presentation(names, (kt * ka * kt.inv() * ka,)), 4)
-    assert [w for _, w in working] == [2, 3, 4, 2, 3, 4]
+    assert [w for _, w in working] == [1, 2, 3, 4, 1, 2, 3, 4]
     assert any(any(o >= 2 for o in system.orders) for system, _ in working)
     for system, max_weight in working:
         assert list(bucketed(system, max_weight)) == \
@@ -274,3 +288,148 @@ def test_quotient_tower_matches_separate_builds():
         assert [q.class_ for q in tower] == [1, 2, 3, 4]
         assert tower == [nilpotent_quotient(pres, c) for c in range(1, 5)]
     assert list(quotient_tower(F2, 0)) == []
+
+
+def reference_negated_rest(row, col, index_of):
+    """-1 times the entries of an HNF row after its pivot, reindexed."""
+    out = [0] * len(index_of)
+    for m in range(col + 1, len(row)):
+        if row[m]:
+            target = index_of[m]
+            if target is None:
+                raise AssertionError("HNF row references an eliminated column")
+            out[target] -= row[m]
+    return out
+
+
+def reference_stage_one(pres, budget):
+    """The former separate class-1 construction, kept as the oracle for
+    building class 1 as the first tail stage over the trivial group."""
+    n = pres.num_gens
+    matrix = pres.relator_matrix()
+    rows, pivots = hermite_normal_form(matrix)
+    pivot_at = {col: (val, row) for row, (col, val) in zip(rows, pivots)}
+    eliminated = {col for col, (val, _) in pivot_at.items() if val == 1}
+    kept = [col for col in range(n) if col not in eliminated]
+    index_of = [None] * n
+    for new, col in enumerate(kept):
+        index_of[col] = new
+
+    weights = [1] * len(kept)
+    orders = [0] * len(kept)
+    powers = {}
+    images = []
+    definitions = set()
+    for col in kept:
+        if col in pivot_at:
+            val, row = pivot_at[col]
+            orders[index_of[col]] = val
+            powers[index_of[col]] = reference_negated_rest(row, col, index_of)[:len(kept)]
+    for k in range(n):
+        if k in eliminated:
+            _, row = pivot_at[k]
+            images.append(reference_negated_rest(row, k, index_of)[:len(kept)])
+        else:
+            unit = [0] * len(kept)
+            unit[index_of[k]] = 1
+            images.append(unit)
+            definitions.add(("img", k))
+
+    system = PcSystem(weights, orders, powers, {}, images, definitions, budget)
+    return system, cokernel_invariants(matrix)
+
+
+def small_presentations():
+    ka, kt = Alphabet(("a", "t")).gens()
+    xyz = Alphabet(("x", "y", "z"))
+    x, y, z = xyz.gens()
+    g = Alphabet(("a",)).gen("a")
+    return [
+        F2,
+        Presentation(Alphabet(()), ()),
+        Presentation(AB, (a.comm(b).comm(a), a.comm(b).comm(b))),
+        Presentation(ka.alphabet, (kt * ka * kt.inv() * ka,)),
+        Presentation(xyz, (x * z.comm(y).inv(),)),
+        Presentation(g.alphabet, (g ** 6,)),
+        Presentation(g.alphabet, (g ** 3, g ** 5)),
+        Presentation(AB, (a ** 4, b ** 6, (a * b) ** 2)),
+        Presentation(AB, (a ** 4, b ** 6, (a * b) ** 2, a.comm(b) ** 3)),
+        Presentation(AB, (a ** 3, b ** 3)),
+        Presentation(AB, (a ** 2 * b ** 2,)),
+    ]
+
+
+def two_generator_presentations():
+    power = st.tuples(st.integers(0, 1), st.integers(-6, 6).filter(bool))
+    relator = st.lists(power, min_size=1, max_size=4).map(
+        lambda powers: Word(AB, tuple((g, 1 if e > 0 else -1)
+                                      for g, e in powers for _ in range(abs(e)))))
+    return st.lists(relator, max_size=3).map(lambda rels: Presentation(AB, tuple(rels)))
+
+
+def assert_class_one_matches_reference(pres):
+    system, layer = reference_stage_one(pres, nq.DEFAULT_BUDGET)
+    (q,) = quotient_tower(pres, 1)
+    assert q.system == system
+    assert q.layers == (layer,)
+
+
+def test_class_one_matches_the_separate_construction():
+    fixed = small_presentations() + [pv_presentation(3), pv_presentation(4),
+                                     g3_presentation()]
+    for pres in fixed:
+        assert_class_one_matches_reference(pres)
+    # class-1 pivots of 2 or more give weight-1 orders and powers, not only
+    # eliminations: <a, b | a^4, b^6, (ab)^2> has pivots 2 and 2, and in
+    # <a, b | a^2 b^2> the power of a is b^-2
+    (q,) = quotient_tower(Presentation(AB, (a ** 4, b ** 6, (a * b) ** 2)), 1)
+    assert q.system.orders == [2, 2]
+    (q,) = quotient_tower(Presentation(AB, (a ** 2 * b ** 2,)), 1)
+    assert q.system.orders == [2, 0] and q.system.powers == {0: [0, -2]}
+
+
+@given(two_generator_presentations())
+@settings(max_examples=60, deadline=None)
+def test_class_one_matches_the_separate_construction_on_samples(pres):
+    assert_class_one_matches_reference(pres)
+
+
+def assert_layers_match_the_whole_lattice(monkeypatch, pres, depth):
+    """Each stage runs one HNF, and its layer equals the cokernel of the
+    whole constraint lattice handed to that HNF."""
+    lattices, cokernel_widths = [], []
+
+    def hnf_spy(mat):
+        lattices.append(mat)
+        return hermite_normal_form(mat)
+
+    def cokernel_spy(mat):
+        cokernel_widths.append(mat.ncols)
+        return cokernel_invariants(mat)
+
+    monkeypatch.setattr(nq, "hermite_normal_form", hnf_spy)
+    monkeypatch.setattr(nq, "cokernel_invariants", cokernel_spy)
+    for q in quotient_tower(pres, depth):
+        new = q.system.weights.count(q.class_)
+        if lattices:
+            (lattice,) = lattices
+            assert q.layers[-1] == cokernel_invariants(lattice)
+            # the layer comes from the surviving tails alone
+            assert cokernel_widths == [new]
+        else:
+            assert q.layers[-1] == (0, ()) and new == 0
+        lattices.clear()
+        cokernel_widths.clear()
+
+
+def test_layers_match_the_whole_constraint_lattice(monkeypatch):
+    for pres, depth in [(pres, 4) for pres in small_presentations()] + [
+            (pv_presentation(3), 4), (g3_presentation(), 3)]:
+        assert_layers_match_the_whole_lattice(monkeypatch, pres, depth)
+
+
+@given(two_generator_presentations())
+@settings(max_examples=30, deadline=None)
+def test_layers_match_the_whole_constraint_lattice_on_samples(pres):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_layers_match_the_whole_lattice(monkeypatch, pres, 3)
