@@ -59,8 +59,7 @@ class Presentation:
         """Exponent vectors of the relators, one row each."""
         from .intlinalg import IntMatrix
 
-        return IntMatrix.from_rows(
-            [r.exponent_vector() for r in self.relators] or [[0] * self.num_gens])
+        return IntMatrix.from_rows([r.exponent_vector() for r in self.relators], self.num_gens)
 
     def abelianisation(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, torsion factors) of the abelianised group."""

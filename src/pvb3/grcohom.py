@@ -165,9 +165,7 @@ def substitute(element, images, target):
 
 
 def relation_matrix(algebra, elements, degree=2):
-    rows = [e.vector(degree) for e in elements]
-    return IntMatrix.from_rows(rows) if rows else \
-        IntMatrix.zero(0, len(algebra.basis(degree)))
+    return IntMatrix.from_rows([e.vector(degree) for e in elements], len(algebra.basis(degree)))
 
 
 @dataclass(frozen=True)
@@ -184,8 +182,7 @@ class ExteriorQuotient:
             for key in self.algebra.basis(degree - 2):
                 product = r * self.algebra.element({key: 1})
                 rows.append(product.vector(degree))
-        cols = len(self.algebra.basis(degree))
-        return IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, cols)
+        return IntMatrix.from_rows(rows, len(self.algebra.basis(degree)))
 
     def invariants(self, degree):
         """(free rank, torsion) of the graded piece of the quotient."""

@@ -2,14 +2,16 @@
 
 Rank, determinant, Hermite and Smith normal forms, integer kernels and
 lattice membership.  Everything runs on arbitrary-precision Python ints;
-no floating point is used anywhere.  The Smith form carries its unimodular
-transforms so the factorisation can be re-verified by exact multiplication.
+no floating point is used anywhere.  The Hermite normal form is the one
+dense elimination behind ranks, lattice membership, kernels and Smith
+factors; cokernels are eliminated sparsely first.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import gcd
 
 
 class NonSquareMatrixError(ValueError):
@@ -18,13 +20,17 @@ class NonSquareMatrixError(ValueError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix stored as a tuple of row tuples."""
+    """Immutable integer matrix stored as a tuple of row tuples and its width.
+
+    The width is kept apart from the rows so that a matrix without rows
+    still has its columns.
+    """
 
     entries: tuple[tuple[int, ...], ...]
+    ncols: int
 
     def __post_init__(self) -> None:
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
+        if any(len(row) != self.ncols for row in self.entries):
             raise ValueError("ragged rows")
         for row in self.entries:
             for x in row:
@@ -32,24 +38,24 @@ class IntMatrix:
                     raise TypeError("entries must be ints, got %r" % (x,))
 
     @staticmethod
-    def from_rows(rows) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
+    def from_rows(rows, ncols: int | None = None) -> "IntMatrix":
+        """Matrix of ``rows``; ``ncols`` gives the width when ``rows`` may be empty."""
+        entries = tuple(tuple(int(x) for x in row) for row in rows)
+        if ncols is None:
+            ncols = len(entries[0]) if entries else 0
+        return IntMatrix(entries, ncols)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @staticmethod
     def zero(m: int, n: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * n for _ in range(m)))
+        return IntMatrix(tuple((0,) * n for _ in range(m)), n)
 
     @property
     def nrows(self) -> int:
         return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
@@ -58,7 +64,7 @@ class IntMatrix:
         return tuple(row[j] for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)) if self.entries else ())
+        return IntMatrix(tuple(self.col(j) for j in range(self.ncols)), self.nrows)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
@@ -67,147 +73,7 @@ class IntMatrix:
         cols = other.transpose().entries
         return IntMatrix(tuple(
             tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries))
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
-
-
-@dataclass(frozen=True)
-class SmithForm:
-    """Factorisation left * source * right = diag(factors).
-
-    ``factors`` has length min(nrows, ncols) and satisfies the divisibility
-    chain d_1 | d_2 | ... with every d_i >= 0.  ``left`` and ``right`` are
-    unimodular.
-    """
-
-    source: IntMatrix
-    factors: tuple[int, ...]
-    left: IntMatrix
-    right: IntMatrix
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.factors if d != 0)
-
-    @property
-    def torsion(self) -> tuple[int, ...]:
-        return tuple(d for d in self.factors if d > 1)
-
-    def verify(self) -> bool:
-        prod = self.left * self.source * self.right
-        m, n = prod.nrows, prod.ncols
-        for i in range(m):
-            for j in range(n):
-                want = self.factors[i] if i == j and i < len(self.factors) else 0
-                if prod.entries[i][j] != want:
-                    return False
-        return (abs(determinant(self.left)) == 1
-                and abs(determinant(self.right)) == 1)
-
-
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
-
-
-def _add_row(a, i, j, q):
-    # row i += q * row j
-    ai, aj = a[i], a[j]
-    for k in range(len(ai)):
-        ai[k] += q * aj[k]
-
-
-def _neg_row(a, i):
-    a[i] = [-x for x in a[i]]
-
-
-def smith_normal_form(mat: IntMatrix) -> SmithForm:
-    """Smith normal form with unimodular transforms.
-
-    The pivot choice is always the smallest nonzero magnitude in the working
-    submatrix, with (row, col) order breaking ties, so the computation is
-    deterministic.  The zero matrix yields all-zero factors.
-    """
-    m, n = mat.nrows, mat.ncols
-    a = [list(row) for row in mat.entries]
-    u = [list(row) for row in IntMatrix.identity(m).entries]
-    # Track the transpose of V so column ops on A are row ops here.
-    vt = [list(row) for row in IntMatrix.identity(n).entries]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        _swap_rows(vt, i, j)
-
-    def col_add(i, j, q):
-        # col i += q * col j
-        for row in a:
-            row[i] += q * row[j]
-        _add_row(vt, i, j, q)
-
-    t = 0
-    bound = min(m, n)
-    while t < bound:
-        # Locate smallest-magnitude nonzero entry of the trailing submatrix.
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x != 0 and (pivot is None or abs(x) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot[0] != t:
-            _swap_rows(a, t, pivot[0])
-            _swap_rows(u, t, pivot[0])
-        if pivot[1] != t:
-            col_swap(t, pivot[1])
-        while True:
-            # Clear the pivot column.
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    _add_row(a, i, t, -q)
-                    _add_row(u, i, t, -q)
-                    if a[i][t] != 0:
-                        _swap_rows(a, t, i)
-                        _swap_rows(u, t, i)
-                        dirty = True
-            if dirty:
-                continue
-            # Clear the pivot row.
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_add(j, t, -q)
-                    if a[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # Enforce divisibility of the remaining block by the pivot.
-            viol = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t] != 0:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
-            if viol is None:
-                break
-            _add_row(a, t, viol, 1)
-            _add_row(u, t, viol, 1)
-        if a[t][t] < 0:
-            _neg_row(a, t)
-            _neg_row(u, t)
-        t += 1
-
-    factors = tuple(a[i][i] if i < m and i < n else 0 for i in range(bound))
-    right = IntMatrix.from_rows(vt).transpose()
-    return SmithForm(mat, factors, IntMatrix.from_rows(u), right)
+            for row in self.entries), other.ncols)
 
 
 def rank(mat: IntMatrix) -> int:
@@ -228,7 +94,7 @@ def determinant(mat: IntMatrix) -> int:
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
-                    _swap_rows(a, k, i)
+                    a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
@@ -239,11 +105,6 @@ def determinant(mat: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def is_unit_determinant(mat: IntMatrix) -> bool:
-    """True iff the matrix lies in GL_n(Z)."""
-    return abs(determinant(mat)) == 1
 
 
 def hermite_normal_form(mat: IntMatrix):
@@ -312,18 +173,36 @@ def row_lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
 def kernel_basis(mat: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the right integer kernel {x : mat @ x = 0}.
 
-    Derived from the Smith form: the kernel is spanned by the columns of the
-    right transform that meet zero invariant factors.  The result is a basis
-    of the full (saturated) kernel lattice.
+    The rows (column j of mat | e_j) span the lattice of all (mat @ x, x).
+    Its Hermite form is in echelon order, so the rows whose pivot falls past
+    the first ``mat.nrows`` columns span every lattice vector that is zero
+    there: their tails are a basis of the full (saturated) kernel lattice.
     """
-    sf = smith_normal_form(mat)
-    n = mat.ncols
-    basis = []
-    for j in range(n):
-        d = sf.factors[j] if j < len(sf.factors) else 0
-        if d == 0:
-            basis.append(sf.right.col(j))
-    return basis
+    m, n = mat.nrows, mat.ncols
+    rows, pivots = hermite_normal_form(IntMatrix.from_rows(
+        [mat.col(j) + tuple(int(i == j) for i in range(n)) for j in range(n)], m + n))
+    return [tuple(row[m:]) for row, (col, _) in zip(rows, pivots) if col >= m]
+
+
+def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
+    """Nonzero invariant factors d_1 | d_2 | ... of ``mat``.
+
+    Row Hermite forms of the matrix and of its transpose alternate until
+    every row holds only its pivot (Kannan and Bachem, SIAM J. Comput. 8,
+    1979); each pass leaves the factors unchanged, and a pass that keeps
+    the first pivot clears its row and column for good.  The pivots are
+    then turned into a divisibility chain by replacing each pair with its
+    gcd and lcm, which leaves the group they present unchanged.
+    """
+    rows, pivots = hermite_normal_form(mat)
+    while any(sum(1 for x in row if x) > 1 for row in rows):
+        rows, pivots = hermite_normal_form(IntMatrix.from_rows(zip(*rows)))
+    factors = [val for _, val in pivots]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            g = gcd(factors[i], factors[j])
+            factors[i], factors[j] = g, factors[i] * factors[j] // g
+    return tuple(factors)
 
 
 def cokernel_invariants(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
@@ -333,7 +212,7 @@ def cokernel_invariants(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
     Markowitz cost (|row| - 1) * (|col| - 1), ties broken by (row, col).  A
     pivot clears its column by row operations only, then its row and column
     are dropped, which leaves the cokernel unchanged.  Only the block left
-    without a unit entry goes through the dense Smith form.
+    without a unit entry goes through ``smith_normal_form``.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
@@ -388,6 +267,6 @@ def cokernel_invariants(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
     if not rows:
         return free, ()
     live = sorted({j for r in rows.values() for j in r})
-    sf = smith_normal_form(IntMatrix.from_rows(
+    factors = smith_normal_form(IntMatrix.from_rows(
         [[rows[i].get(j, 0) for j in live] for i in sorted(rows)]))
-    return free - sf.rank, sf.torsion
+    return free - len(factors), tuple(d for d in factors if d > 1)

@@ -195,8 +195,7 @@ class GradedLieQuotient:
                      for e in layer for i in range(self.ngens)]
         for e in layer:
             rows.append(e.lyndon_coordinates(degree))
-        cols = len(lyndon_words(self.ngens, degree))
-        return IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, cols)
+        return IntMatrix.from_rows(rows, len(lyndon_words(self.ngens, degree)))
 
     def invariants(self, degree):
         if degree == 1:
@@ -229,10 +228,7 @@ def enveloping_invariants(ngens, relations, top_degree):
                         for k, c in r.degree_component(2).terms.items():
                             vec[index[left + k + right]] += c
                         rows.append(tuple(vec))
-        if not rows:
-            out.append((len(words), ()))
-        else:
-            out.append(cokernel_invariants(IntMatrix.from_rows(rows)))
+        out.append(cokernel_invariants(IntMatrix.from_rows(rows, len(words))))
     return tuple(out)
 
 

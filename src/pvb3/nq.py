@@ -286,15 +286,15 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
     if s == 0:
         return system, (0, ())
 
-    rows, pivots = hermite_normal_form(IntMatrix.from_rows(constraint_rows or [[0] * s]))
+    rows, pivots = hermite_normal_form(IntMatrix.from_rows(constraint_rows, s))
     pivot_at = {col: (val, row) for row, (col, val) in zip(rows, pivots)}
     eliminated = {col for col, (val, _) in pivot_at.items() if val == 1}
     survivors = [m for m in range(s) if m not in eliminated]
     # The HNF clears every entry above a unit pivot, so the other rows are
     # zero on the eliminated tails and present the layer on the survivors.
     layer = cokernel_invariants(IntMatrix.from_rows(
-        [[row[m] for m in survivors] for row, (_, val) in zip(rows, pivots) if val != 1]
-        or [[0] * len(survivors)]))
+        [[row[m] for m in survivors] for row, (_, val) in zip(rows, pivots) if val != 1],
+        len(survivors)))
     tail_index = [None] * s
     for new, m in enumerate(survivors):
         tail_index[m] = base + new

@@ -13,6 +13,7 @@ from pvb3.grcohom import (
     WEDGE_HOMOLOGY_IMAGES,
     ExtElement,
     Exterior,
+    ExteriorQuotient,
     beer_rank,
     dual_restriction,
     free_factor_dual,
@@ -155,6 +156,12 @@ def test_kernel_of_pairing_is_spanned_by_the_four_relations():
 def test_five_generator_ring_ranks():
     ring = g3_ring()
     assert ring.ranks(3) == (1, 5, 6, 0)
+    assert ring.torsion(3) == ((), (), (), ())
+
+
+def test_exterior_algebra_without_relations_has_binomial_ranks():
+    ring = ExteriorQuotient(Exterior(("a", "b", "c")), ())
+    assert ring.ranks(3) == (1, 3, 3, 1)
     assert ring.torsion(3) == ((), (), (), ())
 
 

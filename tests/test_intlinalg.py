@@ -1,5 +1,6 @@
 """Exact integer linear algebra: normal forms, kernels, lattices."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from pvb3.intlinalg import (
     determinant,
     hermite_normal_form,
     in_row_lattice,
-    is_unit_determinant,
     kernel_basis,
     rank,
     row_lattices_equal,
@@ -39,7 +39,149 @@ def rational_rank(rows):
     return r
 
 
+# Reference oracle: the dense Smith normal form with unimodular transforms
+# that the package used before it read Smith factors and kernels off the
+# Hermite form.
+
+@dataclass(frozen=True)
+class SmithForm:
+    """Factorisation left * source * right = diag(factors).
+
+    ``factors`` has length min(nrows, ncols) and satisfies the divisibility
+    chain d_1 | d_2 | ... with every d_i >= 0.  ``left`` and ``right`` are
+    unimodular.
+    """
+
+    source: IntMatrix
+    factors: tuple[int, ...]
+    left: IntMatrix
+    right: IntMatrix
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for d in self.factors if d != 0)
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        return tuple(d for d in self.factors if d > 1)
+
+    def verify(self) -> bool:
+        prod = self.left * self.source * self.right
+        m, n = prod.nrows, prod.ncols
+        for i in range(m):
+            for j in range(n):
+                want = self.factors[i] if i == j and i < len(self.factors) else 0
+                if prod.entries[i][j] != want:
+                    return False
+        return (abs(determinant(self.left)) == 1
+                and abs(determinant(self.right)) == 1)
+
+
+def _swap_rows(a, i, j):
+    a[i], a[j] = a[j], a[i]
+
+
+def _add_row(a, i, j, q):
+    # row i += q * row j
+    ai, aj = a[i], a[j]
+    for k in range(len(ai)):
+        ai[k] += q * aj[k]
+
+
+def _neg_row(a, i):
+    a[i] = [-x for x in a[i]]
+
+
+def reference_smith_form(mat: IntMatrix) -> SmithForm:
+    """Smith normal form with unimodular transforms.
+
+    The pivot choice is always the smallest nonzero magnitude in the working
+    submatrix, with (row, col) order breaking ties, so the computation is
+    deterministic.  The zero matrix yields all-zero factors.
+    """
+    m, n = mat.nrows, mat.ncols
+    a = [list(row) for row in mat.entries]
+    u = [list(row) for row in IntMatrix.identity(m).entries]
+    # Track the transpose of V so column ops on A are row ops here.
+    vt = [list(row) for row in IntMatrix.identity(n).entries]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        _swap_rows(vt, i, j)
+
+    def col_add(i, j, q):
+        # col i += q * col j
+        for row in a:
+            row[i] += q * row[j]
+        _add_row(vt, i, j, q)
+
+    t = 0
+    bound = min(m, n)
+    while t < bound:
+        # Locate smallest-magnitude nonzero entry of the trailing submatrix.
+        pivot = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = a[i][j]
+                if x != 0 and (pivot is None or abs(x) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        if pivot[0] != t:
+            _swap_rows(a, t, pivot[0])
+            _swap_rows(u, t, pivot[0])
+        if pivot[1] != t:
+            col_swap(t, pivot[1])
+        while True:
+            # Clear the pivot column.
+            dirty = False
+            for i in range(t + 1, m):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    _add_row(a, i, t, -q)
+                    _add_row(u, i, t, -q)
+                    if a[i][t] != 0:
+                        _swap_rows(a, t, i)
+                        _swap_rows(u, t, i)
+                        dirty = True
+            if dirty:
+                continue
+            # Clear the pivot row.
+            for j in range(t + 1, n):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    col_add(j, t, -q)
+                    if a[t][j] != 0:
+                        col_swap(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # Enforce divisibility of the remaining block by the pivot.
+            viol = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % a[t][t] != 0:
+                        viol = i
+                        break
+                if viol is not None:
+                    break
+            if viol is None:
+                break
+            _add_row(a, t, viol, 1)
+            _add_row(u, t, viol, 1)
+        if a[t][t] < 0:
+            _neg_row(a, t)
+            _neg_row(u, t)
+        t += 1
+
+    factors = tuple(a[i][i] if i < m and i < n else 0 for i in range(bound))
+    right = IntMatrix.from_rows(vt).transpose()
+    return SmithForm(mat, factors, IntMatrix.from_rows(u), right)
+
+
 small_entries = st.integers(min_value=-9, max_value=9)
+unit_free_entries = st.sampled_from([0, 2, 3, 4, 6])
 
 
 @st.composite
@@ -50,20 +192,27 @@ def matrices(draw, max_dim=5, entries=small_entries):
     return IntMatrix.from_rows(rows)
 
 
+# matrices of every width with no rows at all
+rowless_matrices = st.integers(min_value=0, max_value=5).map(lambda n: IntMatrix.zero(0, n))
+
+
 def smith_invariants(m):
     """Reference (free rank, torsion) of the cokernel, read off the dense Smith form."""
-    sf = smith_normal_form(m)
+    sf = reference_smith_form(m)
     return m.ncols - sf.rank, sf.torsion
 
 
 def test_diagonal_two_three_has_factors_one_six():
-    sf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    m = IntMatrix.from_rows([[2, 0], [0, 3]])
+    assert smith_normal_form(m) == (1, 6)
+    sf = reference_smith_form(m)
     assert sf.factors == (1, 6)
     assert sf.verify()
 
 
 def test_zero_matrix_all_factors_zero():
-    sf = smith_normal_form(IntMatrix.zero(3, 4))
+    assert smith_normal_form(IntMatrix.zero(3, 4)) == ()
+    sf = reference_smith_form(IntMatrix.zero(3, 4))
     assert sf.factors == (0, 0, 0)
     assert sf.rank == 0
     assert sf.verify()
@@ -72,8 +221,8 @@ def test_zero_matrix_all_factors_zero():
 def test_unimodular_fibonacci_matrix():
     m = IntMatrix.from_rows([[1, 1], [1, 0]])
     assert determinant(m) == -1
-    assert is_unit_determinant(m)
-    assert not is_unit_determinant(IntMatrix.from_rows([[2, 0], [0, 1]]))
+    assert abs(determinant(m)) == 1
+    assert abs(determinant(IntMatrix.from_rows([[2, 0], [0, 1]]))) != 1
 
 
 def test_determinant_rejects_rectangular():
@@ -99,7 +248,7 @@ def test_cokernel_with_free_part():
 @given(matrices())
 @settings(max_examples=200)
 def test_smith_factorisation_verifies(m):
-    sf = smith_normal_form(m)
+    sf = reference_smith_form(m)
     assert sf.verify()
     # divisibility chain
     for a, b in zip(sf.factors, sf.factors[1:]):
@@ -115,7 +264,7 @@ def test_smith_factorisation_verifies(m):
 def test_rank_matches_rational_oracle(m):
     expected = rational_rank(m.entries)
     assert rank(m) == expected
-    assert smith_normal_form(m).rank == expected
+    assert len(smith_normal_form(m)) == expected
 
 
 @given(matrices())
@@ -128,6 +277,23 @@ def test_kernel_vectors_annihilate_and_span(m):
     assert len(basis) == m.ncols - rank(m)
     if basis:
         assert rank(IntMatrix.from_rows(basis)) == len(basis)
+
+
+@given(st.one_of(matrices(), matrices(entries=unit_free_entries), rowless_matrices))
+@settings(max_examples=300)
+def test_kernel_basis_is_the_saturated_kernel_of_the_reference(m):
+    # the columns of the reference's right transform at zero factors span
+    # the whole integer kernel, so a kernel basis scaled by 2 fails here
+    sf = reference_smith_form(m)
+    expected = [sf.right.col(j) for j in range(m.ncols)
+                if j >= len(sf.factors) or sf.factors[j] == 0]
+    assert row_lattices_equal(IntMatrix.from_rows(kernel_basis(m), m.ncols),
+                              IntMatrix.from_rows(expected, m.ncols))
+
+
+def test_kernel_of_matrix_without_rows_is_everything():
+    assert kernel_basis(IntMatrix.zero(0, 3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel_basis(IntMatrix.from_rows([[2, 4]])) == [(2, -1)]
 
 
 @given(matrices())
@@ -164,6 +330,14 @@ def test_membership_detects_non_members():
     assert not in_row_lattice(m, [2, 1])
 
 
+def test_membership_in_matrix_without_rows():
+    m = IntMatrix.zero(0, 2)
+    assert in_row_lattice(m, [0, 0])
+    assert not in_row_lattice(m, [1, 0])
+    with pytest.raises(ValueError):
+        in_row_lattice(m, [0, 0, 0])
+
+
 def test_lattice_equality_is_basis_independent():
     a = IntMatrix.from_rows([[1, 2], [0, 3]])
     b = IntMatrix.from_rows([[1, 5], [1, 2]])  # row ops applied to a
@@ -175,7 +349,27 @@ def test_lattice_equality_is_basis_independent():
 @settings(max_examples=100)
 def test_smith_factors_invariant_under_row_shuffle(m):
     shuffled = IntMatrix.from_rows(list(reversed(m.entries)))
-    assert smith_normal_form(m).factors == smith_normal_form(shuffled).factors
+    assert smith_normal_form(m) == smith_normal_form(shuffled)
+
+
+@given(st.one_of(matrices(max_dim=7), matrices(max_dim=6, entries=unit_free_entries),
+                 rowless_matrices))
+@settings(max_examples=300)
+def test_smith_factors_match_the_reference(m):
+    factors = smith_normal_form(m)
+    assert factors == tuple(d for d in reference_smith_form(m).factors if d)
+    assert all(d > 0 for d in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+def test_matrix_without_rows_keeps_its_width():
+    m = IntMatrix.zero(0, 5)
+    assert (m.nrows, m.ncols) == (0, 5)
+    assert IntMatrix.from_rows([], 5) == m
+    assert (m.transpose().nrows, m.transpose().ncols) == (5, 0)
+    assert m.transpose().transpose() == m
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows([[1, 2]], 3)
 
 
 def test_matrix_multiplication_shapes_and_identity():
@@ -192,7 +386,7 @@ def test_cokernel_matches_smith_form(m):
     assert cokernel_invariants(m) == smith_invariants(m)
 
 
-@given(matrices(max_dim=6, entries=st.sampled_from([0, 2, 3, 4, 6])))
+@given(matrices(max_dim=6, entries=unit_free_entries))
 @settings(max_examples=200)
 def test_cokernel_without_unit_entries_matches_smith_form(m):
     # no +-1 pivot exists, so the whole matrix is the leftover block
@@ -229,7 +423,7 @@ def test_cokernel_through_unit_pivot_cascades(data):
     assert cokernel_invariants(mixed) == smith_invariants(mixed) == expected
 
 
-@pytest.mark.parametrize("m, n", [(1, 1), (3, 4), (4, 2)])
+@pytest.mark.parametrize("m, n", [(1, 1), (3, 4), (4, 2), (0, 5)])
 def test_cokernel_of_zero_matrix_is_free(m, n):
     assert cokernel_invariants(IntMatrix.zero(m, n)) == (n, ())
 
