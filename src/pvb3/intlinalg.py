@@ -2,20 +2,26 @@
 
 Rank, determinant, Hermite and Smith normal forms, integer kernels and
 lattice membership.  Everything runs on arbitrary-precision Python ints;
-no floating point is used anywhere.  The Hermite normal form is the one
-dense elimination behind ranks, lattice membership, kernels and Smith
-factors; cokernels are eliminated sparsely first.
+no floating point is used anywhere.  One sparse elimination, the Hermite
+normal form, is behind ranks, lattice membership and comparison, kernels,
+Smith factors and cokernels; only the determinant eliminates on its own.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 
 
 class NonSquareMatrixError(ValueError):
     """Raised when a determinant is requested for a rectangular matrix."""
+
+
+def _check_ints(row) -> None:
+    for x in row:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise TypeError("entries must be ints, got %r" % (x,))
 
 
 @dataclass(frozen=True)
@@ -33,14 +39,12 @@ class IntMatrix:
         if any(len(row) != self.ncols for row in self.entries):
             raise ValueError("ragged rows")
         for row in self.entries:
-            for x in row:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise TypeError("entries must be ints, got %r" % (x,))
+            _check_ints(row)
 
     @staticmethod
     def from_rows(rows, ncols: int | None = None) -> "IntMatrix":
         """Matrix of ``rows``; ``ncols`` gives the width when ``rows`` may be empty."""
-        entries = tuple(tuple(int(x) for x in row) for row in rows)
+        entries = tuple(tuple(row) for row in rows)
         if ncols is None:
             ncols = len(entries[0]) if entries else 0
         return IntMatrix(entries, ncols)
@@ -49,16 +53,9 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
-    @staticmethod
-    def zero(m: int, n: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * n for _ in range(m)), n)
-
     @property
     def nrows(self) -> int:
         return len(self.entries)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
@@ -114,44 +111,67 @@ def hermite_normal_form(mat: IntMatrix):
     and ``pivots`` is a list of (column, value) pairs, one per row, in
     increasing column order with positive pivot values.  Entries above a
     pivot are reduced into [0, pivot).
+
+    Sparse rows wait in buckets by leading column while the columns are
+    swept in order; Euclid on a column's rows reduces by the smallest entry,
+    then the shortest row, and a row that loses its lead moves on to its new
+    one (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
     """
-    work = [list(row) for row in mat.entries if any(row)]
     n = mat.ncols
-    done: list[list[int]] = []
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for row in mat.entries:
+        r = dict(zip(compress(range(n), row), filter(None, row)))
+        if r:
+            buckets.setdefault(min(r), []).append(r)
+    done: list[dict[int, int]] = []
     pivots: list[tuple[int, int]] = []
     for col in range(n):
-        live = [r for r in work if r[col] != 0]
-        if not live:
+        live = buckets.pop(col, None)
+        if live is None:
             continue
         while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
+            live.sort(key=lambda r: (abs(r[col]), len(r)))
             best = live[0]
             for r in live[1:]:
-                q = r[col] // best[col]
-                for k in range(col, n):
-                    r[k] -= q * best[k]
-            live = [best] + [r for r in live[1:] if r[col] != 0]
+                _subtract(r, best, r[col] // best[col])
+                if r and col not in r:
+                    buckets.setdefault(min(r), []).append(r)
+            live = [r for r in live if col in r]
         pivot_row = live[0]
-        work = [r for r in work if r is not pivot_row and any(r)]
         if pivot_row[col] < 0:
-            pivot_row[:] = [-x for x in pivot_row]
-        # Reduce earlier pivot rows above this pivot.
+            for j in pivot_row:
+                pivot_row[j] = -pivot_row[j]
+        val = pivot_row[col]
         for r in done:
-            q = r[col] // pivot_row[col]
+            q = r.get(col, 0) // val
             if q:
-                for k in range(col, n):
-                    r[k] -= q * pivot_row[k]
+                _subtract(r, pivot_row, q)
         done.append(pivot_row)
-        pivots.append((col, pivot_row[col]))
-    return done, pivots
+        pivots.append((col, val))
+    rows = [[0] * n for _ in done]
+    for row, r in zip(rows, done):
+        for j, x in r.items():
+            row[j] = x
+    return rows, pivots
+
+
+def _subtract(r: dict[int, int], s: dict[int, int], q: int) -> None:
+    """r -= q * s on sparse rows, for q != 0."""
+    for j, x in s.items():
+        y = r.get(j, 0) - q * x
+        if y:
+            r[j] = y
+        else:
+            del r[j]
 
 
 def in_row_lattice(mat: IntMatrix, vec) -> bool:
     """Whether ``vec`` lies in the integer row span of ``mat``."""
-    rows, pivots = hermite_normal_form(mat)
-    v = [int(x) for x in vec]
+    v = list(vec)
     if len(v) != mat.ncols:
         raise ValueError("vector length %d, matrix has %d columns" % (len(v), mat.ncols))
+    _check_ints(v)
+    rows, pivots = hermite_normal_form(mat)
     for row, (col, val) in zip(rows, pivots):
         q, r = divmod(v[col], val)
         if r != 0:
@@ -163,11 +183,11 @@ def in_row_lattice(mat: IntMatrix, vec) -> bool:
 
 
 def row_lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
-    """Exact equality of the integer lattices spanned by the rows."""
+    """Exact equality of the integer lattices spanned by the rows, whose
+    reduced Hermite forms agree exactly when the lattices do."""
     if a.ncols != b.ncols:
         raise ValueError("column count mismatch")
-    return (all(in_row_lattice(b, row) for row in a.entries)
-            and all(in_row_lattice(a, row) for row in b.entries))
+    return hermite_normal_form(a) == hermite_normal_form(b)
 
 
 def kernel_basis(mat: IntMatrix) -> list[tuple[int, ...]]:
@@ -208,65 +228,15 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
 def cokernel_invariants(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """(free rank, torsion factors) of Z^ncols / row span.
 
-    Sparse elimination on row dicts takes +-1 pivots in order of lowest
-    Markowitz cost (|row| - 1) * (|col| - 1), ties broken by (row, col).  A
-    pivot clears its column by row operations only, then its row and column
-    are dropped, which leaves the cokernel unchanged.  Only the block left
-    without a unit entry goes through ``smith_normal_form``.
+    The Hermite form has cleared every entry above a unit pivot, so each
+    unit-pivot row only eliminates its own column and drops out with it.
+    The rows left present the cokernel on the other columns and go through
+    ``smith_normal_form``.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for i, row in enumerate(mat.entries):
-        if any(row):
-            rows[i] = {j: x for j, x in enumerate(row) if x}
-            for j in rows[i]:
-                cols.setdefault(j, set()).add(i)
-
-    def cost(i, j):
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-    # Every live unit entry has a heap item with its current cost; items
-    # whose cost or entry has since changed are skipped when popped.
-    heap = [(cost(i, j), i, j) for i, r in rows.items()
-            for j, x in r.items() if x in (1, -1)]
-    heapq.heapify(heap)
-    pivots = 0
-    while heap:
-        c, i, j = heapq.heappop(heap)
-        r = rows.get(i)
-        if r is None or r.get(j) not in (1, -1) or c != cost(i, j):
-            continue
-        pivots += 1
-        del rows[i]
-        for col in r:
-            cols[col].discard(i)
-        touched = sorted(cols[j])
-        for k in touched:
-            rk = rows[k]
-            f = rk[j] * r[j]
-            for col, x in r.items():
-                y = rk.get(col, 0) - f * x
-                if y:
-                    rk[col] = y
-                    cols[col].add(k)
-                else:
-                    del rk[col]
-                    cols[col].discard(k)
-            if not rk:
-                del rows[k]
-        for col in r:
-            for k in cols[col]:
-                if rows[k][col] in (1, -1):
-                    heapq.heappush(heap, (cost(k, col), k, col))
-        for k in touched:
-            if k in rows:
-                for col, x in rows[k].items():
-                    if x in (1, -1):
-                        heapq.heappush(heap, (cost(k, col), k, col))
-    free = mat.ncols - pivots
-    if not rows:
-        return free, ()
-    live = sorted({j for r in rows.values() for j in r})
+    rows, pivots = hermite_normal_form(mat)
+    units = {col for col, val in pivots if val == 1}
+    keep = [j for j in range(mat.ncols) if j not in units]
     factors = smith_normal_form(IntMatrix.from_rows(
-        [[rows[i].get(j, 0) for j in live] for i in sorted(rows)]))
-    return free - len(factors), tuple(d for d in factors if d > 1)
+        [[row[j] for j in keep] for row, (_, val) in zip(rows, pivots) if val != 1],
+        len(keep)))
+    return len(keep) - len(factors), tuple(d for d in factors if d > 1)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvb3 import nq
+from pvb3.fpres import pv_presentation
 from pvb3.intlinalg import (
     IntMatrix,
     NonSquareMatrixError,
@@ -19,6 +21,7 @@ from pvb3.intlinalg import (
     row_lattices_equal,
     smith_normal_form,
 )
+from pvb3.lie import pv3_lie_quotient
 
 
 def rational_rank(rows):
@@ -180,6 +183,56 @@ def reference_smith_form(mat: IntMatrix) -> SmithForm:
     return SmithForm(mat, factors, IntMatrix.from_rows(u), right)
 
 
+# Reference oracle: the dense Hermite normal form the package used before
+# the sparse one.  The reduced form is unique, so both must agree exactly.
+
+def dense_hermite_normal_form(mat: IntMatrix):
+    """Row-style Hermite normal form of the lattice spanned by the rows.
+
+    Returns (rows, pivots) where ``rows`` is a list of nonzero reduced rows
+    and ``pivots`` is a list of (column, value) pairs, one per row, in
+    increasing column order with positive pivot values.  Entries above a
+    pivot are reduced into [0, pivot).
+    """
+    work = [list(row) for row in mat.entries if any(row)]
+    n = mat.ncols
+    done: list[list[int]] = []
+    pivots: list[tuple[int, int]] = []
+    for col in range(n):
+        live = [r for r in work if r[col] != 0]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            best = live[0]
+            for r in live[1:]:
+                q = r[col] // best[col]
+                for k in range(col, n):
+                    r[k] -= q * best[k]
+            live = [best] + [r for r in live[1:] if r[col] != 0]
+        pivot_row = live[0]
+        work = [r for r in work if r is not pivot_row and any(r)]
+        if pivot_row[col] < 0:
+            pivot_row[:] = [-x for x in pivot_row]
+        # Reduce earlier pivot rows above this pivot.
+        for r in done:
+            q = r[col] // pivot_row[col]
+            if q:
+                for k in range(col, n):
+                    r[k] -= q * pivot_row[k]
+        done.append(pivot_row)
+        pivots.append((col, pivot_row[col]))
+    return done, pivots
+
+
+def membership_lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
+    """Reference lattice equality: each matrix holds every row of the other."""
+    if a.ncols != b.ncols:
+        raise ValueError("column count mismatch")
+    return (all(in_row_lattice(b, row) for row in a.entries)
+            and all(in_row_lattice(a, row) for row in b.entries))
+
+
 small_entries = st.integers(min_value=-9, max_value=9)
 unit_free_entries = st.sampled_from([0, 2, 3, 4, 6])
 
@@ -192,8 +245,24 @@ def matrices(draw, max_dim=5, entries=small_entries):
     return IntMatrix.from_rows(rows)
 
 
+@st.composite
+def sparse_wide_matrices(draw):
+    # up to four nonzero entries a row, none of them a unit, so Euclid
+    # moves rows between leading columns and leaves non-unit pivots to
+    # reduce above
+    m = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=1, max_value=16))
+    rows = []
+    for _ in range(m):
+        row = [0] * n
+        for j in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=4)):
+            row[j] = draw(st.sampled_from([-6, -4, -3, -2, 2, 3, 4, 6]))
+        rows.append(row)
+    return IntMatrix.from_rows(rows, n)
+
+
 # matrices of every width with no rows at all
-rowless_matrices = st.integers(min_value=0, max_value=5).map(lambda n: IntMatrix.zero(0, n))
+rowless_matrices = st.integers(min_value=0, max_value=5).map(lambda n: IntMatrix.from_rows([], n))
 
 
 def smith_invariants(m):
@@ -211,8 +280,8 @@ def test_diagonal_two_three_has_factors_one_six():
 
 
 def test_zero_matrix_all_factors_zero():
-    assert smith_normal_form(IntMatrix.zero(3, 4)) == ()
-    sf = reference_smith_form(IntMatrix.zero(3, 4))
+    assert smith_normal_form(IntMatrix.from_rows([[0] * 4] * 3, 4)) == ()
+    sf = reference_smith_form(IntMatrix.from_rows([[0] * 4] * 3, 4))
     assert sf.factors == (0, 0, 0)
     assert sf.rank == 0
     assert sf.verify()
@@ -227,7 +296,7 @@ def test_unimodular_fibonacci_matrix():
 
 def test_determinant_rejects_rectangular():
     with pytest.raises(NonSquareMatrixError):
-        determinant(IntMatrix.zero(2, 3))
+        determinant(IntMatrix.from_rows([[0] * 3] * 2, 3))
 
 
 def test_determinant_empty_matrix_is_one():
@@ -292,7 +361,7 @@ def test_kernel_basis_is_the_saturated_kernel_of_the_reference(m):
 
 
 def test_kernel_of_matrix_without_rows_is_everything():
-    assert kernel_basis(IntMatrix.zero(0, 3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert kernel_basis(IntMatrix.from_rows([], 3)) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert kernel_basis(IntMatrix.from_rows([[2, 4]])) == [(2, -1)]
 
 
@@ -331,7 +400,7 @@ def test_membership_detects_non_members():
 
 
 def test_membership_in_matrix_without_rows():
-    m = IntMatrix.zero(0, 2)
+    m = IntMatrix.from_rows([], 2)
     assert in_row_lattice(m, [0, 0])
     assert not in_row_lattice(m, [1, 0])
     with pytest.raises(ValueError):
@@ -363,7 +432,7 @@ def test_smith_factors_match_the_reference(m):
 
 
 def test_matrix_without_rows_keeps_its_width():
-    m = IntMatrix.zero(0, 5)
+    m = IntMatrix.from_rows([], 5)
     assert (m.nrows, m.ncols) == (0, 5)
     assert IntMatrix.from_rows([], 5) == m
     assert (m.transpose().nrows, m.transpose().ncols) == (5, 0)
@@ -397,7 +466,7 @@ def test_cokernel_without_unit_entries_matches_smith_form(m):
        st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=6))
 @settings(max_examples=200)
 def test_cokernel_of_rank_deficient_matrix_matches_smith_form(m, picks):
-    repeated = IntMatrix.from_rows(list(m.entries) + [m.row(p % m.nrows) for p in picks])
+    repeated = IntMatrix.from_rows(list(m.entries) + [m.entries[p % m.nrows] for p in picks])
     assert cokernel_invariants(repeated) == smith_invariants(repeated)
     assert cokernel_invariants(repeated) == cokernel_invariants(m)
 
@@ -425,9 +494,84 @@ def test_cokernel_through_unit_pivot_cascades(data):
 
 @pytest.mark.parametrize("m, n", [(1, 1), (3, 4), (4, 2), (0, 5)])
 def test_cokernel_of_zero_matrix_is_free(m, n):
-    assert cokernel_invariants(IntMatrix.zero(m, n)) == (n, ())
+    assert cokernel_invariants(IntMatrix.from_rows([[0] * n] * m, n)) == (n, ())
 
 
 def test_cokernel_of_matrix_without_rows_is_trivial():
     assert cokernel_invariants(IntMatrix.from_rows([])) == (0, ()) == \
         smith_invariants(IntMatrix.from_rows([]))
+
+
+@given(st.one_of(matrices(), matrices(entries=unit_free_entries), rowless_matrices))
+@settings(max_examples=300)
+def test_sparse_hnf_matches_the_dense_reference(m):
+    assert hermite_normal_form(m) == dense_hermite_normal_form(m)
+
+
+@given(sparse_wide_matrices())
+@settings(max_examples=300)
+def test_sparse_hnf_matches_the_dense_reference_on_sparse_wide_matrices(m):
+    assert hermite_normal_form(m) == dense_hermite_normal_form(m)
+
+
+def test_sparse_hnf_matches_the_dense_reference_on_pv3_nq_lattices(monkeypatch):
+    lattices = []
+
+    def recording(mat):
+        lattices.append(mat)
+        return hermite_normal_form(mat)
+
+    monkeypatch.setattr(nq, "hermite_normal_form", recording)
+    nq.nilpotent_quotient(pv_presentation(3), 4)
+    assert len(lattices) == 4
+    for mat in lattices:
+        assert hermite_normal_form(mat) == dense_hermite_normal_form(mat)
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_sparse_hnf_matches_the_dense_reference_on_lie_ideal_matrices(degree):
+    mat = pv3_lie_quotient().ideal_matrix(degree)
+    assert hermite_normal_form(mat) == dense_hermite_normal_form(mat)
+
+
+def test_hnf_moves_a_row_that_loses_its_lead_and_reduces_above_a_non_unit_pivot():
+    # row 2 minus twice row 1 is (0, -5, -6) and leads in column 1; made
+    # positive, its pivot 5 reduces the 6 above it
+    m = IntMatrix.from_rows([[2, 6, 3], [4, 7, 0]])
+    assert hermite_normal_form(m) == ([[2, 1, -3], [0, 5, 6]], [(0, 2), (1, 5)]) \
+        == dense_hermite_normal_form(m)
+
+
+@given(st.data())
+@settings(max_examples=300)
+def test_lattice_equality_matches_the_membership_reference(data):
+    # b is a row-operated copy of a, sometimes with a row scaled or added
+    a = data.draw(matrices(max_dim=4))
+    rows = [list(row) for row in a.entries]
+    ops = data.draw(st.lists(st.tuples(st.integers(0, a.nrows - 1), st.integers(0, a.nrows - 1),
+                                       st.integers(-3, 3)), max_size=8))
+    for i, j, q in ops:
+        if i != j:
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    rows[0] = [data.draw(st.sampled_from([1, 1, -1, 2])) * x for x in rows[0]]
+    rows += data.draw(st.lists(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=a.ncols,
+                                        max_size=a.ncols), max_size=1))
+    b = IntMatrix.from_rows(rows, a.ncols)
+    assert row_lattices_equal(a, b) == membership_lattices_equal(a, b) == row_lattices_equal(b, a)
+
+
+def test_lattice_equality_rejects_a_width_mismatch():
+    with pytest.raises(ValueError):
+        row_lattices_equal(IntMatrix.from_rows([[1, 0]]), IntMatrix.from_rows([[1, 0, 0]]))
+
+
+@pytest.mark.parametrize("rows", [[[2.5, 1]], [[True, 0]], [[2.5, 1], [True, 0]]])
+def test_from_rows_rejects_non_integers(rows):
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("vec", [[2.9, 0], [True, 0], [2.0, 0]])
+def test_membership_rejects_non_integer_vectors(vec):
+    with pytest.raises(TypeError):
+        in_row_lattice(IntMatrix.from_rows([[2, 0]]), vec)
