@@ -147,7 +147,7 @@ def _epsilon_product(tokens, rank_override=None):
         if not m:
             raise ParseError("cannot read %r as eij or eij^k" % token, 1, 1)
         parsed.append((int(m.group(1)), int(m.group(2)), int(m.group(3) or 1)))
-    n = rank_override or max(max(i, j) for i, j, _ in parsed)
+    n = max(max(i, j) for i, j, _ in parsed) if rank_override is None else rank_override
     out = Automorphism.identity(free_alphabet(n))
     for i, j, k in parsed:
         out = out * epsilon(n, i, j) ** k
@@ -284,7 +284,7 @@ def cmd_aut(args) -> int:
         print("not conjugation by %s" % by)
         return 1
     if args.action == "mccool":
-        n = args.rank or 3
+        n = 3 if args.rank is None else args.rank
         batches = (mccool_disjoint_commutators(n),
                    mccool_same_target_commutators(n),
                    mccool_triple_relations(n),

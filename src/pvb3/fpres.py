@@ -223,16 +223,6 @@ class TorusElement:
     def is_identity(self) -> bool:
         return self.shift == 0 and self.fiber.is_identity
 
-    def comm(self, other: "TorusElement") -> "TorusElement":
-        return self.inv() * other.inv() * self * other
-
-    def __str__(self) -> str:
-        if self.shift == 0:
-            return str(self.fiber)
-        t = "%s^%d" % (self.torus.stable_name, self.shift) if self.shift != 1 \
-            else self.torus.stable_name
-        return t if self.fiber.is_identity else "%s %s" % (self.fiber, t)
-
 
 @dataclass(frozen=True)
 class MappingTorus:
@@ -270,9 +260,6 @@ class MappingTorus:
                 letter = Word(fiber, ((fiber.index(full.names[g]), s),))
                 out = out * TorusElement(self, letter, 0)
         return out
-
-    def presentation(self) -> Presentation:
-        return mapping_torus_presentation(self.automorphism, self.stable_name)
 
 
 def residual_nilpotence_criterion(phi) -> tuple[str, int]:

@@ -133,21 +133,6 @@ class ExtElement:
     def vector(self, degree):
         return tuple(self.terms.get(k, 0) for k in self.algebra.basis(degree))
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
-            mono = "^".join(self.algebra.names[i] for i in key) or "1"
-            if c == 1 and key:
-                parts.append(mono)
-            elif c == -1 and key:
-                parts.append("-" + mono)
-            else:
-                parts.append("%d*%s" % (c, mono) if key else str(c))
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 def substitute(element, images, target):
     """Apply a degree-one substitution multiplicatively.

@@ -5,6 +5,8 @@ lattice membership.  Everything runs on arbitrary-precision Python ints;
 no floating point is used anywhere.  One sparse elimination, the Hermite
 normal form, is behind ranks, lattice membership and comparison, kernels,
 Smith factors and cokernels; only the determinant eliminates on its own.
+The Hermite rows are ``{column: nonzero entry}`` dicts, and every reader
+here consumes them without making them dense.
 """
 
 from __future__ import annotations
@@ -109,8 +111,9 @@ def hermite_normal_form(mat: IntMatrix):
 
     Returns (rows, pivots) where ``rows`` is a list of nonzero reduced rows
     and ``pivots`` is a list of (column, value) pairs, one per row, in
-    increasing column order with positive pivot values.  Entries above a
-    pivot are reduced into [0, pivot).
+    increasing column order with positive pivot values.  Each row is a
+    ``{column: nonzero entry}`` dict whose least key is its pivot column.
+    Entries above a pivot are reduced into [0, pivot).
 
     Sparse rows wait in buckets by leading column while the columns are
     swept in order; Euclid on a column's rows reduces by the smallest entry,
@@ -148,11 +151,7 @@ def hermite_normal_form(mat: IntMatrix):
                 _subtract(r, pivot_row, q)
         done.append(pivot_row)
         pivots.append((col, val))
-    rows = [[0] * n for _ in done]
-    for row, r in zip(rows, done):
-        for j, x in r.items():
-            row[j] = x
-    return rows, pivots
+    return done, pivots
 
 
 def _subtract(r: dict[int, int], s: dict[int, int], q: int) -> None:
@@ -177,8 +176,8 @@ def in_row_lattice(mat: IntMatrix, vec) -> bool:
         if r != 0:
             return False
         if q:
-            for k in range(col, len(v)):
-                v[k] -= q * row[k]
+            for k, x in row.items():
+                v[k] -= q * x
     return not any(v)
 
 
@@ -201,7 +200,8 @@ def kernel_basis(mat: IntMatrix) -> list[tuple[int, ...]]:
     m, n = mat.nrows, mat.ncols
     rows, pivots = hermite_normal_form(IntMatrix.from_rows(
         [mat.col(j) + tuple(int(i == j) for i in range(n)) for j in range(n)], m + n))
-    return [tuple(row[m:]) for row, (col, _) in zip(rows, pivots) if col >= m]
+    return [tuple(row.get(j, 0) for j in range(m, m + n))
+            for row, (col, _) in zip(rows, pivots) if col >= m]
 
 
 def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
@@ -214,9 +214,11 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
     then turned into a divisibility chain by replacing each pair with its
     gcd and lcm, which leaves the group they present unchanged.
     """
-    rows, pivots = hermite_normal_form(mat)
-    while any(sum(1 for x in row if x) > 1 for row in rows):
-        rows, pivots = hermite_normal_form(IntMatrix.from_rows(zip(*rows)))
+    width, (rows, pivots) = mat.ncols, hermite_normal_form(mat)
+    while any(len(row) > 1 for row in rows):
+        # the transpose has a row per column of the last pass's input
+        width, (rows, pivots) = len(rows), hermite_normal_form(IntMatrix.from_rows(
+            [[row.get(j, 0) for row in rows] for j in range(width)], len(rows)))
     factors = [val for _, val in pivots]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
@@ -237,6 +239,6 @@ def cokernel_invariants(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
     units = {col for col, val in pivots if val == 1}
     keep = [j for j in range(mat.ncols) if j not in units]
     factors = smith_normal_form(IntMatrix.from_rows(
-        [[row[j] for j in keep] for row, (_, val) in zip(rows, pivots) if val != 1],
+        [[row.get(j, 0) for j in keep] for row, (_, val) in zip(rows, pivots) if val != 1],
         len(keep)))
     return len(keep) - len(factors), tuple(d for d in factors if d > 1)

@@ -183,9 +183,6 @@ class GradedLieQuotient:
     def ngens(self):
         return len(self.names)
 
-    def gen(self, name):
-        return lie_gen(self.ngens, self.names.index(name))
-
     def ideal_matrix(self, degree):
         """Iterated brackets of generators against the relations."""
         rows = []

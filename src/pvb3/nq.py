@@ -11,8 +11,9 @@ constraints are the exponent vectors of the relators.  Definitions never
 receive tails, and the image relation of every eliminated original
 generator always does; both points are load-bearing, each failure mode
 having a small group that detects it.  Each stage eliminates its constraint
-lattice once, by one Hermite normal form: the unit pivots pick the tails to
-eliminate, and the remaining rows give the layer invariants.
+lattice once, by one Hermite normal form on sparse rows: each unit-pivot
+row replaces its tail by minus the rest of the row, and the other rows give
+the layer by their Smith factors and the torsion powers by their entries.
 
 Normal forms are exponent vectors over the polycyclic generators, computed
 by collection from the left.  Collection is deterministic (leftmost
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from bisect import bisect_right
 
 from .fpres import Presentation
-from .intlinalg import IntMatrix, cokernel_invariants, hermite_normal_form
+from .intlinalg import IntMatrix, hermite_normal_form, smith_normal_form
 from .word import Word
 
 DEFAULT_BUDGET = 10_000_000
@@ -287,46 +288,34 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
         return system, (0, ())
 
     rows, pivots = hermite_normal_form(IntMatrix.from_rows(constraint_rows, s))
-    pivot_at = {col: (val, row) for row, (col, val) in zip(rows, pivots)}
-    eliminated = {col for col, (val, _) in pivot_at.items() if val == 1}
-    survivors = [m for m in range(s) if m not in eliminated]
+    row_at = {col: row for row, (col, _) in zip(rows, pivots)}
+    units = {col for col, val in pivots if val == 1}
+    survivors = [m for m in range(s) if m not in units]
     # The HNF clears every entry above a unit pivot, so the other rows are
-    # zero on the eliminated tails and present the layer on the survivors.
-    layer = cokernel_invariants(IntMatrix.from_rows(
-        [[row[m] for m in survivors] for row, (_, val) in zip(rows, pivots) if val != 1],
+    # zero on the eliminated tails and already in Hermite form on the
+    # survivors, where they present the layer.
+    factors = smith_normal_form(IntMatrix.from_rows(
+        [[row.get(m, 0) for m in survivors] for row, (_, val) in zip(rows, pivots) if val != 1],
         len(survivors)))
-    tail_index = [None] * s
-    for new, m in enumerate(survivors):
-        tail_index[m] = base + new
-    new_total = base + len(survivors)
+    layer = (len(survivors) - len(factors), tuple(d for d in factors if d > 1))
+    index = {m: base + new for new, m in enumerate(survivors)}
 
-    # expressions for eliminated tails, over surviving tail indices
-    expr = {}
-    for m in sorted(eliminated):
-        _, row = pivot_at[m]
-        vec = [0] * new_total
-        for mm in range(m + 1, s):
-            if row[mm]:
-                target = tail_index[mm]
-                if target is None:
-                    raise AssertionError("eliminated tail depends on an eliminated tail")
-                vec[target] -= row[mm]
-        expr[base + m] = vec
+    def negated_rest(m) -> dict[int, int]:
+        """Minus the entries of tail m's row after its pivot, on the new indices."""
+        rest = {mm: -x for mm, x in row_at[m].items() if mm != m}
+        if not rest.keys() <= index.keys():
+            raise AssertionError("eliminated tail depends on an eliminated tail")
+        return {index[mm]: x for mm, x in rest.items()}
+
+    # each tail as a sparse vector over the new generators
+    image = [{index[m]: 1} if m in index else negated_rest(m) for m in range(s)]
 
     def rebuilt(vec) -> list[int]:
-        out = [0] * new_total
-        for idx in range(base):
-            out[idx] = vec[idx]
-        for m in range(s):
-            e = vec[base + m]
-            if not e:
-                continue
-            if tail_index[m] is not None:
-                out[tail_index[m]] += e
-            else:
-                sub = expr[base + m]
-                for t in range(new_total):
-                    out[t] += e * sub[t]
+        out = vec[:base] + [0] * len(survivors)
+        for e, sub in zip(vec[base:], image):
+            if e:
+                for t, x in sub.items():
+                    out[t] += e * x
         return out
 
     new_system = PcSystem(
@@ -339,13 +328,11 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
         definitions=set(system.definitions),
         budget=system.budget,
     )
-    for new, m in enumerate(survivors):
-        val, row = pivot_at.get(m, (0, None))
-        idx = base + new
-        if val >= 2:
-            new_system.orders[idx] = val
-            new_system.powers[idx] = rebuilt([0] * base + [-x if mm > m else 0
-                                              for mm, x in enumerate(row)])
+    for m, idx in index.items():
+        if m in row_at:
+            new_system.orders[idx] = row_at[m][m]
+            rest = negated_rest(m)
+            new_system.powers[idx] = [rest.get(t, 0) for t in range(base + len(survivors))]
         kind, key = tails[m]
         if kind == "comm":
             new_system.definitions.add(("comm", key[0], key[1]))

@@ -166,6 +166,18 @@ def test_aut_mccool_all_hold(capsys):
     assert "application_order" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("mccool", "--rank", "0"), "need at least two strands"),
+    (("compose", "e12", "--rank", "0"), "need distinct indices in 1..0, got (1, 2)"),
+    (("inner", "e12", "--by", "x2", "--rank", "0"), "need distinct indices in 1..0, got (1, 2)"),
+])
+def test_aut_rank_zero_is_rejected_not_replaced(capsys, argv, message):
+    code, out, err = run(capsys, "aut", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 def test_aut_hnn_all_hold(capsys):
     code, out, _ = run(capsys, "aut", "hnn")
     assert code == 0

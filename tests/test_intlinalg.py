@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvb3 import nq
+from pvb3 import intlinalg, nq
 from pvb3.fpres import pv_presentation
 from pvb3.intlinalg import (
     IntMatrix,
@@ -225,6 +225,20 @@ def dense_hermite_normal_form(mat: IntMatrix):
     return done, pivots
 
 
+def checked_dense_hnf(mat: IntMatrix):
+    """``hermite_normal_form`` with its sparse rows checked, then made dense.
+
+    Each row must be a dict without zero values whose keys run from its
+    pivot column to below ``mat.ncols``.
+    """
+    rows, pivots = hermite_normal_form(mat)
+    assert len(rows) == len(pivots)
+    for row, (col, _) in zip(rows, pivots):
+        assert isinstance(row, dict) and all(row.values())
+        assert min(row) == col and max(row) < mat.ncols
+    return [[row.get(j, 0) for j in range(mat.ncols)] for row in rows], pivots
+
+
 def membership_lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
     """Reference lattice equality: each matrix holds every row of the other."""
     if a.ncols != b.ncols:
@@ -368,7 +382,7 @@ def test_kernel_of_matrix_without_rows_is_everything():
 @given(matrices())
 @settings(max_examples=200)
 def test_hnf_pivots_strictly_increase(m):
-    rows, pivots = hermite_normal_form(m)
+    rows, pivots = checked_dense_hnf(m)
     cols = [c for c, _ in pivots]
     assert cols == sorted(set(cols))
     for row, (col, val) in zip(rows, pivots):
@@ -429,6 +443,27 @@ def test_smith_factors_match_the_reference(m):
     assert factors == tuple(d for d in reference_smith_form(m).factors if d)
     assert all(d > 0 for d in factors)
     assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+@pytest.mark.parametrize("rows, shapes", [
+    ([[2, 4], [3, 6], [5, 10]], [(3, 2), (2, 1)]),
+    ([[2, 4], [6, 3], [0, 9]], [(3, 2), (2, 2)]),
+    ([[2, 4, 0, 6], [3, 6, 0, 9]], [(2, 4), (4, 1)]),
+    ([[6, 4, 0, 2], [0, 3, 9, 6]], [(2, 4), (4, 2), (2, 2)]),
+])
+def test_smith_passes_transpose_non_square_sparse_rows(monkeypatch, rows, shapes):
+    # each transpose has a row per column of the pass before and a column
+    # per Hermite row it made
+    seen = []
+
+    def spy(mat):
+        seen.append((mat.nrows, mat.ncols))
+        return hermite_normal_form(mat)
+
+    m = IntMatrix.from_rows(rows)
+    monkeypatch.setattr(intlinalg, "hermite_normal_form", spy)
+    assert smith_normal_form(m) == tuple(d for d in reference_smith_form(m).factors if d)
+    assert seen == shapes
 
 
 def test_matrix_without_rows_keeps_its_width():
@@ -505,13 +540,13 @@ def test_cokernel_of_matrix_without_rows_is_trivial():
 @given(st.one_of(matrices(), matrices(entries=unit_free_entries), rowless_matrices))
 @settings(max_examples=300)
 def test_sparse_hnf_matches_the_dense_reference(m):
-    assert hermite_normal_form(m) == dense_hermite_normal_form(m)
+    assert checked_dense_hnf(m) == dense_hermite_normal_form(m)
 
 
 @given(sparse_wide_matrices())
 @settings(max_examples=300)
 def test_sparse_hnf_matches_the_dense_reference_on_sparse_wide_matrices(m):
-    assert hermite_normal_form(m) == dense_hermite_normal_form(m)
+    assert checked_dense_hnf(m) == dense_hermite_normal_form(m)
 
 
 def test_sparse_hnf_matches_the_dense_reference_on_pv3_nq_lattices(monkeypatch):
@@ -525,20 +560,20 @@ def test_sparse_hnf_matches_the_dense_reference_on_pv3_nq_lattices(monkeypatch):
     nq.nilpotent_quotient(pv_presentation(3), 4)
     assert len(lattices) == 4
     for mat in lattices:
-        assert hermite_normal_form(mat) == dense_hermite_normal_form(mat)
+        assert checked_dense_hnf(mat) == dense_hermite_normal_form(mat)
 
 
 @pytest.mark.parametrize("degree", [3, 4])
 def test_sparse_hnf_matches_the_dense_reference_on_lie_ideal_matrices(degree):
     mat = pv3_lie_quotient().ideal_matrix(degree)
-    assert hermite_normal_form(mat) == dense_hermite_normal_form(mat)
+    assert checked_dense_hnf(mat) == dense_hermite_normal_form(mat)
 
 
 def test_hnf_moves_a_row_that_loses_its_lead_and_reduces_above_a_non_unit_pivot():
     # row 2 minus twice row 1 is (0, -5, -6) and leads in column 1; made
     # positive, its pivot 5 reduces the 6 above it
     m = IntMatrix.from_rows([[2, 6, 3], [4, 7, 0]])
-    assert hermite_normal_form(m) == ([[2, 1, -3], [0, 5, 6]], [(0, 2), (1, 5)]) \
+    assert checked_dense_hnf(m) == ([[2, 1, -3], [0, 5, 6]], [(0, 2), (1, 5)]) \
         == dense_hermite_normal_form(m)
 
 

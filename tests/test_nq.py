@@ -19,7 +19,7 @@ from pvb3.fpres import (
     mapping_torus_presentation,
     pv_presentation,
 )
-from pvb3.intlinalg import cokernel_invariants, hermite_normal_form
+from pvb3.intlinalg import cokernel_invariants, hermite_normal_form, smith_normal_form
 from pvb3.nq import (CollectionBudget, PcSystem, lcs_ranks, nilpotent_quotient,
                      quotient_tower)
 from pvb3.word import Alphabet, GenMap, Word
@@ -308,6 +308,7 @@ def reference_stage_one(pres, budget):
     n = pres.num_gens
     matrix = pres.relator_matrix()
     rows, pivots = hermite_normal_form(matrix)
+    rows = [[row.get(j, 0) for j in range(n)] for row in rows]
     pivot_at = {col: (val, row) for row, (col, val) in zip(rows, pivots)}
     eliminated = {col for col, (val, _) in pivot_at.items() if val == 1}
     kept = [col for col in range(n) if col not in eliminated]
@@ -395,31 +396,31 @@ def test_class_one_matches_the_separate_construction_on_samples(pres):
 
 
 def assert_layers_match_the_whole_lattice(monkeypatch, pres, depth):
-    """Each stage runs one HNF, and its layer equals the cokernel of the
-    whole constraint lattice handed to that HNF."""
-    lattices, cokernel_widths = [], []
+    """Each stage runs one HNF and one Smith form, and its layer equals the
+    cokernel of the whole constraint lattice handed to that HNF."""
+    lattices, smith_widths = [], []
 
     def hnf_spy(mat):
         lattices.append(mat)
         return hermite_normal_form(mat)
 
-    def cokernel_spy(mat):
-        cokernel_widths.append(mat.ncols)
-        return cokernel_invariants(mat)
+    def smith_spy(mat):
+        smith_widths.append(mat.ncols)
+        return smith_normal_form(mat)
 
     monkeypatch.setattr(nq, "hermite_normal_form", hnf_spy)
-    monkeypatch.setattr(nq, "cokernel_invariants", cokernel_spy)
+    monkeypatch.setattr(nq, "smith_normal_form", smith_spy)
     for q in quotient_tower(pres, depth):
         new = q.system.weights.count(q.class_)
         if lattices:
             (lattice,) = lattices
             assert q.layers[-1] == cokernel_invariants(lattice)
             # the layer comes from the surviving tails alone
-            assert cokernel_widths == [new]
+            assert smith_widths == [new]
         else:
-            assert q.layers[-1] == (0, ()) and new == 0
+            assert q.layers[-1] == (0, ()) and new == 0 and smith_widths == []
         lattices.clear()
-        cokernel_widths.clear()
+        smith_widths.clear()
 
 
 def test_layers_match_the_whole_constraint_lattice(monkeypatch):
