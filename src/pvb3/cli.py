@@ -329,8 +329,10 @@ def cmd_cohomology(args) -> int:
         for u, v in combinations(G3_NAMES, 2):
             print("%s* %s* -> %s" % (u, v, g3_cup(u, v)))
         return 0
-    ring = g3_ring() if args.flavour == "g3" else pv3_ring()
     top = args.max_degree
+    if top < 0:
+        raise ValueError("--max-degree must be at least 0, got %d" % top)
+    ring = g3_ring() if args.flavour == "g3" else pv3_ring()
     invariants = [ring.invariants(d) for d in range(top + 1)]
     for degree, (free, torsion) in enumerate(invariants):
         print(_layer_line(degree, free, torsion))

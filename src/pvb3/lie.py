@@ -1,8 +1,13 @@
 """Graded Lie rings presented by degree-two relations.
 
-Elements live in the tensor algebra; the free Lie ring sits inside it
-with the Lyndon-word basis, and conversion to that basis is triangular
-because the expansion of a standard bracketing leads with its own word.
+Elements live in the tensor algebra, where the free Lie ring sits with
+the Lyndon-word basis.  The standard bracketing of a Lyndon word w
+expands as w plus lexicographically larger words (Chen-Fox-Lyndon), so
+the coefficients of a Lie element at the Lyndon words are its Lyndon
+coordinates times a unitriangular integer matrix.  That change of basis
+is invertible over the integers, so lattices, cokernels and membership
+read off those coefficients are exactly the ones in the Lyndon basis,
+and no coordinates are ever solved for.
 Quotients by degree-two relations are handled layer by layer: the ideal
 component in each degree is spanned by iterated brackets of generators
 against the relations, and invariants come from integer linear algebra.
@@ -62,18 +67,9 @@ def lyndon_words(ngens, degree):
     return tuple(sorted(out))
 
 
-def is_lyndon(word):
-    return all(word < word[k:] for k in range(1, len(word)))
-
-
-def standard_factorization(word):
-    """Split a Lyndon word before its longest proper Lyndon suffix."""
-    if len(word) < 2 or not is_lyndon(word):
-        raise ValueError("needs a Lyndon word of length at least two")
-    for k in range(1, len(word)):
-        if is_lyndon(word[k:]):
-            return word[:k], word[k:]
-    raise AssertionError("unreachable")
+@lru_cache(maxsize=None)
+def _lyndon_columns(ngens, degree):
+    return {w: k for k, w in enumerate(lyndon_words(ngens, degree))}
 
 
 @dataclass(frozen=True)
@@ -129,42 +125,22 @@ class LieElement:
     def degrees(self):
         return tuple(sorted({len(k) for k in self.terms}))
 
-    def lyndon_coordinates(self, degree):
-        """Coefficients over the Lyndon bracket basis in one degree.
-
-        Raises ValueError when the component is not in the free Lie ring.
-        """
-        remaining = dict(self.degree_component(degree).terms)
-        basis = lyndon_words(self.ngens, degree)
-        coords = [0] * len(basis)
-        while remaining:
-            word = min(remaining)
-            if not is_lyndon(word):
-                raise ValueError("not a Lie element: leading word %r" % (word,))
-            c = remaining[word]
-            coords[basis.index(word)] = c
-            for k, v in bracket_tensor(self.ngens, word).terms.items():
-                value = remaining.get(k, 0) - c * v
-                if value:
-                    remaining[k] = value
-                else:
-                    remaining.pop(k, None)
-        return tuple(coords)
+    def lyndon_coefficients(self, degree):
+        """Coefficients at the Lyndon words of one degree, in the order
+        of ``lyndon_words``; on Lie elements they determine the element."""
+        columns = _lyndon_columns(self.ngens, degree)
+        row = [0] * len(columns)
+        for word, c in self.terms.items():
+            k = columns.get(word)
+            if k is not None:
+                row[k] = c
+        return row
 
 
 def lie_gen(ngens, index):
     if not 0 <= index < ngens:
         raise ValueError("generator index out of range")
     return LieElement.make(ngens, {(index,): 1})
-
-
-@lru_cache(maxsize=None)
-def bracket_tensor(ngens, word):
-    """Tensor expansion of the standard bracketing of a Lyndon word."""
-    if len(word) == 1:
-        return lie_gen(ngens, word[0])
-    left, right = standard_factorization(word)
-    return bracket_tensor(ngens, left).bracket(bracket_tensor(ngens, right))
 
 
 @dataclass(frozen=True)
@@ -178,6 +154,9 @@ class GradedLieQuotient:
         for r in self.relations:
             if r.degrees() != (2,):
                 raise ValueError("relations must be homogeneous of degree 2")
+            if r.terms != {k[::-1]: -c for k, c in r.terms.items()}:
+                raise ValueError("relations must be Lie elements, equal to "
+                                 "minus their reversal")
 
     @property
     def ngens(self):
@@ -185,14 +164,12 @@ class GradedLieQuotient:
 
     def ideal_matrix(self, degree):
         """Iterated brackets of generators against the relations."""
-        rows = []
         layer = list(self.relations)
         for _ in range(degree - 2):
             layer = [lie_gen(self.ngens, i).bracket(e)
                      for e in layer for i in range(self.ngens)]
-        for e in layer:
-            rows.append(e.lyndon_coordinates(degree))
-        return IntMatrix.from_rows(rows, len(lyndon_words(self.ngens, degree)))
+        return IntMatrix.from_rows((e.lyndon_coefficients(degree) for e in layer),
+                                   len(lyndon_words(self.ngens, degree)))
 
     def invariants(self, degree):
         if degree == 1:
@@ -211,18 +188,19 @@ class GradedLieQuotient:
 def enveloping_invariants(ngens, relations, top_degree):
     """(free rank, torsion) per degree of the tensor algebra modulo the
     two-sided ideal generated by degree-two relations."""
+    quadratic = [r.degree_component(2).terms.items() for r in relations]
     out = []
     for degree in range(1, top_degree + 1):
         words = tuple(product(range(ngens), repeat=degree))
         index = {w: k for k, w in enumerate(words)}
         rows = []
-        for r in relations:
+        for terms in quadratic:
             for a in range(degree - 1):
                 b = degree - 2 - a
                 for left in product(range(ngens), repeat=a):
                     for right in product(range(ngens), repeat=b):
                         vec = [0] * len(words)
-                        for k, c in r.degree_component(2).terms.items():
+                        for k, c in terms:
                             vec[index[left + k + right]] += c
                         rows.append(tuple(vec))
         out.append(cokernel_invariants(IntMatrix.from_rows(rows, len(words))))
@@ -297,7 +275,7 @@ def derivation_check():
     ideal = quotient.ideal_matrix(3)
     for r in (a1.bracket(b1), a2.bracket(b2)):
         image = apply_derivation(r, images)
-        if not in_row_lattice(ideal, image.lyndon_coordinates(3)):
+        if not in_row_lattice(ideal, image.lyndon_coefficients(3)):
             return False
     return True
 

@@ -349,6 +349,8 @@ def _check_nq_engine(options: SuiteOptions):
 def _check_lie(options: SuiteOptions):
     if options.class_ < 2:
         return UNKNOWN, "skipped: the graded comparison needs class 2 and up"
+    if options.max_degree < 1:
+        return UNKNOWN, "skipped: the graded comparison needs max degree 1 and up"
     top = min(options.class_, options.max_degree)
     quotient = pv3_lie_quotient()
     lie_invariants = [quotient.invariants(d) for d in range(1, top + 1)]

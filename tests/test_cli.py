@@ -221,6 +221,14 @@ def test_cohomology_pv3_matches_closed_form(capsys):
     assert "matches closed form (1, 6, 6, 0): yes" in out
 
 
+@pytest.mark.parametrize("flavour", ["pv3", "g3"])
+def test_cohomology_negative_max_degree_exits_two(capsys, flavour):
+    code, out, err = run(capsys, "cohomology", flavour, "--max-degree", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--max-degree must be at least 0, got -1" in err
+
+
 def test_cohomology_beer_row(capsys):
     code, out, _ = run(capsys, "cohomology", "beer", "-n", "4")
     assert code == 0
@@ -272,6 +280,15 @@ def test_suite_class_one_degrades_to_unknown(capsys):
     assert code == 0
     assert out.splitlines()[-1] == "10 checks: 7 PASS, 3 UNKNOWN"
     assert out.count("skipped") == 3
+
+
+@pytest.mark.parametrize("degree", ["0", "-2"])
+def test_suite_max_degree_below_one_skips_the_graded_check(capsys, degree):
+    code, out, _ = run(capsys, "suite", "--max-degree", degree)
+    assert code == 0
+    assert out.splitlines()[-1] == "10 checks: 9 PASS, 1 UNKNOWN"
+    line, = [l for l in out.splitlines() if "08-graded-lie-comparison" in l]
+    assert line.startswith("UNKNOWN") and "skipped" in line
 
 
 def test_suite_json_stdout_is_deterministic(capsys):

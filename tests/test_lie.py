@@ -1,4 +1,12 @@
-"""Graded Lie quotients, enveloping oracle, PBW bookkeeping."""
+"""Graded Lie quotients, enveloping oracle, PBW bookkeeping.
+
+The package reads ideal rows as coefficients at Lyndon words.  The
+triangular solve into the Lyndon bracket basis (``is_lyndon``,
+``standard_factorization``, ``bracket_tensor``, ``lyndon_coordinates``)
+is the oracle those rows are compared against.
+"""
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,21 +17,105 @@ from pvb3.lie import (
     GradedLieQuotient,
     LieElement,
     apply_derivation,
-    bracket_tensor,
     derivation_check,
     enveloping_invariants,
-    is_lyndon,
     lie_gen,
     lyndon_words,
     pbw_coefficients,
     pbw_consistency,
     pv3_lie_quotient,
-    standard_factorization,
     witt_rank,
 )
-from pvb3.intlinalg import in_row_lattice
+from pvb3.intlinalg import IntMatrix, cokernel_invariants, in_row_lattice
 from pvb3.nq import lcs_ranks
 from pvb3.word import Alphabet
+
+
+def is_lyndon(word):
+    return all(word < word[k:] for k in range(1, len(word)))
+
+
+def standard_factorization(word):
+    """Split a Lyndon word before its longest proper Lyndon suffix."""
+    if len(word) < 2 or not is_lyndon(word):
+        raise ValueError("needs a Lyndon word of length at least two")
+    for k in range(1, len(word)):
+        if is_lyndon(word[k:]):
+            return word[:k], word[k:]
+    raise AssertionError("unreachable")
+
+
+@lru_cache(maxsize=None)
+def bracket_tensor(ngens, word):
+    """Tensor expansion of the standard bracketing of a Lyndon word."""
+    if len(word) == 1:
+        return lie_gen(ngens, word[0])
+    left, right = standard_factorization(word)
+    return bracket_tensor(ngens, left).bracket(bracket_tensor(ngens, right))
+
+
+def lyndon_coordinates(element, degree):
+    """Coefficients over the Lyndon bracket basis in one degree.
+
+    Raises ValueError when the component is not in the free Lie ring.
+    """
+    remaining = dict(element.degree_component(degree).terms)
+    basis = lyndon_words(element.ngens, degree)
+    coords = [0] * len(basis)
+    while remaining:
+        word = min(remaining)
+        if not is_lyndon(word):
+            raise ValueError("not a Lie element: leading word %r" % (word,))
+        c = remaining[word]
+        coords[basis.index(word)] = c
+        for k, v in bracket_tensor(element.ngens, word).terms.items():
+            value = remaining.get(k, 0) - c * v
+            if value:
+                remaining[k] = value
+            else:
+                remaining.pop(k, None)
+    return tuple(coords)
+
+
+def oracle_ideal_matrix(quotient, degree):
+    """The ideal rows of ``quotient`` in Lyndon-basis coordinates."""
+    rows = []
+    layer = list(quotient.relations)
+    for _ in range(degree - 2):
+        layer = [lie_gen(quotient.ngens, i).bracket(e)
+                 for e in layer for i in range(quotient.ngens)]
+    for e in layer:
+        rows.append(lyndon_coordinates(e, degree))
+    return IntMatrix.from_rows(rows, len(lyndon_words(quotient.ngens, degree)))
+
+
+def lyndon_change_of_basis(ngens, degree):
+    """M[w][u] = coefficient of the Lyndon word u in the standard
+    bracketing of w, as one sparse dict per row."""
+    basis = lyndon_words(ngens, degree)
+    column = {u: k for k, u in enumerate(basis)}
+    return [{column[u]: c for u, c in bracket_tensor(ngens, w).terms.items() if u in column}
+            for w in basis]
+
+
+def assert_rows_are_coordinates_times_change_of_basis(quotient, degree):
+    change = lyndon_change_of_basis(quotient.ngens, degree)
+    for k, row in enumerate(change):
+        # unitriangular: 1 at its own word, nothing at smaller words
+        assert row[k] == 1 and min(row) == k
+    oracle = oracle_ideal_matrix(quotient, degree)
+    expected = []
+    for coords in oracle.entries:
+        out = [0] * len(change)
+        for w, c in enumerate(coords):
+            if c:
+                for u, v in change[w].items():
+                    out[u] += c * v
+        expected.append(tuple(out))
+    mat = quotient.ideal_matrix(degree)
+    assert mat.ncols == oracle.ncols
+    assert mat.entries == tuple(expected)
+    assert cokernel_invariants(mat) == cokernel_invariants(oracle)
 
 
 def test_lyndon_counts_match_witt_numbers():
@@ -83,14 +175,52 @@ def test_lyndon_coordinates_round_trip(coeffs):
     total = LieElement.make(3, {})
     for c, w in zip(coeffs, basis):
         total = total + c * bracket_tensor(3, w)
-    assert total.lyndon_coordinates(3) == tuple(coeffs)
+    assert lyndon_coordinates(total, 3) == tuple(coeffs)
 
 
 def test_non_lie_tensors_are_rejected():
     with pytest.raises(ValueError):
-        LieElement.make(2, {(0, 1): 1}).lyndon_coordinates(2)
+        lyndon_coordinates(LieElement.make(2, {(0, 1): 1}), 2)
     with pytest.raises(ValueError):
-        LieElement.make(2, {(0, 0): 1}).lyndon_coordinates(2)
+        lyndon_coordinates(LieElement.make(2, {(0, 0): 1}), 2)
+
+
+@pytest.mark.parametrize("include_free_generator", [True, False])
+@pytest.mark.parametrize("degree", [2, 3, 4])
+def test_pv3_ideal_rows_are_lyndon_coordinates_times_a_unitriangular_matrix(
+        include_free_generator, degree):
+    quotient = pv3_lie_quotient(include_free_generator)
+    assert_rows_are_coordinates_times_change_of_basis(quotient, degree)
+
+
+@st.composite
+def quadratic_quotients(draw):
+    n = draw(st.integers(2, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    coefficient = st.sampled_from([1, -1, 2, -2, 3, 4, 6])
+    relations = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(st.sampled_from(pairs), coefficient,
+                                     min_size=1, max_size=3))
+        r = LieElement.make(n, {})
+        for (i, j), c in terms.items():
+            r = r + c * lie_gen(n, i).bracket(lie_gen(n, j))
+        relations.append(r)
+    return GradedLieQuotient(tuple("x%d" % k for k in range(n)), tuple(relations))
+
+
+@given(quadratic_quotients(), st.integers(2, 4))
+@settings(max_examples=60, deadline=None)
+def test_ideal_rows_are_lyndon_coordinates_times_a_unitriangular_matrix(quotient, degree):
+    assert_rows_are_coordinates_times_change_of_basis(quotient, degree)
+
+
+@pytest.mark.parametrize("terms", [{(0, 1): 1}, {(0, 0): 1},
+                                   {(0, 1): 1, (1, 0): -1, (1, 1): 2},
+                                   {(0, 1): 2, (1, 0): -1}])
+def test_non_lie_relation_is_rejected(terms):
+    with pytest.raises(ValueError, match="Lie elements"):
+        GradedLieQuotient(("x", "y"), (LieElement.make(2, terms),))
 
 
 def test_pv3_quotient_dimensions():
@@ -180,7 +310,7 @@ def test_conjugation_rule_requires_conjugation_relations():
     small = GradedLieQuotient(("a1", "b1", "a2", "b2"), rel)
     ideal = small.ideal_matrix(3)
     image = apply_derivation(rel[0], images)
-    assert not in_row_lattice(ideal, image.lyndon_coordinates(3))
+    assert not in_row_lattice(ideal, image.lyndon_coefficients(3))
 
 
 @given(small_tensors(4, 1), small_tensors(4, 1))
