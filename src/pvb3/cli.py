@@ -348,6 +348,8 @@ def cmd_cohomology(args) -> int:
 def cmd_lie(args) -> int:
     quotient = pv3_lie_quotient(include_free_generator=not args.factor_only)
     top = args.max_degree
+    if args.action != "derivation" and top < 1:
+        raise ValueError("--max-degree must be at least 1, got %d" % top)
     if args.action == "dims":
         for degree in range(1, top + 1):
             free, torsion = quotient.invariants(degree)
@@ -359,7 +361,7 @@ def cmd_lie(args) -> int:
             print(_layer_line(degree, free, torsion))
         return 0
     if args.action == "pbw":
-        dims = quotient.dims(top)
+        dims = tuple(quotient.invariants(d)[0] for d in range(1, top + 1))
         env = enveloping_invariants(quotient.ngens, quotient.relations, top)
         env_dims = (1,) + tuple(free for free, _ in env)
         predicted = pbw_coefficients(dims, top)

@@ -276,10 +276,8 @@ def residual_nilpotence_criterion(phi) -> tuple[str, int]:
     if fw.source != fw.target:
         raise ValueError("need an endomorphism")
     a = fw.abelianisation_matrix()
-    n = a.nrows
-    e = IntMatrix.identity(n)
-    diff = IntMatrix.from_rows([[a.entries[i][j] - e.entries[i][j] for j in range(n)]
-                                for i in range(n)])
+    diff = IntMatrix.from_rows([[x - int(i == j) for j, x in enumerate(row)]
+                                for i, row in enumerate(a.entries)])
     d = determinant(diff)
     return ("CRITERION_APPLIES" if abs(d) == 1 else "INCONCLUSIVE", d)
 

@@ -177,12 +177,6 @@ class ExteriorQuotient:
             return len(self.algebra.basis(degree)), ()
         return cokernel_invariants(self.ideal_matrix(degree))
 
-    def ranks(self, top_degree):
-        return tuple(self.invariants(d)[0] for d in range(top_degree + 1))
-
-    def torsion(self, top_degree):
-        return tuple(self.invariants(d)[1] for d in range(top_degree + 1))
-
 
 # ---------------------------------------------------------------------------
 # The wedge model for the five-generator factor.
@@ -314,7 +308,7 @@ def degree_one_pullback(genmap: GenMap, source_algebra):
     for t, name in enumerate(genmap.target.names):
         elt = source_algebra.zero()
         for s in range(len(genmap.source)):
-            elt = elt + gens[s] * m.entries[s][t]
+            elt = elt + gens[s] * m.rows[s].get(t, 0)
         out[name] = elt
     return out
 

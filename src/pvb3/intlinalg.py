@@ -5,14 +5,13 @@ lattice membership.  Everything runs on arbitrary-precision Python ints;
 no floating point is used anywhere.  One sparse elimination, the Hermite
 normal form, is behind ranks, lattice membership and comparison, kernels,
 Smith factors and cokernels; only the determinant eliminates on its own.
-The Hermite rows are ``{column: nonzero entry}`` dicts, and every reader
-here consumes them without making them dense.
+A matrix holds its rows as ``{column: nonzero entry}`` dicts, the format
+the Hermite form reads and returns, so no reader here makes a row dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from math import gcd
 
 
@@ -20,59 +19,84 @@ class NonSquareMatrixError(ValueError):
     """Raised when a determinant is requested for a rectangular matrix."""
 
 
-def _check_ints(row) -> None:
-    for x in row:
+def _check_ints(values) -> None:
+    for x in values:
         if not isinstance(x, int) or isinstance(x, bool):
             raise TypeError("entries must be ints, got %r" % (x,))
 
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix stored as a tuple of row tuples and its width.
+    """Immutable integer matrix: a tuple of sparse rows and its width.
 
+    Each row is a ``{column: nonzero int}`` dict, and a zero row is empty;
+    ``rows`` may be given as any iterable of them and is kept as a tuple.
     The width is kept apart from the rows so that a matrix without rows
-    still has its columns.
+    still has its columns.  The row dicts are shared, not copied, and are
+    never mutated, neither here nor by any function that reads them.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    rows: tuple[dict[int, int], ...]
     ncols: int
 
     def __post_init__(self) -> None:
-        if any(len(row) != self.ncols for row in self.entries):
-            raise ValueError("ragged rows")
-        for row in self.entries:
+        object.__setattr__(self, "rows", tuple(self.rows))
+        for row in self.rows:
+            if not isinstance(row, dict):
+                raise TypeError("rows must be {column: entry} dicts, got %r" % (row,))
             _check_ints(row)
+            _check_ints(row.values())
+            if row and not 0 <= min(row) <= max(row) < self.ncols:
+                raise ValueError("column out of range 0..%d in %r" % (self.ncols - 1, row))
+            if 0 in row.values():
+                raise ValueError("sparse rows hold nonzero entries only, got %r" % (row,))
 
     @staticmethod
     def from_rows(rows, ncols: int | None = None) -> "IntMatrix":
-        """Matrix of ``rows``; ``ncols`` gives the width when ``rows`` may be empty."""
-        entries = tuple(tuple(row) for row in rows)
+        """Matrix of dense ``rows``; ``ncols`` gives the width when ``rows`` may be empty."""
+        dense = [tuple(row) for row in rows]
         if ncols is None:
-            ncols = len(entries[0]) if entries else 0
-        return IntMatrix(entries, ncols)
+            ncols = len(dense[0]) if dense else 0
+        if any(len(row) != ncols for row in dense):
+            raise ValueError("ragged rows")
+        for row in dense:
+            _check_ints(row)
+        return IntMatrix(({j: x for j, x in enumerate(row) if x} for row in dense), ncols)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        return IntMatrix(({i: 1} for i in range(n)), n)
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The rows made dense."""
+        return tuple(tuple(row.get(j, 0) for j in range(self.ncols)) for row in self.rows)
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
+        return tuple(row.get(j, 0) for row in self.rows)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(self.col(j) for j in range(self.ncols)), self.nrows)
+        cols: list[dict[int, int]] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return IntMatrix(cols, self.nrows)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch: %dx%d times %dx%d"
                              % (self.nrows, self.ncols, other.nrows, other.ncols))
-        cols = other.transpose().entries
-        return IntMatrix(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-            for row in self.entries), other.ncols)
+        out = []
+        for row in self.rows:
+            acc: dict[int, int] = {}
+            for k, x in row.items():
+                _subtract(acc, other.rows[k], -x)
+            out.append(acc)
+        return IntMatrix(out, other.ncols)
 
 
 def rank(mat: IntMatrix) -> int:
@@ -113,22 +137,21 @@ def hermite_normal_form(mat: IntMatrix):
     and ``pivots`` is a list of (column, value) pairs, one per row, in
     increasing column order with positive pivot values.  Each row is a
     ``{column: nonzero entry}`` dict whose least key is its pivot column.
-    Entries above a pivot are reduced into [0, pivot).
+    Entries above a pivot are reduced into [0, pivot).  The rows of ``mat``
+    are copied before elimination, never changed.
 
     Sparse rows wait in buckets by leading column while the columns are
     swept in order; Euclid on a column's rows reduces by the smallest entry,
     then the shortest row, and a row that loses its lead moves on to its new
     one (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001).
     """
-    n = mat.ncols
     buckets: dict[int, list[dict[int, int]]] = {}
-    for row in mat.entries:
-        r = dict(zip(compress(range(n), row), filter(None, row)))
-        if r:
-            buckets.setdefault(min(r), []).append(r)
+    for row in mat.rows:
+        if row:
+            buckets.setdefault(min(row), []).append(dict(row))
     done: list[dict[int, int]] = []
     pivots: list[tuple[int, int]] = []
-    for col in range(n):
+    for col in range(mat.ncols):
         live = buckets.pop(col, None)
         if live is None:
             continue
@@ -198,8 +221,8 @@ def kernel_basis(mat: IntMatrix) -> list[tuple[int, ...]]:
     there: their tails are a basis of the full (saturated) kernel lattice.
     """
     m, n = mat.nrows, mat.ncols
-    rows, pivots = hermite_normal_form(IntMatrix.from_rows(
-        [mat.col(j) + tuple(int(i == j) for i in range(n)) for j in range(n)], m + n))
+    rows, pivots = hermite_normal_form(IntMatrix(
+        ({**col, m + j: 1} for j, col in enumerate(mat.transpose().rows)), m + n))
     return [tuple(row.get(j, 0) for j in range(m, m + n))
             for row, (col, _) in zip(rows, pivots) if col >= m]
 
@@ -217,8 +240,8 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
     width, (rows, pivots) = mat.ncols, hermite_normal_form(mat)
     while any(len(row) > 1 for row in rows):
         # the transpose has a row per column of the last pass's input
-        width, (rows, pivots) = len(rows), hermite_normal_form(IntMatrix.from_rows(
-            [[row.get(j, 0) for row in rows] for j in range(width)], len(rows)))
+        width, (rows, pivots) = len(rows), hermite_normal_form(
+            IntMatrix(rows, width).transpose())
     factors = [val for _, val in pivots]
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
@@ -237,8 +260,8 @@ def cokernel_invariants(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """
     rows, pivots = hermite_normal_form(mat)
     units = {col for col, val in pivots if val == 1}
-    keep = [j for j in range(mat.ncols) if j not in units]
-    factors = smith_normal_form(IntMatrix.from_rows(
-        [[row.get(j, 0) for j in keep] for row, (_, val) in zip(rows, pivots) if val != 1],
+    keep = {j: k for k, j in enumerate(j for j in range(mat.ncols) if j not in units)}
+    factors = smith_normal_form(IntMatrix(
+        ({keep[j]: x for j, x in row.items()} for row, (_, val) in zip(rows, pivots) if val != 1),
         len(keep)))
     return len(keep) - len(factors), tuple(d for d in factors if d > 1)

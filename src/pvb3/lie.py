@@ -126,15 +126,11 @@ class LieElement:
         return tuple(sorted({len(k) for k in self.terms}))
 
     def lyndon_coefficients(self, degree):
-        """Coefficients at the Lyndon words of one degree, in the order
-        of ``lyndon_words``; on Lie elements they determine the element."""
+        """Nonzero coefficients at the Lyndon words of one degree, as
+        ``{position in lyndon_words: coefficient}``; on Lie elements they
+        determine the element."""
         columns = _lyndon_columns(self.ngens, degree)
-        row = [0] * len(columns)
-        for word, c in self.terms.items():
-            k = columns.get(word)
-            if k is not None:
-                row[k] = c
-        return row
+        return {columns[word]: c for word, c in self.terms.items() if word in columns}
 
 
 def lie_gen(ngens, index):
@@ -168,8 +164,8 @@ class GradedLieQuotient:
         for _ in range(degree - 2):
             layer = [lie_gen(self.ngens, i).bracket(e)
                      for e in layer for i in range(self.ngens)]
-        return IntMatrix.from_rows((e.lyndon_coefficients(degree) for e in layer),
-                                   len(lyndon_words(self.ngens, degree)))
+        return IntMatrix((e.lyndon_coefficients(degree) for e in layer),
+                         len(lyndon_words(self.ngens, degree)))
 
     def invariants(self, degree):
         if degree == 1:
@@ -178,12 +174,6 @@ class GradedLieQuotient:
             return witt_rank(self.ngens, degree), ()
         return cokernel_invariants(self.ideal_matrix(degree))
 
-    def dims(self, top_degree):
-        return tuple(self.invariants(d)[0] for d in range(1, top_degree + 1))
-
-    def torsion(self, top_degree):
-        return tuple(self.invariants(d)[1] for d in range(1, top_degree + 1))
-
 
 def enveloping_invariants(ngens, relations, top_degree):
     """(free rank, torsion) per degree of the tensor algebra modulo the
@@ -191,19 +181,13 @@ def enveloping_invariants(ngens, relations, top_degree):
     quadratic = [r.degree_component(2).terms.items() for r in relations]
     out = []
     for degree in range(1, top_degree + 1):
-        words = tuple(product(range(ngens), repeat=degree))
-        index = {w: k for k, w in enumerate(words)}
-        rows = []
-        for terms in quadratic:
-            for a in range(degree - 1):
-                b = degree - 2 - a
-                for left in product(range(ngens), repeat=a):
-                    for right in product(range(ngens), repeat=b):
-                        vec = [0] * len(words)
-                        for k, c in terms:
-                            vec[index[left + k + right]] += c
-                        rows.append(tuple(vec))
-        out.append(cokernel_invariants(IntMatrix.from_rows(rows, len(words))))
+        index = {w: k for k, w in enumerate(product(range(ngens), repeat=degree))}
+        # a relation's words are distinct, and so are their placements
+        rows = [{index[left + k + right]: c for k, c in terms}
+                for terms in quadratic for a in range(degree - 1)
+                for left in product(range(ngens), repeat=a)
+                for right in product(range(ngens), repeat=degree - 2 - a)]
+        out.append(cokernel_invariants(IntMatrix(rows, len(index))))
     return tuple(out)
 
 
@@ -274,8 +258,8 @@ def derivation_check():
               2: b1.bracket(a2), 3: a1.bracket(b2)}
     ideal = quotient.ideal_matrix(3)
     for r in (a1.bracket(b1), a2.bracket(b2)):
-        image = apply_derivation(r, images)
-        if not in_row_lattice(ideal, image.lyndon_coefficients(3)):
+        image = apply_derivation(r, images).lyndon_coefficients(3)
+        if not in_row_lattice(ideal, [image.get(k, 0) for k in range(ideal.ncols)]):
             return False
     return True
 

@@ -235,18 +235,12 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
         -> tuple[PcSystem, tuple[int, tuple[int, ...]]]:
     base = system.num
 
-    tails = []
-    for j in range(base):
-        for i in range(j):
-            if system.weights[i] + system.weights[j] <= new_weight \
-                    and ("comm", j, i) not in system.definitions:
-                tails.append(("comm", (j, i)))
-    for i in range(base):
-        if system.orders[i] >= 2 and ("pow", i) not in system.definitions:
-            tails.append(("pow", i))
-    for k in range(pres.num_gens):
-        if ("img", k) not in system.definitions:
-            tails.append(("img", k))
+    # each tail is named by the definition it becomes if it survives
+    tails = [("comm", j, i) for j in range(base) for i in range(j)
+             if system.weights[i] + system.weights[j] <= new_weight]
+    tails += [("pow", i) for i in range(base) if system.orders[i] >= 2]
+    tails += [("img", k) for k in range(pres.num_gens)]
+    tails = [tail for tail in tails if tail not in system.definitions]
 
     s = len(tails)
     total = base + s
@@ -263,16 +257,14 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
         definitions=set(system.definitions),
         budget=system.budget,
     )
-    for m, (kind, key) in enumerate(tails):
-        idx = base + m
-        if kind == "comm":
-            j, i = key
-            vec = work.comms.setdefault((j, i), [0] * total)
-            vec[idx] += 1
-        elif kind == "pow":
-            work.powers[key][idx] += 1
+    for m, tail in enumerate(tails):
+        if tail[0] == "comm":
+            vec = work.comms.setdefault(tail[1:], [0] * total)
+        elif tail[0] == "pow":
+            vec = work.powers[tail[1]]
         else:
-            work.images[key][idx] += 1
+            vec = work.images[tail[1]]
+        vec[base + m] += 1
 
     constraint_rows = []
     for label, delta in work.consistency_discrepancies(new_weight):
@@ -290,15 +282,15 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
     rows, pivots = hermite_normal_form(IntMatrix.from_rows(constraint_rows, s))
     row_at = {col: row for row, (col, _) in zip(rows, pivots)}
     units = {col for col, val in pivots if val == 1}
-    survivors = [m for m in range(s) if m not in units]
     # The HNF clears every entry above a unit pivot, so the other rows are
     # zero on the eliminated tails and already in Hermite form on the
     # survivors, where they present the layer.
-    factors = smith_normal_form(IntMatrix.from_rows(
-        [[row.get(m, 0) for m in survivors] for row, (_, val) in zip(rows, pivots) if val != 1],
-        len(survivors)))
+    survivors = {m: new for new, m in enumerate(m for m in range(s) if m not in units)}
+    factors = smith_normal_form(IntMatrix(
+        ({survivors[m]: x for m, x in row.items()}
+         for row, (_, val) in zip(rows, pivots) if val != 1), len(survivors)))
     layer = (len(survivors) - len(factors), tuple(d for d in factors if d > 1))
-    index = {m: base + new for new, m in enumerate(survivors)}
+    index = {m: base + new for m, new in survivors.items()}
 
     def negated_rest(m) -> dict[int, int]:
         """Minus the entries of tail m's row after its pivot, on the new indices."""
@@ -333,13 +325,7 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
             new_system.orders[idx] = row_at[m][m]
             rest = negated_rest(m)
             new_system.powers[idx] = [rest.get(t, 0) for t in range(base + len(survivors))]
-        kind, key = tails[m]
-        if kind == "comm":
-            new_system.definitions.add(("comm", key[0], key[1]))
-        elif kind == "pow":
-            new_system.definitions.add(("pow", key))
-        else:
-            new_system.definitions.add(("img", key))
+        new_system.definitions.add(tails[m])
     return new_system, layer
 
 

@@ -1,14 +1,21 @@
-"""The benchmark tracer still finds every function it wraps in pvb3.
+"""The benchmark tracer still finds every function it wraps in pvb3 and
+reads the same counts from the matrices it sees.
 
-``bench/tracing.py`` looks its targets up by module and name, so a rename
-inside the package would break a traced benchmark run while every other
-test passes.  The tracer is loaded from its file and only installed and
-uninstalled here.
+``bench/tracing.py`` looks its targets up by module and name and counts
+matrix cells from ``nrows``, ``ncols`` and ``entries``, so a rename or a
+change of matrix format inside the package would break a traced benchmark
+run while every other test passes.  The tracer is loaded from its file;
+here it is only installed and uninstalled, and its counters are called
+directly.
 """
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
+
+from pvb3.intlinalg import IntMatrix
+from pvb3.lie import pv3_lie_quotient
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -60,3 +67,23 @@ def test_tracer_wraps_every_target_and_restores_the_originals():
     for (space, old), (_, new) in zip(before, snapshot(tracing, found.values())):
         assert old.keys() == new.keys()
         assert all(new[k] is v for k, v in old.items()), space
+
+
+def test_matrix_counters_read_sparse_rows_as_their_dense_twins():
+    # the tracer counts cells and nonzeros of a matrix from its nrows,
+    # ncols and entries, and ideal rows from nrows
+    tracing = load_tracing()
+    sparse = pv3_lie_quotient().ideal_matrix(3)
+    # (sparse matrix, dense twin, rows, cells, nonzeros)
+    cases = [(sparse, IntMatrix.from_rows(sparse.entries, 70), 36, 2520, 70),
+             (IntMatrix([{}, {4: -2}, {}], 5),
+              IntMatrix.from_rows([[0] * 5, [0, 0, 0, 0, -2], [0] * 5]), 3, 15, 1),
+             (IntMatrix([], 3), IntMatrix.from_rows([], 3), 0, 0, 0)]
+    for a, b, rows, cells, nnz in cases:
+        assert a == b
+        assert tracing._mat_cells(a) == tracing._mat_cells(b) == cells
+        assert tracing._mat_nnz(a) == tracing._mat_nnz(b) == nnz
+        counters = Counter()
+        tracing._ideal((), {}, a, counters)
+        tracing._ideal((), {}, b, counters)
+        assert counters == {"lie.ideal_rows": 2 * rows}

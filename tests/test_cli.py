@@ -257,6 +257,15 @@ def test_lie_pbw_consistent(capsys):
     assert "consistent" in out.splitlines()[-1]
 
 
+@pytest.mark.parametrize("action, degree", [("dims", "-1"), ("dims", "0"), ("env", "0"),
+                                            ("env", "-2"), ("pbw", "-1"), ("pbw", "0")])
+def test_lie_max_degree_below_one_exits_two(capsys, action, degree):
+    code, out, err = run(capsys, "lie", action, "--max-degree", degree)
+    assert code == 2
+    assert out == ""
+    assert "--max-degree must be at least 1, got %s" % degree in err
+
+
 def test_lie_derivation(capsys):
     code, out, _ = run(capsys, "lie", "derivation")
     assert code == 0

@@ -600,7 +600,9 @@ def test_lattice_equality_rejects_a_width_mismatch():
         row_lattices_equal(IntMatrix.from_rows([[1, 0]]), IntMatrix.from_rows([[1, 0, 0]]))
 
 
-@pytest.mark.parametrize("rows", [[[2.5, 1]], [[True, 0]], [[2.5, 1], [True, 0]]])
+# a float or bool zero is rejected although it would not be stored
+@pytest.mark.parametrize("rows", [[[2.5, 1]], [[True, 0]], [[2.5, 1], [True, 0]],
+                                  [[0.0, 1]], [[1, False]]])
 def test_from_rows_rejects_non_integers(rows):
     with pytest.raises(TypeError):
         IntMatrix.from_rows(rows)
@@ -610,3 +612,46 @@ def test_from_rows_rejects_non_integers(rows):
 def test_membership_rejects_non_integer_vectors(vec):
     with pytest.raises(TypeError):
         in_row_lattice(IntMatrix.from_rows([[2, 0]]), vec)
+
+
+@st.composite
+def sparse_and_dense_rows(draw):
+    """The same rows twice: as ``{column: nonzero entry}`` dicts and dense."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    entries = st.integers(min_value=-9, max_value=9).filter(bool)
+    sparse = draw(st.lists(st.dictionaries(st.integers(min_value=0, max_value=n - 1), entries,
+                                           max_size=n) if n else st.just({}), max_size=6))
+    return sparse, [[row.get(j, 0) for j in range(n)] for row in sparse], n
+
+
+@given(sparse_and_dense_rows())
+@settings(max_examples=200)
+def test_sparse_construction_equals_the_dense_one(data):
+    sparse, dense, n = data
+    m = IntMatrix(sparse, n)
+    assert m == IntMatrix.from_rows(dense, n)
+    assert m.rows == tuple(sparse) and (m.nrows, m.ncols) == (len(dense), n)
+    assert m.entries == tuple(map(tuple, dense))
+    assert IntMatrix.from_rows(m.entries, n) == m
+
+
+@pytest.mark.parametrize("row, error", [
+    ({3: 1}, ValueError), ({-1: 1}, ValueError), ({0: 1, 1: 0}, ValueError),
+    ({0: True}, TypeError), ({0: 2.5}, TypeError), ({True: 1}, TypeError), ({2.5: 1}, TypeError),
+    ((1, 0, 0), TypeError),
+])
+def test_sparse_construction_rejects_bad_columns_and_entries(row, error):
+    with pytest.raises(error):
+        IntMatrix(({0: 1}, row), 3)
+
+
+@given(st.one_of(matrices(), matrices(entries=unit_free_entries), sparse_wide_matrices(),
+                 rowless_matrices))
+@settings(max_examples=200)
+def test_readers_leave_the_rows_unchanged(m):
+    before = [dict(row) for row in m.rows]
+    hermite_normal_form(m)
+    smith_normal_form(m)
+    cokernel_invariants(m)
+    kernel_basis(m)
+    assert list(m.rows) == before
