@@ -104,11 +104,13 @@ def _alphabet_from(args_gens: str | None, *texts: str) -> Alphabet:
 
 def _parse_bounds(spec: str) -> SearchBounds:
     try:
-        left, right = spec.split(",")
-        return SearchBounds(max_prefix=int(left), max_steps=int(right))
+        left, right = map(int, spec.split(","))
+        if left < 0 or right < 0:
+            raise ValueError(spec)
+        return SearchBounds(max_prefix=left, max_steps=right)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            "expected two integers L,K, got %r" % spec) from None
+            "expected two non-negative integers L,K, got %r" % spec) from None
 
 
 def _parse_steps(pres: Presentation, specs) -> tuple[CertificateStep, ...]:
@@ -319,6 +321,8 @@ def cmd_nq(args) -> int:
 def cmd_cohomology(args) -> int:
     if args.flavour == "beer":
         n = args.strands
+        if n < 1:
+            raise ValueError("--strands must be at least 1, got %d" % n)
         print(" ".join(str(beer_rank(n, r)) for r in range(n + 1)))
         return 0
     if args.flavour == "wedge":

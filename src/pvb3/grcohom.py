@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb, factorial
 
 from .fpres import G3_NAMES, pv3_new_generators, pv_alphabet
-from .intlinalg import IntMatrix, cokernel_invariants, rank
+from .intlinalg import IntMatrix, SparseCombination, cokernel_invariants, rank
 from .word import GenMap
 
 
@@ -72,8 +72,8 @@ def _merge_sign(left, right):
     return tuple(sorted(left + right)), -1 if inversions % 2 else 1
 
 
-@dataclass(frozen=True)
-class ExtElement:
+@dataclass(frozen=True, eq=False)
+class ExtElement(SparseCombination):
     algebra: Exterior
     terms: dict
 
@@ -81,30 +81,16 @@ class ExtElement:
         if not all(self.terms.values()):
             raise ValueError("exterior element with a zero coefficient")
 
-    def __eq__(self, other):
-        return (isinstance(other, ExtElement)
-                and self.algebra.names == other.algebra.names
-                and self.terms == other.terms)
+    @property
+    def _space(self):
+        return self.algebra.names
 
-    def __hash__(self):
-        return hash((self.algebra.names, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return self.algebra.element(out)
-
-    def __neg__(self):
-        return self.algebra.element({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    def _make(self, terms):
+        return self.algebra.element(terms)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self.algebra.element(
-                {k: c * other for k, c in self.terms.items()})
+            return other * self
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -112,14 +98,6 @@ class ExtElement:
                 if key is not None:
                     out[key] = out.get(key, 0) + sign * c1 * c2
         return self.algebra.element(out)
-
-    def __rmul__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
-        return self * other
-
-    def is_zero(self):
-        return not self.terms
 
     def degree(self):
         """Common degree of all terms; zero elements report -1."""

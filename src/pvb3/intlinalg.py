@@ -7,6 +7,8 @@ normal form, is behind ranks, lattice membership and comparison, kernels,
 Smith factors and cokernels; only the determinant eliminates on its own.
 A matrix holds its rows as ``{column: nonzero entry}`` dicts, the format
 the Hermite form reads and returns, so no reader here makes a row dense.
+``SparseCombination`` gives the same dict arithmetic to the exterior and
+Lie elements, whose keys are monomials instead of columns.
 """
 
 from __future__ import annotations
@@ -187,6 +189,41 @@ def _subtract(r: dict[int, int], s: dict[int, int], q: int) -> None:
             del r[j]
 
 
+class SparseCombination:
+    """Integer linear combination whose ``terms`` map keys to nonzero ints.
+
+    A subclass names the space its elements live in by ``_space``, which
+    equal elements share, and builds every result through ``_make(terms)``;
+    elements of different classes are never equal.
+    """
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._space == other._space
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self._space, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        _subtract(out, other.terms, -1)
+        return self._make(out)
+
+    def __neg__(self):
+        return self._make({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, c):
+        if not isinstance(c, int):
+            return NotImplemented
+        return self._make({k: c * v for k, v in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+
 def in_row_lattice(mat: IntMatrix, vec) -> bool:
     """Whether ``vec`` lies in the integer row span of ``mat``."""
     v = list(vec)
@@ -250,18 +287,23 @@ def smith_normal_form(mat: IntMatrix) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def cokernel_invariants(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
-    """(free rank, torsion factors) of Z^ncols / row span.
+def hermite_cokernel(rows, pivots, ncols: int):
+    """({kept column: new index}, (free rank, torsion factors)) of
+    Z^ncols / row span, from the lattice's Hermite form (rows, pivots).
 
     The Hermite form has cleared every entry above a unit pivot, so each
     unit-pivot row only eliminates its own column and drops out with it.
-    The rows left present the cokernel on the other columns and go through
-    ``smith_normal_form``.
+    The rows left are zero on those columns; re-keyed onto the kept ones
+    they present the cokernel and go through ``smith_normal_form``.
     """
-    rows, pivots = hermite_normal_form(mat)
     units = {col for col, val in pivots if val == 1}
-    keep = {j: k for k, j in enumerate(j for j in range(mat.ncols) if j not in units)}
+    keep = {j: k for k, j in enumerate(j for j in range(ncols) if j not in units)}
     factors = smith_normal_form(IntMatrix(
         ({keep[j]: x for j, x in row.items()} for row, (_, val) in zip(rows, pivots) if val != 1),
         len(keep)))
-    return len(keep) - len(factors), tuple(d for d in factors if d > 1)
+    return keep, (len(keep) - len(factors), tuple(d for d in factors if d > 1))
+
+
+def cokernel_invariants(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
+    """(free rank, torsion factors) of Z^ncols / row span."""
+    return hermite_cokernel(*hermite_normal_form(mat), mat.ncols)[1]

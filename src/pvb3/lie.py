@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .intlinalg import IntMatrix, cokernel_invariants, in_row_lattice
+from .intlinalg import IntMatrix, SparseCombination, cokernel_invariants, in_row_lattice
 
 
 def _mobius(n):
@@ -72,8 +72,8 @@ def _lyndon_columns(ngens, degree):
     return {w: k for k, w in enumerate(lyndon_words(ngens, degree))}
 
 
-@dataclass(frozen=True)
-class LieElement:
+@dataclass(frozen=True, eq=False)
+class LieElement(SparseCombination):
     """Integer tensor polynomial, used for Lie computations."""
 
     ngens: int
@@ -83,29 +83,12 @@ class LieElement:
     def make(ngens, terms):
         return LieElement(ngens, {k: c for k, c in terms.items() if c})
 
-    def __eq__(self, other):
-        return (isinstance(other, LieElement) and self.ngens == other.ngens
-                and self.terms == other.terms)
+    @property
+    def _space(self):
+        return self.ngens
 
-    def __hash__(self):
-        return hash((self.ngens, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return LieElement.make(self.ngens, out)
-
-    def __neg__(self):
-        return LieElement.make(self.ngens, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        if not isinstance(c, int):
-            return NotImplemented
-        return LieElement.make(self.ngens, {k: c * v for k, v in self.terms.items()})
+    def _make(self, terms):
+        return LieElement.make(self.ngens, terms)
 
     def bracket(self, other):
         out = {}
@@ -114,9 +97,6 @@ class LieElement:
                 out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
                 out[k2 + k1] = out.get(k2 + k1, 0) - c1 * c2
         return LieElement.make(self.ngens, out)
-
-    def is_zero(self):
-        return not self.terms
 
     def degree_component(self, degree):
         return LieElement.make(

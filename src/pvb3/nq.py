@@ -15,10 +15,11 @@ lattice once, by one Hermite normal form on sparse rows: each unit-pivot
 row replaces its tail by minus the rest of the row, and the other rows give
 the layer by their Smith factors and the torsion powers by their entries.
 
-Normal forms are exponent vectors over the polycyclic generators, computed
-by collection from the left.  Collection is deterministic (leftmost
-violation first) and guarded by a step budget so that a runaway input
-raises :class:`CollectionBudget` instead of looping.
+Normal forms are exponent vectors over the polycyclic generators, held as
+``{generator: nonzero exponent}`` dicts, the row format of ``IntMatrix``,
+and computed by collection from the left.  Collection is deterministic
+(leftmost violation first) and guarded by a step budget so that a runaway
+input raises :class:`CollectionBudget` instead of looping.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from bisect import bisect_right
 
 from .fpres import Presentation
-from .intlinalg import IntMatrix, hermite_normal_form, smith_normal_form
+from .intlinalg import IntMatrix, _subtract, hermite_cokernel, hermite_normal_form
 from .word import Word
 
 DEFAULT_BUDGET = 10_000_000
@@ -45,14 +46,15 @@ class PcSystem:
     order; otherwise ``powers[i]`` holds the normal form of b_i^orders[i]).
     ``comms[(j, i)]`` for j > i is the normal form of [b_j, b_i]; absent
     pairs commute.  ``images[k]`` expresses original generator k of the
-    finitely presented group in the polycyclic generators.
+    finitely presented group in the polycyclic generators.  Every normal
+    form is a ``{generator: nonzero exponent}`` dict.
     """
 
     weights: list[int]
     orders: list[int]
-    powers: dict[int, list[int]]
-    comms: dict[tuple[int, int], list[int]]
-    images: list[list[int]]
+    powers: dict[int, dict[int, int]]
+    comms: dict[tuple[int, int], dict[int, int]]
+    images: list[dict[int, int]]
     definitions: set = field(default_factory=set)
     budget: int = DEFAULT_BUDGET
     _conj_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -61,16 +63,12 @@ class PcSystem:
     def num(self) -> int:
         return len(self.weights)
 
-    def zero(self) -> list[int]:
-        return [0] * self.num
-
     # -- letter expansion ----------------------------------------------------
 
     def expand(self, vec) -> list[tuple[int, int]]:
         out = []
-        for i, e in enumerate(vec):
-            if e:
-                out.extend([(i, 1 if e > 0 else -1)] * abs(e))
+        for i, e in sorted(vec.items()):
+            out.extend([(i, 1 if e > 0 else -1)] * abs(e))
         return out
 
     def expand_inv(self, vec) -> list[tuple[int, int]]:
@@ -89,7 +87,7 @@ class PcSystem:
         if hit is not None:
             return hit
         u = self.comms.get((j, i))
-        if u is None or not any(u):
+        if not u:
             out = [(j, sj)]
         elif sj == -1:
             out = [(g, -s) for g, s in reversed(self._conjugate(j, 1, i, si))]
@@ -105,7 +103,7 @@ class PcSystem:
 
     # -- collection ----------------------------------------------------------
 
-    def collect(self, letters) -> list[int]:
+    def collect(self, letters) -> dict[int, int]:
         """Normal form of a product of unit letters, as an exponent vector."""
         w = list(letters)
         steps = 0
@@ -142,16 +140,18 @@ class PcSystem:
                     p = max(0, start - 1)
                     continue
             p += 1
-        vec = self.zero()
+        # w is now sorted by generator with no cancelling neighbours, so
+        # each generator's letters share one sign and no exponent is zero
+        vec: dict[int, int] = {}
         for g, s in w:
-            vec[g] += s
-        for i, e in enumerate(vec):
+            vec[g] = vec.get(g, 0) + s
+        for i, e in vec.items():
             if self.orders[i] >= 2 and not 0 <= e < self.orders[i]:
                 raise AssertionError("collection left exponent %d at torsion generator %d"
                                      % (e, i))
         return vec
 
-    def word_image(self, w: Word) -> list[int]:
+    def word_image(self, w: Word) -> dict[int, int]:
         letters = []
         for g, s in w.letters:
             letters.extend(self.expand(self.images[g]) if s == 1
@@ -171,9 +171,9 @@ class PcSystem:
             for j in range(i + 1, n):
                 if w[i] + 2 * w[j] > max_weight:
                     break
-                u_ji = self.expand(self.comms.get((j, i), self.zero()))
+                u_ji = self.expand(self.comms.get((j, i), {}))
                 for k in range(j + 1, bisect_right(w, max_weight - w[i] - w[j])):
-                    u_kj = self.comms.get((k, j), self.zero())
+                    u_kj = self.comms.get((k, j), {})
                     way1 = [(k, 1), (i, 1), (j, 1)] + u_ji
                     way2 = [(j, 1), (k, 1)] + self.expand(u_kj) + [(i, 1)]
                     yield ("triple %d %d %d" % (k, j, i), way1, way2)
@@ -185,14 +185,14 @@ class PcSystem:
             for i in range(j):
                 if self.weights[i] + self.weights[j] > max_weight:
                     continue
-                u_ji = self.expand(self.comms.get((j, i), self.zero()))
+                u_ji = self.expand(self.comms.get((j, i), {}))
                 yield ("power-left %d %d" % (j, i),
                        self.expand(vj) + [(i, 1)],
                        [(j, 1)] * (dj - 1) + [(i, 1), (j, 1)] + u_ji)
             for k in range(j + 1, n):
                 if self.weights[j] + self.weights[k] > max_weight:
                     continue
-                u_kj = self.expand(self.comms.get((k, j), self.zero()))
+                u_kj = self.expand(self.comms.get((k, j), {}))
                 yield ("power-right %d %d" % (k, j),
                        [(k, 1)] + self.expand(vj),
                        [(j, 1), (k, 1)] + u_kj + [(j, 1)] * (dj - 1))
@@ -202,12 +202,12 @@ class PcSystem:
 
     def consistency_discrepancies(self, max_weight: int):
         for label, way1, way2 in self._overlap_pairs(max_weight):
-            v1 = self.collect(way1)
-            v2 = self.collect(way2)
-            yield label, [a - b for a, b in zip(v1, v2)]
+            delta = self.collect(way1)
+            _subtract(delta, self.collect(way2), 1)
+            yield label, delta
 
     def is_consistent(self, max_weight: int) -> bool:
-        return all(not any(d) for _, d in self.consistency_discrepancies(max_weight))
+        return all(not d for _, d in self.consistency_discrepancies(max_weight))
 
 
 @dataclass(frozen=True)
@@ -217,13 +217,18 @@ class NilpotentQuotient:
     system: PcSystem
     layers: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def image(self, w: Word) -> tuple[int, ...]:
+    def _normal_form(self, w: Word) -> dict[int, int]:
         if w.alphabet != self.presentation.alphabet:
             raise ValueError("word is not over the presentation alphabet")
-        return tuple(self.system.word_image(w))
+        return self.system.word_image(w)
+
+    def image(self, w: Word) -> tuple[int, ...]:
+        """The normal form of ``w`` as a dense exponent vector."""
+        vec = self._normal_form(w)
+        return tuple(vec.get(g, 0) for g in range(self.system.num))
 
     def image_is_trivial(self, w: Word) -> bool:
-        return not any(self.image(w))
+        return not self._normal_form(w)
 
     @property
     def lcs_ranks(self) -> tuple[int, ...]:
@@ -243,53 +248,42 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
     tails = [tail for tail in tails if tail not in system.definitions]
 
     s = len(tails)
-    total = base + s
-
-    def extended(vec) -> list[int]:
-        return list(vec) + [0] * (total - len(vec))
 
     work = PcSystem(
         weights=system.weights + [new_weight] * s,
         orders=system.orders + [0] * s,
-        powers={i: extended(v) for i, v in system.powers.items()},
-        comms={pair: extended(v) for pair, v in system.comms.items()},
-        images=[extended(v) for v in system.images],
+        powers={i: dict(v) for i, v in system.powers.items()},
+        comms={pair: dict(v) for pair, v in system.comms.items()},
+        images=[dict(v) for v in system.images],
         definitions=set(system.definitions),
         budget=system.budget,
     )
     for m, tail in enumerate(tails):
         if tail[0] == "comm":
-            vec = work.comms.setdefault(tail[1:], [0] * total)
+            vec = work.comms.setdefault(tail[1:], {})
         elif tail[0] == "pow":
             vec = work.powers[tail[1]]
         else:
             vec = work.images[tail[1]]
-        vec[base + m] += 1
+        vec[base + m] = 1
 
+    # each constraint, on the tails alone: tail m is column m
     constraint_rows = []
     for label, delta in work.consistency_discrepancies(new_weight):
-        if any(delta[:base]):
+        if any(g < base for g in delta):
             raise AssertionError("consistency discrepancy %s touches old generators" % label)
-        constraint_rows.append(delta[base:])
+        constraint_rows.append({g - base: e for g, e in delta.items()})
     for r in pres.relators:
         value = work.word_image(r)
-        if any(value[:base]):
+        if any(g < base for g in value):
             raise AssertionError("relator %s fails to vanish below the new weight" % r)
-        constraint_rows.append(value[base:])
+        constraint_rows.append({g - base: e for g, e in value.items()})
     if s == 0:
         return system, (0, ())
 
-    rows, pivots = hermite_normal_form(IntMatrix.from_rows(constraint_rows, s))
+    rows, pivots = hermite_normal_form(IntMatrix(constraint_rows, s))
     row_at = {col: row for row, (col, _) in zip(rows, pivots)}
-    units = {col for col, val in pivots if val == 1}
-    # The HNF clears every entry above a unit pivot, so the other rows are
-    # zero on the eliminated tails and already in Hermite form on the
-    # survivors, where they present the layer.
-    survivors = {m: new for new, m in enumerate(m for m in range(s) if m not in units)}
-    factors = smith_normal_form(IntMatrix(
-        ({survivors[m]: x for m, x in row.items()}
-         for row, (_, val) in zip(rows, pivots) if val != 1), len(survivors)))
-    layer = (len(survivors) - len(factors), tuple(d for d in factors if d > 1))
+    survivors, layer = hermite_cokernel(rows, pivots, s)
     index = {m: base + new for m, new in survivors.items()}
 
     def negated_rest(m) -> dict[int, int]:
@@ -302,12 +296,11 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
     # each tail as a sparse vector over the new generators
     image = [{index[m]: 1} if m in index else negated_rest(m) for m in range(s)]
 
-    def rebuilt(vec) -> list[int]:
-        out = vec[:base] + [0] * len(survivors)
-        for e, sub in zip(vec[base:], image):
-            if e:
-                for t, x in sub.items():
-                    out[t] += e * x
+    def rebuilt(vec) -> dict[int, int]:
+        out = {g: e for g, e in vec.items() if g < base}
+        for g, e in vec.items():
+            if g >= base:
+                _subtract(out, image[g - base], -e)
         return out
 
     new_system = PcSystem(
@@ -315,7 +308,7 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
         orders=system.orders + [0] * len(survivors),
         powers={i: rebuilt(v) for i, v in work.powers.items()},
         comms={pair: vec for pair, vec in
-               ((pair, rebuilt(v)) for pair, v in work.comms.items()) if any(vec)},
+               ((pair, rebuilt(v)) for pair, v in work.comms.items()) if vec},
         images=[rebuilt(v) for v in work.images],
         definitions=set(system.definitions),
         budget=system.budget,
@@ -323,8 +316,7 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
     for m, idx in index.items():
         if m in row_at:
             new_system.orders[idx] = row_at[m][m]
-            rest = negated_rest(m)
-            new_system.powers[idx] = [rest.get(t, 0) for t in range(base + len(survivors))]
+            new_system.powers[idx] = negated_rest(m)
         new_system.definitions.add(tails[m])
     return new_system, layer
 
@@ -332,7 +324,7 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
 def quotient_tower(pres: Presentation, class_: int, budget: int = DEFAULT_BUDGET):
     """Yield the quotients of class 1, 2, ..., class_, each stage built on
     the one before it."""
-    system = PcSystem([], [], {}, {}, [[] for _ in range(pres.num_gens)], set(), budget)
+    system = PcSystem([], [], {}, {}, [{} for _ in range(pres.num_gens)], set(), budget)
     layers = []
     for c in range(1, class_ + 1):
         system, layer = _advance(system, pres, c)

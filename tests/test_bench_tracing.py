@@ -5,8 +5,8 @@ reads the same counts from the matrices it sees.
 matrix cells from ``nrows``, ``ncols`` and ``entries``, so a rename or a
 change of matrix format inside the package would break a traced benchmark
 run while every other test passes.  The tracer is loaded from its file;
-here it is only installed and uninstalled, and its counters are called
-directly.
+here it is installed and uninstalled, its counters are called directly,
+and one traced NQ build pins the collection and elimination counts.
 """
 
 import importlib
@@ -14,6 +14,8 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+from pvb3 import nq
+from pvb3.fpres import g3_presentation, pv_presentation
 from pvb3.intlinalg import IntMatrix
 from pvb3.lie import pv3_lie_quotient
 
@@ -87,3 +89,22 @@ def test_matrix_counters_read_sparse_rows_as_their_dense_twins():
         tracing._ideal((), {}, a, counters)
         tracing._ideal((), {}, b, counters)
         assert counters == {"lie.ideal_rows": 2 * rows}
+
+
+def test_traced_nq_builds_count_overlaps_collections_and_eliminations():
+    # the overlaps are counted as the items consistency_discrepancies
+    # yields, so it must stay a generator; a change in how stages collect
+    # or what they eliminate moves these counts
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        for pres in (pv_presentation(3), g3_presentation()):
+            nq.nilpotent_quotient(pres, 3)
+    finally:
+        tracer.uninstall()
+    counts = {name: tracer.counters[name] for name in (
+        "nq.builds", "nq.overlaps", "nq.collect_calls", "nq.collect_letters_in",
+        "nq.budget_stops", "intlinalg.hnf_calls", "intlinalg.hnf_cells")}
+    assert counts == {"nq.builds": 2, "nq.overlaps": 30, "nq.collect_calls": 96,
+                      "nq.collect_letters_in": 502, "nq.budget_stops": 0,
+                      "intlinalg.hnf_calls": 12, "intlinalg.hnf_cells": 2192}

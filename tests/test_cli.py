@@ -235,6 +235,14 @@ def test_cohomology_beer_row(capsys):
     assert out.strip() == "1 12 36 24 0"
 
 
+@pytest.mark.parametrize("strands", ["0", "-3"])
+def test_cohomology_beer_strands_below_one_exits_two(capsys, strands):
+    code, out, err = run(capsys, "cohomology", "beer", "--strands", strands)
+    assert code == 2
+    assert out == ""
+    assert "--strands must be at least 1, got %s" % strands in err
+
+
 def test_cohomology_wedge_lists_supports_and_cups(capsys):
     code, out, _ = run(capsys, "cohomology", "wedge")
     assert code == 0
@@ -331,3 +339,18 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bounds", ["-1,-5", "-1,4", "3,-2", "1", "1,2,3", "a,b"])
+def test_search_bounds_must_be_two_non_negative_integers(capsys, bounds):
+    with pytest.raises(SystemExit) as exc:
+        main(["consequence", "pv3", "l12 l21", "--search-bounds=" + bounds])
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "expected two non-negative integers L,K, got %r" % bounds in err
+
+
+def test_search_bounds_accept_zero(capsys):
+    code, out, _ = run(capsys, "consequence", "pv3", "l12 l21", "--search-bounds", "0,0")
+    assert code == 1
+    assert out.startswith("REFUTED")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvb3 import nq
+from pvb3 import intlinalg, nq
 from pvb3.autf import Automorphism
 from pvb3.fpres import (
     REFUTED,
@@ -19,7 +19,9 @@ from pvb3.fpres import (
     mapping_torus_presentation,
     pv_presentation,
 )
+from pvb3.grcohom import beer_rank
 from pvb3.intlinalg import cokernel_invariants, hermite_normal_form, smith_normal_form
+from pvb3.lie import pbw_coefficients
 from pvb3.nq import (CollectionBudget, PcSystem, lcs_ranks, nilpotent_quotient,
                      quotient_tower)
 from pvb3.word import Alphabet, GenMap, Word
@@ -229,8 +231,8 @@ def reference_overlap_pairs(system, max_weight):
     for i, j, k in combinations(range(n), 3):
         if system.weights[i] + system.weights[j] + system.weights[k] > max_weight:
             continue
-        u_ji = system.comms.get((j, i), system.zero())
-        u_kj = system.comms.get((k, j), system.zero())
+        u_ji = system.comms.get((j, i), {})
+        u_kj = system.comms.get((k, j), {})
         way1 = [(k, 1), (i, 1), (j, 1)] + system.expand(u_ji)
         way2 = [(j, 1), (k, 1)] + system.expand(u_kj) + [(i, 1)]
         yield ("triple %d %d %d" % (k, j, i), way1, way2)
@@ -242,14 +244,14 @@ def reference_overlap_pairs(system, max_weight):
         for i in range(j):
             if system.weights[i] + system.weights[j] > max_weight:
                 continue
-            u_ji = system.expand(system.comms.get((j, i), system.zero()))
+            u_ji = system.expand(system.comms.get((j, i), {}))
             yield ("power-left %d %d" % (j, i),
                    system.expand(vj) + [(i, 1)],
                    [(j, 1)] * (dj - 1) + [(i, 1), (j, 1)] + u_ji)
         for k in range(j + 1, n):
             if system.weights[j] + system.weights[k] > max_weight:
                 continue
-            u_kj = system.expand(system.comms.get((k, j), system.zero()))
+            u_kj = system.expand(system.comms.get((k, j), {}))
             yield ("power-right %d %d" % (k, j),
                    [(k, 1)] + system.expand(vj),
                    [(j, 1), (k, 1)] + u_kj + [(j, 1)] * (dj - 1))
@@ -292,13 +294,13 @@ def test_quotient_tower_matches_separate_builds():
 
 def reference_negated_rest(row, col, index_of):
     """-1 times the entries of an HNF row after its pivot, reindexed."""
-    out = [0] * len(index_of)
+    out = {}
     for m in range(col + 1, len(row)):
         if row[m]:
             target = index_of[m]
             if target is None:
                 raise AssertionError("HNF row references an eliminated column")
-            out[target] -= row[m]
+            out[target] = out.get(target, 0) - row[m]
     return out
 
 
@@ -325,15 +327,13 @@ def reference_stage_one(pres, budget):
         if col in pivot_at:
             val, row = pivot_at[col]
             orders[index_of[col]] = val
-            powers[index_of[col]] = reference_negated_rest(row, col, index_of)[:len(kept)]
+            powers[index_of[col]] = reference_negated_rest(row, col, index_of)
     for k in range(n):
         if k in eliminated:
             _, row = pivot_at[k]
-            images.append(reference_negated_rest(row, k, index_of)[:len(kept)])
+            images.append(reference_negated_rest(row, k, index_of))
         else:
-            unit = [0] * len(kept)
-            unit[index_of[k]] = 1
-            images.append(unit)
+            images.append({index_of[k]: 1})
             definitions.add(("img", k))
 
     system = PcSystem(weights, orders, powers, {}, images, definitions, budget)
@@ -386,7 +386,7 @@ def test_class_one_matches_the_separate_construction():
     (q,) = quotient_tower(Presentation(AB, (a ** 4, b ** 6, (a * b) ** 2)), 1)
     assert q.system.orders == [2, 2]
     (q,) = quotient_tower(Presentation(AB, (a ** 2 * b ** 2,)), 1)
-    assert q.system.orders == [2, 0] and q.system.powers == {0: [0, -2]}
+    assert q.system.orders == [2, 0] and q.system.powers == {0: {1: -2}}
 
 
 @given(two_generator_presentations())
@@ -409,14 +409,14 @@ def assert_layers_match_the_whole_lattice(monkeypatch, pres, depth):
         return smith_normal_form(mat)
 
     monkeypatch.setattr(nq, "hermite_normal_form", hnf_spy)
-    monkeypatch.setattr(nq, "smith_normal_form", smith_spy)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", smith_spy)
     for q in quotient_tower(pres, depth):
         new = q.system.weights.count(q.class_)
         if lattices:
             (lattice,) = lattices
-            assert q.layers[-1] == cokernel_invariants(lattice)
             # the layer comes from the surviving tails alone
             assert smith_widths == [new]
+            assert q.layers[-1] == cokernel_invariants(lattice)
         else:
             assert q.layers[-1] == (0, ()) and new == 0 and smith_widths == []
         lattices.clear()
@@ -434,3 +434,69 @@ def test_layers_match_the_whole_constraint_lattice(monkeypatch):
 def test_layers_match_the_whole_constraint_lattice_on_samples(pres):
     with pytest.MonkeyPatch.context() as monkeypatch:
         assert_layers_match_the_whole_lattice(monkeypatch, pres, 3)
+
+
+def assert_sparse_vector(vec, num):
+    assert isinstance(vec, dict)
+    assert all(type(g) is int and 0 <= g < num for g in vec), vec
+    assert all(type(e) is int and e != 0 for e in vec.values()), vec
+
+
+def assert_normal_forms_are_sparse(monkeypatch, pres, depth):
+    """Every stored power, commutator and image, and every normal form that
+    collection returns, is a dict of nonzero int exponents at generators of
+    its system.  Returns how many normal forms it checked."""
+    checked = []
+    for name in ("collect", "word_image"):
+        def spy(system, arg, original=getattr(PcSystem, name)):
+            vec = original(system, arg)
+            assert_sparse_vector(vec, system.num)
+            checked.append(vec)
+            return vec
+
+        monkeypatch.setattr(PcSystem, name, spy)
+    for q in quotient_tower(pres, depth):
+        system = q.system
+        for vec in [*system.powers.values(), *system.comms.values(), *system.images]:
+            assert_sparse_vector(vec, system.num)
+        # a stored commutator is never trivial: absent pairs commute
+        assert all(system.comms.values())
+    return len(checked)
+
+
+def test_normal_forms_are_sparse(monkeypatch):
+    counts = [assert_normal_forms_are_sparse(monkeypatch, pres, depth)
+              for pres, depth in [(pres, 4) for pres in small_presentations()] + [
+                  (pv_presentation(3), 4), (g3_presentation(), 3)]]
+    # only the presentation without generators collects nothing
+    assert [count > 0 for count in counts].count(False) == 1
+
+
+@given(two_generator_presentations())
+@settings(max_examples=30, deadline=None)
+def test_normal_forms_are_sparse_on_samples(pres):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_normal_forms_are_sparse(monkeypatch, pres, 3)
+
+
+def test_vectors_expand_and_densify_in_generator_order():
+    q = nilpotent_quotient(Presentation(AB, (a ** 2 * b ** 2,)), 2)
+    assert q.system.expand({2: 1, 0: -2}) == [(0, -1), (0, -1), (2, 1)]
+    assert q.system.expand_inv({2: 1, 0: -2}) == [(2, -1), (0, 1), (0, 1)]
+    vec = q.system.word_image(a ** 3)
+    assert q.image(a ** 3) == tuple(vec.get(g, 0) for g in range(q.system.num))
+    assert q.image(a ** 3) == (1, -2, 0)
+    with pytest.raises(ValueError):
+        q.image_is_trivial(Alphabet(("x",)).gen("x"))
+
+
+def test_pv4_class_four_layers_match_the_koszul_dual_series():
+    layers = lcs_ranks(pv_presentation(4), 4)
+    assert layers == ((12, ()), (30, ()), (164, ()), (918, ()))
+    # prod_k (1 - t^k)^-phi_k = 1 / sum_r (-1)^r beer_rank(4, r) t^r
+    series = [1]
+    for d in range(1, 5):
+        series.append(-sum((-1) ** r * beer_rank(4, r) * series[d - r]
+                           for r in range(1, min(d, 3) + 1)))
+    assert series == [1, 12, 108, 888, 7056]
+    assert pbw_coefficients([free for free, _ in layers], 4) == tuple(series)
