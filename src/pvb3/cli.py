@@ -48,7 +48,7 @@ from .fpres import (
     q3_presentation,
     verify_certificate,
 )
-from .grammar import ParseError, parse_word
+from .grammar import ParseError, _tokenize, parse_word, split_names
 from .grcohom import (
     G3_NAMES,
     beer_rank,
@@ -76,8 +76,6 @@ BUILTIN_PRESENTATIONS = {
     "q3": q3_presentation,
 }
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 
 def _load_presentation(spec: str) -> Presentation:
     if spec in BUILTIN_PRESENTATIONS:
@@ -85,21 +83,13 @@ def _load_presentation(spec: str) -> Presentation:
     return Presentation.from_text(Path(spec).read_text())
 
 
-def _inferred_alphabet(*texts: str) -> Alphabet:
-    names = []
-    for text in texts:
-        for name in _NAME.findall(text):
-            if name not in names:
-                names.append(name)
+def _alphabet_from(args_gens: str | None, *texts: str) -> Alphabet:
+    """The listed names, or else the names the texts use in order."""
+    names = split_names(args_gens) if args_gens else tuple(dict.fromkeys(
+        tok.text for text in texts for tok in _tokenize(text) if tok.kind == "NAME"))
     if not names:
         raise ParseError("no generator names found", 1, 1)
-    return Alphabet(tuple(names))
-
-
-def _alphabet_from(args_gens: str | None, *texts: str) -> Alphabet:
-    if args_gens:
-        return Alphabet(tuple(args_gens.split(",")))
-    return _inferred_alphabet(*texts)
+    return Alphabet(names)
 
 
 def _parse_bounds(spec: str) -> SearchBounds:
@@ -192,10 +182,8 @@ def _substitution_from_args(args) -> tuple[GenMap, Alphabet]:
     if not args.assign:
         raise ParseError("need --rule or at least one --assign", 1, 1)
     names, images = _assignments(args.assign)
-    source = Alphabet(tuple(args.gens.split(","))) if args.gens \
-        else Alphabet(tuple(names))
-    target = Alphabet(tuple(args.target_gens.split(","))) if args.target_gens \
-        else _inferred_alphabet(*images)
+    source = _alphabet_from(args.gens) if args.gens else Alphabet(tuple(names))
+    target = _alphabet_from(args.target_gens, *images)
     mapping = {name: parse_word(image, target)
                for name, image in zip(names, images)}
     return GenMap.from_dict(source, target, mapping), source

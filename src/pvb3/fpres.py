@@ -376,20 +376,8 @@ def is_consequence(pres: Presentation, w: Word,
         return ConsequenceResult(REFUTED, None, "nonzero in the abelianisation")
 
     # a word and its cyclic core lie in the normal closure together, and
-    # the search does much better on the core; shift the certificate back
+    # the search does much better on the core; w == outer^-1 core outer
     core, outer = w.cyclic_reduction()
-    if not outer.is_identity:
-        inner = is_consequence(pres, core, bounds)
-        if inner.status != VERIFIED:
-            return inner
-        shift = outer.inv()
-        certificate = tuple(
-            CertificateStep(shift * step.conjugator, step.relator_index, step.sign)
-            for step in inner.certificate)
-        if not verify_certificate(pres, w, certificate):
-            raise AssertionError("conjugation produced an invalid certificate")
-        return ConsequenceResult(VERIFIED, certificate)
-
     inserts = []
     for idx, r in enumerate(pres.relators):
         for s in (1, -1):
@@ -398,7 +386,7 @@ def is_consequence(pres: Presentation, w: Word,
                 inserts.append((idx, s, rel, rel[0], rel[-1]))
 
     # states are int-encoded tuples (see _encode), freely reduced by _join
-    start = _encode(w.letters)
+    start = _encode(core.letters)
     heap = [(0, len(start), start)]
     came_from: dict = {start: None}
     found = None
@@ -436,9 +424,10 @@ def is_consequence(pres: Presentation, w: Word,
             parent, p, idx, s = came_from[key]
             moves.append((parent, p, idx, s))
             key = parent
-        moves.reverse()  # now in application order starting from w
+        moves.reverse()  # now in application order starting from the core
+        shift = outer.inv()
         certificate = tuple(
-            CertificateStep(Word(pres.alphabet, _decode(parent[:p])), idx, -s)
+            CertificateStep(shift * Word(pres.alphabet, _decode(parent[:p])), idx, -s)
             for parent, p, idx, s in moves)
         if not verify_certificate(pres, w, certificate):
             raise AssertionError("search produced an invalid certificate")

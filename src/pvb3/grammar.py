@@ -181,6 +181,11 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     return word
 
 
+def split_names(text: str) -> tuple[str, ...]:
+    """Generator names separated by commas, whitespace or both."""
+    return tuple(text.replace(",", " ").split())
+
+
 def parse_presentation_text(text: str) -> tuple[Alphabet, tuple[Word, ...]]:
     """Parse ``gens:``/``rel:`` lines into an alphabet and relator list."""
     alphabet = None
@@ -192,7 +197,7 @@ def parse_presentation_text(text: str) -> tuple[Alphabet, tuple[Word, ...]]:
         if line.startswith("gens:"):
             if alphabet is not None:
                 raise ParseError("second gens: line", lineno, 1)
-            names = line[len("gens:"):].replace(",", " ").split()
+            names = split_names(line[len("gens:"):])
             if not names:
                 raise ParseError("gens: line names no generators", lineno, 1)
             try:

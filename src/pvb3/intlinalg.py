@@ -78,9 +78,6 @@ class IntMatrix:
         """The rows made dense."""
         return tuple(tuple(row.get(j, 0) for j in range(self.ncols)) for row in self.rows)
 
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(row.get(j, 0) for row in self.rows)
-
     def transpose(self) -> "IntMatrix":
         cols: list[dict[int, int]] = [{} for _ in range(self.ncols)]
         for i, row in enumerate(self.rows):

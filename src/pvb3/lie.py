@@ -24,31 +24,6 @@ from math import comb
 from .intlinalg import IntMatrix, SparseCombination, cokernel_invariants, in_row_lattice
 
 
-def _mobius(n):
-    primes = 0
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            primes += 1
-            m //= p
-            if m % p == 0:
-                return 0
-        else:
-            p += 1
-    if m > 1:
-        primes += 1
-    return -1 if primes % 2 else 1
-
-
-def witt_rank(ngens, degree):
-    """Rank of the free Lie ring's homogeneous component."""
-    if degree < 1:
-        raise ValueError("degree must be positive")
-    total = sum(_mobius(d) * ngens ** (degree // d)
-                for d in range(1, degree + 1) if degree % d == 0)
-    return total // degree
-
-
 @lru_cache(maxsize=None)
 def lyndon_words(ngens, degree):
     """All Lyndon words of one length, lexicographically, as index tuples."""
@@ -148,10 +123,6 @@ class GradedLieQuotient:
                          len(lyndon_words(self.ngens, degree)))
 
     def invariants(self, degree):
-        if degree == 1:
-            return self.ngens, ()
-        if not self.relations:
-            return witt_rank(self.ngens, degree), ()
         return cokernel_invariants(self.ideal_matrix(degree))
 
 

@@ -6,7 +6,9 @@ matrix cells from ``nrows``, ``ncols`` and ``entries``, so a rename or a
 change of matrix format inside the package would break a traced benchmark
 run while every other test passes.  The tracer is loaded from its file;
 here it is installed and uninstalled, its counters are called directly,
-and one traced NQ build pins the collection and elimination counts.
+one traced NQ build pins the collection and elimination counts, and the
+traced splitting questions pin one search and one abelianisation
+elimination per consequence question.
 """
 
 import importlib
@@ -15,7 +17,13 @@ from collections import Counter
 from pathlib import Path
 
 from pvb3 import nq
-from pvb3.fpres import g3_presentation, pv_presentation
+from pvb3.fpres import (
+    check_homomorphism_presented,
+    g3_presentation,
+    pv3_new_generators,
+    pv3_new_presentation,
+    pv_presentation,
+)
 from pvb3.intlinalg import IntMatrix
 from pvb3.lie import pv3_lie_quotient
 
@@ -108,3 +116,25 @@ def test_traced_nq_builds_count_overlaps_collections_and_eliminations():
     assert counts == {"nq.builds": 2, "nq.overlaps": 30, "nq.collect_calls": 96,
                       "nq.collect_letters_in": 502, "nq.budget_stops": 0,
                       "intlinalg.hnf_calls": 12, "intlinalg.hnf_cells": 2192}
+
+
+def test_traced_splitting_questions_search_each_word_once():
+    # the 12 relator images of the free-product splitting: 8 of them are
+    # not cyclically reduced, and the search on their cyclic core must
+    # not repeat the abelianisation check, a 6x6 HNF per question
+    old, new = pv_presentation(3), pv3_new_presentation()
+    f, g = pv3_new_generators()
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        results = (check_homomorphism_presented(old, f, new)
+                   + check_homomorphism_presented(new, g, old))
+    finally:
+        tracer.uninstall()
+    assert len(results) == 12
+    counts = {name: tracer.counters[name] for name in (
+        "fpres.queries", "fpres.verified", "fpres.certificate_steps",
+        "intlinalg.hnf_calls", "intlinalg.hnf_cells")}
+    assert counts == {"fpres.queries": 12, "fpres.verified": 12,
+                      "fpres.certificate_steps": 20,
+                      "intlinalg.hnf_calls": 12, "intlinalg.hnf_cells": 432}

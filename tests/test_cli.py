@@ -38,6 +38,34 @@ def test_reduce_rejects_unknown_generator(capsys):
     assert "unknown generator" in err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("reduce", "é b b^-1"), "é"),
+    (("reduce", "a b a^-1", "--gens", "a, b"), "a b a^-1"),
+    (("reduce", "b a", "--gens", "a b"), "b a"),
+    (("subst", "x y", "--assign", "x=é", "--assign", "y=b"), "é b"),
+    (("subst", "x y", "--assign", "x=a", "--assign", "y=b",
+      "--gens", "x, y", "--target-gens", "a, b"), "a b"),
+    (("check-hom", "g3", "--assign", "a1=é", "--assign", "b1=é",
+      "--assign", "a2=1", "--assign", "b2=1", "--assign", "c1=1"), "homomorphism"),
+])
+def test_generator_names_are_read_as_the_grammar_reads_them(capsys, argv, expected):
+    # any letter starts a name, and lists split like a gens: line
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[-1] == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ("reduce", "1", "--gens", ","),
+    ("subst", "x", "--assign", "x=1", "--gens", " , "),
+    ("subst", "x", "--assign", "x=1", "--target-gens", ","),
+])
+def test_empty_generator_list_exits_two(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "no generator names found" in err
+
+
 def test_reduce_rejects_zero_exponent(capsys):
     code, _, err = run(capsys, "reduce", "a^0")
     assert code == 2
@@ -81,6 +109,20 @@ def test_check_hom_free_target_rejects(capsys):
                        "--assign", "c1=1", "--target-gens", "s,t")
     assert code == 1
     assert "SURVIVES" in out
+
+
+def test_check_hom_presented_target_certifies_every_relator(capsys):
+    images = {"l12": "c2^-1 b1", "l21": "b2 c1^-1 c2", "l13": "c2",
+              "l31": "c2^-1 c1", "l23": "c2^-1 a1", "l32": "a2 c1^-1 c2"}
+    argv = ["check-hom", "pv3", "--target", "pv3-new"]
+    for name, image in images.items():
+        argv += ["--assign", "%s=%s" % (name, image)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 7 and lines[-1] == "homomorphism"
+    assert all(line.startswith("relator ") and line.endswith(": VERIFIED")
+               for line in lines[:6])
 
 
 def test_check_hom_requires_full_assignment(capsys):
@@ -333,6 +375,16 @@ def test_suite_timings_flag_adds_wall_ms(capsys):
     assert code == 0
     report = json.loads(out)
     assert all(c["wall_ms"] >= 0 for c in report["checks"])
+
+
+def test_suite_without_search_leaves_the_splitting_unknown(capsys):
+    code, out, _ = run(capsys, "suite", "--search-bounds", "0,0", "--json", "-")
+    assert code == 0
+    report = json.loads(out)
+    assert report["options"]["search_bounds"] == [0, 0]
+    check, = [c for c in report["checks"] if c["id"] == "06-free-product-splitting"]
+    assert check["status"] == "UNKNOWN"
+    assert "0 of 12 relator images certified" in check["details"]
 
 
 def test_unknown_subcommand_exits_two(capsys):

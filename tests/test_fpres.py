@@ -17,6 +17,7 @@ from pvb3.fpres import (
     Presentation,
     SearchBounds,
     check_homomorphism_free,
+    check_homomorphism_presented,
     check_syzygy,
     certificate_product,
     extend_embedding,
@@ -237,6 +238,26 @@ def test_check_homomorphism_free():
     assert check_homomorphism_free(pres, collapse) == [(str(a.comm(b)), True)]
     apart = GenMap.identity(AB)
     assert check_homomorphism_free(pres, apart)[0][1] is False
+
+
+def test_check_homomorphism_presented_certifies_the_change_of_generators():
+    old, new = pv_presentation(3), pv3_new_presentation()
+    f, _ = pv3_new_generators()
+    results = check_homomorphism_presented(old, f, new)
+    assert [label for label, _ in results] == [str(r) for r in old.relators]
+    for r, (_, res) in zip(old.relators, results):
+        assert res.status == VERIFIED
+        assert verify_certificate(new, f(r), res.certificate)
+
+
+def test_check_homomorphism_presented_refutes_a_surviving_relator():
+    # the identity map does not kill [a, b] in the free group; the short
+    # search gives up and the class-2 quotient shows the commutator
+    [(label, res)] = check_homomorphism_presented(
+        Presentation(AB, (a.comm(b),)), GenMap.identity(AB), Presentation(AB, ()),
+        SearchBounds(max_states=300))
+    assert label == str(a.comm(b))
+    assert res == ConsequenceResult(REFUTED, None, "nonzero in the class-2 quotient")
 
 
 # -- mapping tori -------------------------------------------------------------

@@ -25,7 +25,6 @@ from pvb3.lie import (
     pbw_coefficients,
     pbw_consistency,
     pv3_lie_quotient,
-    witt_rank,
 )
 from pvb3.intlinalg import IntMatrix, cokernel_invariants, in_row_lattice
 from pvb3.nq import lcs_ranks
@@ -124,10 +123,42 @@ def lie_dims(quotient, top_degree):
     return tuple(quotient.invariants(d)[0] for d in range(1, top_degree + 1))
 
 
+def _mobius(n):
+    primes = 0
+    m, p = n, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes += 1
+            m //= p
+            if m % p == 0:
+                return 0
+        else:
+            p += 1
+    if m > 1:
+        primes += 1
+    return -1 if primes % 2 else 1
+
+
+def witt_rank(ngens, degree):
+    """Rank of the free Lie ring's homogeneous component."""
+    total = sum(_mobius(d) * ngens ** (degree // d)
+                for d in range(1, degree + 1) if degree % d == 0)
+    return total // degree
+
+
 def test_lyndon_counts_match_witt_numbers():
     for ngens in range(1, 7):
         for degree in range(1, 6):
             assert len(lyndon_words(ngens, degree)) == witt_rank(ngens, degree)
+
+
+def test_free_lie_ring_ranks_are_witt_numbers():
+    # no relations: a cokernel of a matrix with no rows, one column per
+    # Lyndon word
+    for ngens in range(1, 5):
+        free = GradedLieQuotient(tuple("x%d" % k for k in range(ngens)), ())
+        for degree in range(1, 6):
+            assert free.invariants(degree) == (witt_rank(ngens, degree), ())
 
 
 def test_frozen_basis_counts():
