@@ -338,19 +338,21 @@ def check_syzygy(pres: Presentation, certificate) -> bool:
     return certificate_product(pres, certificate).is_identity
 
 
-def _encode(letters) -> tuple[int, ...]:
-    """Letter (g, s) as 2g + (s > 0): order-preserving, inverse is e ^ 1."""
-    return tuple(2 * g + (s > 0) for g, s in letters)
+def _encode(letters) -> str:
+    """Letter (g, s) as the code point 2g + (s > 0), one per letter: str order
+    is the (g, s) order, the inverse is the code point ^ 1, and the alphabet
+    may have any size."""
+    return "".join([chr(2 * g + (s > 0)) for g, s in letters])
 
 
-def _decode(codes) -> tuple[tuple[int, int], ...]:
-    return tuple((e >> 1, 1 if e & 1 else -1) for e in codes)
+def _decode(codes: str) -> tuple[tuple[int, int], ...]:
+    return tuple((e >> 1, 1 if e & 1 else -1) for e in map(ord, codes))
 
 
-def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+def _join(u: str, v: str) -> str:
     """Free reduction of u + v for freely reduced u, v: cancel at the seam only."""
     i, n = 0, min(len(u), len(v))
-    while i < n and u[-1 - i] == v[i] ^ 1:
+    while i < n and ord(u[-1 - i]) == ord(v[i]) ^ 1:
         i += 1
     return u[:len(u) - i] + v[i:]
 
@@ -385,7 +387,8 @@ def is_consequence(pres: Presentation, w: Word,
             if rel:  # inserting a trivial relator changes nothing
                 inserts.append((idx, s, rel, rel[0], rel[-1]))
 
-    # states are int-encoded tuples (see _encode), freely reduced by _join
+    # states are strs, one code point per letter (see _encode), reduced by
+    # _join: compact, and not tracked by the cyclic GC
     start = _encode(core.letters)
     heap = [(0, len(start), start)]
     came_from: dict = {start: None}
@@ -398,8 +401,8 @@ def is_consequence(pres: Presentation, w: Word,
             head, tail = letters[:p], letters[p:]
             # the letters that would cancel against either seam; most
             # relators start and end with neither and need no reduction
-            h = head[-1] ^ 1 if head else -1
-            t = tail[0] ^ 1 if tail else -1
+            h = chr(ord(head[-1]) ^ 1) if head else ""
+            t = chr(ord(tail[0]) ^ 1) if tail else ""
             for idx, s, rel, first, last in inserts:
                 if first != h and last != t:
                     key = head + rel + tail

@@ -1,6 +1,7 @@
 """Presentations, the distinguished groups, and consequence certificates."""
 
 import heapq
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -514,14 +515,14 @@ def test_join_cancels_a_whole_relator():
     x, y = AB.gens()
     head = codes(x * y)
     rel = codes((x * y).inv())
-    assert _join(head, rel) == ()
+    assert _join(head, rel) == _encode(())
     assert _join(_join(head, rel), codes(b)) == codes(b)
 
 
 def test_join_cancellation_runs_from_head_into_tail():
     head, rel, tail = codes(a * b), codes(b.inv()), codes(a.inv() * b * b)
     assert _join(_join(head, rel), tail) == codes(b * b)
-    assert _join(_join(head, rel), codes(a.inv())) == ()
+    assert _join(_join(head, rel), codes(a.inv())) == _encode(())
 
 
 @given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), max_size=8),
@@ -532,3 +533,53 @@ def test_join_is_free_reduction_of_the_concatenation(u, v):
     assert _decode(_encode(u)) == u
     # the encoding orders states exactly as the letter pairs do
     assert (_encode(u) < _encode(v)) == (u < v)
+
+
+WIDE = Alphabet(tuple("x%d" % i for i in range(300)))
+# few generators, so that letters cancel often, with codes on both sides of
+# 128 and 256, where a one-byte or a Latin-1 encoding would stop
+wide_letters = st.lists(st.tuples(st.sampled_from((0, 63, 64, 127, 128, 299)),
+                                  st.sampled_from((1, -1))), max_size=8)
+
+
+@given(wide_letters, wide_letters)
+def test_encoding_past_one_byte_round_trips_joins_and_orders(u, v):
+    u, v = free_reduce(u), free_reduce(v)
+    assert _decode(_encode(u)) == u
+    assert _join(_encode(u), _encode(v)) == _encode(free_reduce(u + v))
+    assert (_encode(u) < _encode(v)) == (u < v)
+
+
+def test_encoding_of_letters_above_index_127():
+    x = WIDE.gens()
+    w = x[299] * x[128].inv() * x[200]
+    assert _decode(codes(w)) == w.letters
+    assert _join(codes(w), codes(w.inv())) == _encode(())
+    assert _join(codes(w), codes(x[200].inv() * x[7])) == codes(
+        x[299] * x[128].inv() * x[7])
+    assert codes(x[7]) < codes(x[150].inv()) < codes(x[150]) < codes(x[299])
+
+
+def test_search_over_a_300_letter_alphabet():
+    x = WIDE.gens()
+    r = x[299].comm(x[200])
+    pres = Presentation(WIDE, (r,))
+    u, v = x[150] * x[7].inv(), x[250] * x[150]
+    w = u * r * u.inv() * v * r.inv() * v.inv()
+    res = is_consequence(pres, w)
+    assert res.status == VERIFIED
+    assert res == oracle_is_consequence(pres, w)
+
+
+def test_search_memory_stays_small():
+    pres = pv_presentation(3)
+    l12, _, l13 = pres.alphabet.gens()[:3]
+    bounds = SearchBounds(max_states=50_000, refute_class=1)
+    tracemalloc.start()
+    try:
+        res = is_consequence(pres, l12.comm(l13), bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == UNKNOWN
+    assert peak < 15 * 2 ** 20, "search peaked at %.1f MB" % (peak / 2 ** 20)
