@@ -113,11 +113,13 @@ def _parse_steps(pres: Presentation, specs) -> tuple[CertificateStep, ...]:
         conj_text, idx_text, sign_text = (p.strip() for p in parts)
         conj = pres.alphabet.identity() if conj_text in ("", "1") \
             else parse_word(conj_text, pres.alphabet)
-        idx = int(idx_text)
+        for what, text in (("relator index", idx_text), ("sign", sign_text)):
+            if not re.fullmatch(r"[+-]?\d+", text):
+                raise ParseError("%s must be an integer, got %r" % (what, text), 1, 1)
+        idx, sign = int(idx_text), int(sign_text)
         if not 0 <= idx < len(pres.relators):
             raise ParseError("relator index %d out of range 0..%d"
                              % (idx, len(pres.relators) - 1), 1, 1)
-        sign = int(sign_text)
         if sign not in (1, -1):
             raise ParseError("sign must be +1 or -1, got %r" % sign_text, 1, 1)
         steps.append(CertificateStep(conj, idx, sign))

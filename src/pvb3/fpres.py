@@ -363,8 +363,11 @@ def is_consequence(pres: Presentation, w: Word,
 
     The search inserts conjugated relators; a success is returned only after
     the reconstructed certificate has been re-verified by free reduction.
-    Exhausting the bounds falls back to nilpotent-quotient refutation, and
-    if that also fails the result is UNKNOWN rather than a guess.
+    Once the search holds a tenth of ``max_states`` states, the word is
+    tried in the nilpotent quotients up to ``refute_class``, and a quotient
+    that refutes it ends the search; a word with a certificate is never
+    refuted, so this changes no answer.  If neither the search nor the
+    quotients decide, the result is UNKNOWN rather than a guess.
     """
     if w.alphabet != pres.alphabet:
         raise ValueError("word is not over the presentation alphabet")
@@ -373,6 +376,7 @@ def is_consequence(pres: Presentation, w: Word,
 
     # cheap refutation first: the image in the abelianisation must vanish
     from .intlinalg import in_row_lattice
+    from .nq import CollectionBudget, quotient_tower
 
     if not in_row_lattice(pres.relator_matrix(), w.exponent_vector()):
         return ConsequenceResult(REFUTED, None, "nonzero in the abelianisation")
@@ -392,60 +396,63 @@ def is_consequence(pres: Presentation, w: Word,
     start = _encode(core.letters)
     heap = [(0, len(start), start)]
     came_from: dict = {start: None}
-    found = None
-    while heap and len(came_from) < bounds.max_states:
-        steps, _, letters = heapq.heappop(heap)
-        if steps >= bounds.max_steps:
-            continue
-        for p in range(0, min(len(letters), bounds.max_prefix) + 1):
-            head, tail = letters[:p], letters[p:]
-            # the letters that would cancel against either seam; most
-            # relators start and end with neither and need no reduction
-            h = chr(ord(head[-1]) ^ 1) if head else ""
-            t = chr(ord(tail[0]) ^ 1) if tail else ""
-            for idx, s, rel, first, last in inserts:
-                if first != h and last != t:
-                    key = head + rel + tail
-                else:
-                    key = _join(_join(head, rel), tail)
-                if key in came_from:
-                    continue
-                came_from[key] = (letters, p, idx, s)
-                if not key:
-                    found = key
+    found, walked = None, False
+    # one search, paused once at a tenth of its states to walk the quotient
+    # tower: certificates within reach mostly need far fewer states
+    for limit in (bounds.max_states // 10, bounds.max_states):
+        while heap and found is None and len(came_from) < limit:
+            steps, _, letters = heapq.heappop(heap)
+            if steps >= bounds.max_steps:
+                continue
+            for p in range(0, min(len(letters), bounds.max_prefix) + 1):
+                head, tail = letters[:p], letters[p:]
+                # the letters that would cancel against either seam; most
+                # relators start and end with neither and need no reduction
+                h = chr(ord(head[-1]) ^ 1) if head else ""
+                t = chr(ord(tail[0]) ^ 1) if tail else ""
+                for idx, s, rel, first, last in inserts:
+                    if first != h and last != t:
+                        key = head + rel + tail
+                    else:
+                        key = _join(_join(head, rel), tail)
+                    if key in came_from:
+                        continue
+                    came_from[key] = (letters, p, idx, s)
+                    if not key:
+                        found = key
+                        break
+                    heapq.heappush(heap, (steps + 1, len(key), key))
+                if found is not None:
                     break
-                heapq.heappush(heap, (steps + 1, len(key), key))
-            if found is not None:
-                break
-        if found is not None:
-            break
+        if found is None and not walked:
+            try:
+                # class 1 passes: the abelianisation check above already did
+                for q in quotient_tower(pres, bounds.refute_class):
+                    if not q.image_is_trivial(w):
+                        return ConsequenceResult(
+                            REFUTED, None, "nonzero in the class-%d quotient" % q.class_)
+                walked, q = True, None  # free the last quotient before the search resumes
+            except CollectionBudget:
+                if limit == bounds.max_states:
+                    raise  # else search on, and walk again when the search ends
 
-    if found is not None:
-        moves = []
-        key = found
-        while came_from[key] is not None:
-            parent, p, idx, s = came_from[key]
-            moves.append((parent, p, idx, s))
-            key = parent
-        moves.reverse()  # now in application order starting from the core
-        shift = outer.inv()
-        certificate = tuple(
-            CertificateStep(shift * Word(pres.alphabet, _decode(parent[:p])), idx, -s)
-            for parent, p, idx, s in moves)
-        if not verify_certificate(pres, w, certificate):
-            raise AssertionError("search produced an invalid certificate")
-        return ConsequenceResult(VERIFIED, certificate)
-
-    # search exhausted; try to refute in small nilpotent quotients
-    from .nq import quotient_tower
-
-    # class 1 passes: the abelianisation check above already did
-    for q in quotient_tower(pres, bounds.refute_class):
-        if not q.image_is_trivial(w):
-            return ConsequenceResult(
-                REFUTED, None, "nonzero in the class-%d quotient" % q.class_)
-    return ConsequenceResult(UNKNOWN, None,
-                             "bounds exhausted without certificate or refutation")
+    if found is None:
+        return ConsequenceResult(UNKNOWN, None,
+                                 "bounds exhausted without certificate or refutation")
+    moves = []
+    key = found
+    while came_from[key] is not None:
+        parent, p, idx, s = came_from[key]
+        moves.append((parent, p, idx, s))
+        key = parent
+    moves.reverse()  # now in application order starting from the core
+    shift = outer.inv()
+    certificate = tuple(
+        CertificateStep(shift * Word(pres.alphabet, _decode(parent[:p])), idx, -s)
+        for parent, p, idx, s in moves)
+    if not verify_certificate(pres, w, certificate):
+        raise AssertionError("search produced an invalid certificate")
+    return ConsequenceResult(VERIFIED, certificate)
 
 
 def check_homomorphism_free(pres: Presentation, images: GenMap) -> list[tuple[str, bool]]:

@@ -17,6 +17,7 @@ any number of ``rel:`` lines, one relator each::
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .word import Alphabet, Word
@@ -139,6 +140,8 @@ class _WordParser:
         k = sign * int(tok.text)
         if k == 0:
             raise ParseError("exponent 0 is not allowed", tok.line, tok.col)
+        if abs(k) > sys.maxsize:  # Word.__pow__ cannot repeat a tuple that often
+            raise ParseError("exponent %d is too large" % k, tok.line, tok.col)
         return k
 
     def parse_atom(self) -> Word:

@@ -168,6 +168,27 @@ def test_consequence_bad_step_exits_two(capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("step, field", [("1:x:1", "relator index must be an integer, got 'x'"),
+                                         ("1:0:y", "sign must be an integer, got 'y'")])
+def test_consequence_non_integer_step_field_exits_two(capsys, step, field):
+    code, _, err = run(capsys, "consequence", "pv3", "l12", "--step", step)
+    assert code == 2
+    assert field in err
+
+
+# exponents past sys.maxsize only: a smaller huge exponent would build the word
+@pytest.mark.parametrize("argv", [
+    ("reduce", "a^99999999999999999999"),
+    ("reduce", "1^-99999999999999999999", "--gens", "a"),
+    ("consequence", "pv3", "l12^99999999999999999999"),
+    ("nq", "pv3", "--image", "(l12 l13)^99999999999999999999"),
+])
+def test_huge_exponent_exits_two(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "is too large" in err
+
+
 def test_syzygy_cancelling_pair(capsys):
     code, out, _ = run(capsys, "syzygy", "g3", "--step", ":0:1",
                        "--step", ":0:-1")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvb3 import nq
 from pvb3.autf import Automorphism
 from pvb3.fpres import (
     REFUTED,
@@ -37,8 +38,9 @@ from pvb3.fpres import (
     _encode,
     _join,
 )
+from pvb3.grammar import parse_word
 from pvb3.intlinalg import in_row_lattice
-from pvb3.nq import nilpotent_quotient
+from pvb3.nq import CollectionBudget, nilpotent_quotient
 from pvb3.word import Alphabet, GenMap, Word, free_reduce
 
 AB = Alphabet(("a", "b"))
@@ -583,3 +585,90 @@ def test_search_memory_stays_small():
         tracemalloc.stop()
     assert res.status == UNKNOWN
     assert peak < 15 * 2 ** 20, "search peaked at %.1f MB" % (peak / 2 ** 20)
+
+
+def test_refutation_ends_the_search_at_its_checkpoint():
+    # at the default bounds the search would fill 200,000 states first
+    pres = pv_presentation(3)
+    l12, _, l13 = pres.alphabet.gens()[:3]
+    tracemalloc.start()
+    try:
+        res = is_consequence(pres, l12.comm(l13))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == ConsequenceResult(REFUTED, None, "nonzero in the class-2 quotient")
+    assert peak < 10 * 2 ** 20, "search peaked at %.1f MB" % (peak / 2 ** 20)
+
+
+def test_no_quotient_outlives_the_checkpoint_walk():
+    # four relators under conjugators of length 3 stay UNKNOWN: the tower is
+    # walked at 2,000 states and must not be held while the search fills 20,000
+    pres = pv_presentation(3)
+    r, conjugators = pres.relators, ("l12 l13 l23", "l21 l31^-1 l32", "l13^-1 l23 l12", "l32 l21 l31")
+    u = [parse_word(text, pres.alphabet) for text in conjugators]
+    w = r[0].conj(u[0]) * r[3].conj(u[1]) * r[5].inv().conj(u[2]) * r[1].conj(u[3])
+    tracemalloc.start()
+    try:
+        res = is_consequence(pres, w, SearchBounds(max_states=20_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == UNKNOWN
+    assert peak < 9 * 2 ** 20, "search peaked at %.1f MB" % (peak / 2 ** 20)
+
+
+# three relators, no conjugators: the certificate needs about 10,400 states,
+# past the checkpoint of these bounds at 2,000
+LATE_PRES = pv_presentation(3)
+LATE_WORD = LATE_PRES.relators[2].inv() * LATE_PRES.relators[5] * LATE_PRES.relators[4]
+LATE_BOUNDS = SearchBounds(max_states=20_000)
+
+
+def patch_tower(monkeypatch, failures):
+    """Count calls to quotient_tower; the first `failures` of them raise."""
+    real, calls = nq.quotient_tower, []
+
+    def tower(*args):
+        calls.append(args)
+        if len(calls) <= failures:
+            raise CollectionBudget("collection exceeded 0 steps")
+        return real(*args)
+
+    monkeypatch.setattr(nq, "quotient_tower", tower)
+    return calls
+
+
+def test_checkpoint_walk_leaves_a_late_certificate_unchanged(monkeypatch):
+    calls = patch_tower(monkeypatch, failures=0)
+    res = is_consequence(LATE_PRES, LATE_WORD, LATE_BOUNDS)
+    assert calls == [(LATE_PRES, LATE_BOUNDS.refute_class)]
+    monkeypatch.undo()
+    assert res.status == VERIFIED
+    assert res == oracle_is_consequence(LATE_PRES, LATE_WORD, LATE_BOUNDS)
+
+
+def test_collection_budget_at_the_checkpoint_does_not_stop_a_certificate(monkeypatch):
+    calls = patch_tower(monkeypatch, failures=10)
+    res = is_consequence(LATE_PRES, LATE_WORD, LATE_BOUNDS)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert res.status == VERIFIED
+    assert res == oracle_is_consequence(LATE_PRES, LATE_WORD, LATE_BOUNDS)
+
+
+def test_collection_budget_at_the_checkpoint_defers_the_walk(monkeypatch):
+    pres = pv_presentation(3)
+    l12, _, l13 = pres.alphabet.gens()[:3]
+    w, bounds = l12.comm(l13), SearchBounds(max_states=300)
+    calls = patch_tower(monkeypatch, failures=10)
+    with pytest.raises(CollectionBudget):
+        is_consequence(pres, w, bounds)
+    assert len(calls) == 2  # at the checkpoint, then after the search
+    monkeypatch.undo()
+    calls = patch_tower(monkeypatch, failures=1)
+    res = is_consequence(pres, w, bounds)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert res == ConsequenceResult(REFUTED, None, "nonzero in the class-2 quotient")
+    assert res == oracle_is_consequence(pres, w, bounds)

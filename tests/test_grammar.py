@@ -43,6 +43,12 @@ def test_zero_exponent_is_rejected():
         parse_word("a^0", AB)
 
 
+def test_exponent_beyond_an_index_is_rejected_at_its_token():
+    with pytest.raises(ParseError, match="exponent -99999999999999999999 is too large") as exc:
+        parse_word("a b^-99999999999999999999", AB)
+    assert (exc.value.line, exc.value.col) == (1, 6)
+
+
 def test_unknown_generator_reports_position():
     with pytest.raises(ParseError) as exc:
         parse_word("a c", AB)
