@@ -178,6 +178,8 @@ def _assignments(specs) -> tuple[list[str], list[str]]:
 
 def _substitution_from_args(args) -> tuple[GenMap, Alphabet]:
     if args.rule:
+        if args.assign or args.gens or args.target_gens:
+            raise ValueError("--rule takes no --assign, --gens or --target-gens")
         f, g = pv3_new_generators()
         genmap = f if args.rule == "old-to-new" else g
         return genmap, genmap.source

@@ -61,12 +61,6 @@ class Presentation:
 
         return IntMatrix.from_rows([r.exponent_vector() for r in self.relators], self.num_gens)
 
-    def abelianisation(self) -> tuple[int, tuple[int, ...]]:
-        """(free rank, torsion factors) of the abelianised group."""
-        from .intlinalg import cokernel_invariants
-
-        return cokernel_invariants(self.relator_matrix())
-
     def __str__(self) -> str:
         lines = ["gens: " + " ".join(self.alphabet.names)]
         lines += ["rel: " + str(r) for r in self.relators]
@@ -184,17 +178,19 @@ def extend_embedding(sub: Alphabet, full: Alphabet) -> GenMap:
     return GenMap(sub, full, tuple(full.gen(name) for name in sub.names))
 
 
-def mapping_torus_presentation(phi, stable_name: str = "t") -> Presentation:
-    """Presentation of the mapping torus of an endomorphism phi of a free
+STABLE_LETTER = "t"
+
+
+def mapping_torus_presentation(phi) -> Presentation:
+    """Presentation of the mapping torus of an automorphism phi of a free
     group, with t w t^-1 = phi(w) for fiber words w."""
-    fw = phi.forward if hasattr(phi, "forward") else phi
-    fiber = fw.source
-    if stable_name in fiber:
-        raise ValueError("stable letter %r clashes with a fiber generator" % stable_name)
-    full = Alphabet(fiber.names + (stable_name,))
-    t = full.gen(stable_name)
+    fiber = phi.alphabet
+    if STABLE_LETTER in fiber:
+        raise ValueError("stable letter %r clashes with a fiber generator" % STABLE_LETTER)
+    full = Alphabet(fiber.names + (STABLE_LETTER,))
+    t = full.gen(STABLE_LETTER)
     inc = extend_embedding(fiber, full)
-    relators = tuple(t * inc(x) * t.inv() * inc(fw(x)).inv() for x in fiber.gens())
+    relators = tuple(t * inc(x) * t.inv() * inc(phi(x)).inv() for x in fiber.gens())
     return Presentation(full, relators)
 
 
@@ -229,7 +225,6 @@ class MappingTorus:
     """Semidirect product of a free group with Z acting by an automorphism."""
 
     automorphism: object  # Automorphism; kept loose to avoid an import cycle
-    stable_name: str = "t"
 
     def twist(self, w: Word, k: int) -> Word:
         phi = self.automorphism if k >= 0 else self.automorphism.inv()
@@ -250,7 +245,7 @@ class MappingTorus:
     def from_word(self, w: Word) -> TorusElement:
         """Collect a word over fiber + stable letter into normal form."""
         full = w.alphabet
-        t_index = full.index(self.stable_name)
+        t_index = full.index(STABLE_LETTER)
         fiber = self.fiber_alphabet
         out = self.identity()
         for g, s in w.letters:

@@ -53,14 +53,9 @@ class Exterior:
         return tuple(self.gen(n) for n in self.names)
 
     def basis(self, degree):
-        """Index tuples of the standard monomial basis in one degree."""
-        return tuple(combinations(range(len(self.names)), degree))
-
-    def from_vector(self, degree, vec):
-        mono = self.basis(degree)
-        if len(vec) != len(mono):
-            raise ValueError("vector length does not match the basis")
-        return self.element(dict(zip(mono, vec)))
+        """Index tuples of the standard monomial basis in one degree,
+        empty in negative degrees."""
+        return tuple(combinations(range(len(self.names)), degree)) if degree >= 0 else ()
 
 
 def _merge_sign(left, right):
@@ -108,9 +103,6 @@ class ExtElement(SparseCombination):
             raise ValueError("element is not homogeneous")
         return degrees.pop()
 
-    def vector(self, degree):
-        return tuple(self.terms.get(k, 0) for k in self.algebra.basis(degree))
-
 
 def substitute(element, images, target):
     """Apply a degree-one substitution multiplicatively.
@@ -127,10 +119,6 @@ def substitute(element, images, target):
     return out
 
 
-def relation_matrix(algebra, elements, degree=2):
-    return IntMatrix.from_rows([e.vector(degree) for e in elements], len(algebra.basis(degree)))
-
-
 @dataclass(frozen=True)
 class ExteriorQuotient:
     """Quotient of an exterior algebra by an ideal of degree-two relations."""
@@ -139,20 +127,16 @@ class ExteriorQuotient:
     relations: tuple
 
     def ideal_matrix(self, degree):
-        """Span of relation * monomial inside one graded piece."""
-        rows = []
-        for r in self.relations:
-            for key in self.algebra.basis(degree - 2):
-                product = r * self.algebra.element({key: 1})
-                rows.append(product.vector(degree))
-        return IntMatrix.from_rows(rows, len(self.algebra.basis(degree)))
+        """Span of relation * monomial inside one graded piece: one sparse
+        row per pair, keyed by each product monomial's position in
+        ``algebra.basis(degree)``.  Below degree 2 there are no rows."""
+        columns = {key: k for k, key in enumerate(self.algebra.basis(degree))}
+        monomials = [self.algebra.element({key: 1}) for key in self.algebra.basis(degree - 2)]
+        return IntMatrix(({columns[key]: c for key, c in (r * m).terms.items()}
+                          for r in self.relations for m in monomials), len(columns))
 
     def invariants(self, degree):
         """(free rank, torsion) of the graded piece of the quotient."""
-        if degree < 0:
-            return 0, ()
-        if degree < 2:
-            return len(self.algebra.basis(degree)), ()
         return cokernel_invariants(self.ideal_matrix(degree))
 
 
@@ -245,27 +229,27 @@ PV3_DUALS = pv_alphabet(3).names
 NEW_DUALS = G3_NAMES + ("c2",)
 
 
-def free_factor_dual(algebra=None):
+def free_factor_dual():
     """Degree-one class dual to the infinite cyclic free factor."""
-    E = algebra or Exterior(PV3_DUALS)
+    E = Exterior(PV3_DUALS)
     l12, l21, l13, l31, l23, l32 = (E.gen(n) for n in PV3_DUALS)
     return l13 - l31 - l12 + l21 - l23 + l32
 
 
-def pv3_stability_relations(algebra=None):
+def pv3_stability_relations():
     """The free-factor dual multiplied against every generator."""
-    E = algebra or Exterior(PV3_DUALS)
-    sigma = free_factor_dual(E)
+    E = Exterior(PV3_DUALS)
+    sigma = free_factor_dual()
     return tuple(sigma * E.gen(n) for n in PV3_DUALS)
 
 
-def pv3_relations(algebra=None):
+def pv3_relations():
     """Degree-two relations presenting the full group's ring."""
-    E = algebra or Exterior(PV3_DUALS)
+    E = Exterior(PV3_DUALS)
     l12, l21, l13, l31, l23, l32 = (E.gen(n) for n in PV3_DUALS)
     opposite = (l12 * l21, l13 * l31, l23 * l32)
     sparse = l21 * l31 - l21 * l32 - l23 * l31
-    return opposite + pv3_stability_relations(E) + (sparse,)
+    return opposite + pv3_stability_relations() + (sparse,)
 
 
 def pv3_ring():
@@ -326,4 +310,4 @@ def beer_rank(n, r):
 
 def stability_rank():
     """Rank of the span of the free-factor relations alone."""
-    return rank(relation_matrix(Exterior(PV3_DUALS), pv3_stability_relations()))
+    return rank(ExteriorQuotient(Exterior(PV3_DUALS), pv3_stability_relations()).ideal_matrix(2))

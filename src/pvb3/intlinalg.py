@@ -217,9 +217,6 @@ class SparseCombination:
             return NotImplemented
         return self._make({k: c * v for k, v in self.terms.items()})
 
-    def is_zero(self):
-        return not self.terms
-
 
 def in_row_lattice(mat: IntMatrix, vec) -> bool:
     """Whether ``vec`` lies in the integer row span of ``mat``."""

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .intlinalg import IntMatrix, SparseCombination, cokernel_invariants, in_row_lattice
+from .intlinalg import IntMatrix, SparseCombination, cokernel_invariants, row_lattices_equal
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +198,8 @@ def derivation_check():
     the two commuting-pair relations must give elements of the degree-3
     component of the full relation ideal; that is what makes the
     subring a Lie ideal on which c1 acts through d.  Membership is
-    checked exactly over the integers.  The conjugation relations are
+    checked exactly over the integers: adding the images to the ideal's
+    rows leaves their lattice unchanged.  The conjugation relations are
     genuinely needed here: the two commuting-pair relations alone span
     an ideal that does not contain these images.
     """
@@ -208,11 +209,9 @@ def derivation_check():
     images = {0: b2.bracket(a1), 1: a2.bracket(b1),
               2: b1.bracket(a2), 3: a1.bracket(b2)}
     ideal = quotient.ideal_matrix(3)
-    for r in (a1.bracket(b1), a2.bracket(b2)):
-        image = apply_derivation(r, images).lyndon_coefficients(3)
-        if not in_row_lattice(ideal, [image.get(k, 0) for k in range(ideal.ncols)]):
-            return False
-    return True
+    derived = tuple(apply_derivation(r, images).lyndon_coefficients(3)
+                    for r in (a1.bracket(b1), a2.bracket(b2)))
+    return row_lattices_equal(ideal, IntMatrix(ideal.rows + derived, ideal.ncols))
 
 
 def apply_derivation(element, images):

@@ -206,9 +206,6 @@ class PcSystem:
             _subtract(delta, self.collect(way2), 1)
             yield label, delta
 
-    def is_consistent(self, max_weight: int) -> bool:
-        return all(not d for _, d in self.consistency_discrepancies(max_weight))
-
 
 @dataclass(frozen=True)
 class NilpotentQuotient:

@@ -43,18 +43,15 @@ from .fpres import (
 )
 from .grcohom import (
     Exterior,
-    G3_NAMES,
+    ExteriorQuotient,
     PV3_DUALS,
     beer_rank,
     dual_restriction,
     g3_cup,
     g3_cup_matrix,
-    g3_relations,
     g3_ring,
-    pv3_relations,
     pv3_relations_via_splitting,
     pv3_ring,
-    relation_matrix,
     stability_rank,
 )
 from .intlinalg import IntMatrix, kernel_basis, rank, row_lattices_equal
@@ -181,7 +178,7 @@ def _check_g3_ring(options: SuiteOptions):
     torsion = tuple(t for _, t in invariants)
     if any(torsion):
         return FAIL, "unexpected torsion %s" % (torsion,)
-    rel = relation_matrix(Exterior(G3_NAMES), g3_relations())
+    rel = g3_ring().ideal_matrix(2)
     if rank(rel) != 4:
         return FAIL, "relation span has rank %d, expected 4" % rank(rel)
     kernel = IntMatrix.from_rows(kernel_basis(g3_cup_matrix().transpose()))
@@ -236,9 +233,9 @@ def _check_wedge_golden(options: SuiteOptions):
 
 
 def _check_relation_routes(options: SuiteOptions):
-    E = Exterior(PV3_DUALS)
-    direct = relation_matrix(E, pv3_relations())
-    transported = relation_matrix(E, pv3_relations_via_splitting())
+    direct = pv3_ring().ideal_matrix(2)
+    transported = ExteriorQuotient(Exterior(PV3_DUALS),
+                                   pv3_relations_via_splitting()).ideal_matrix(2)
     if not row_lattices_equal(direct, transported):
         return FAIL, "the two relation lists span different lattices"
     r = rank(direct)

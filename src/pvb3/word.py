@@ -29,8 +29,10 @@ class Alphabet:
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate generator names: %r" % (self.names,))
         for name in self.names:
-            if not name or not name[0].isalpha():
-                raise ValueError("generator name must start with a letter: %r" % name)
+            # the grammar's NAME token, so that every generator can be written
+            if not (name and name[0].isalpha() and all(c.isalnum() or c == "_" for c in name)):
+                raise ValueError("generator name must be a letter followed by letters, "
+                                 "digits or '_': %r" % name)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -174,6 +176,9 @@ class GenMap:
         missing = [n for n in source.names if n not in images]
         if missing:
             raise ValueError("missing images for %r" % (missing,))
+        unknown = [n for n in images if n not in source]
+        if unknown:
+            raise ValueError("images for unknown generators %r" % (unknown,))
         return GenMap(source, target, tuple(images[n] for n in source.names))
 
     @staticmethod

@@ -33,18 +33,15 @@ from pvb3.fpres import (
 )
 from pvb3.grcohom import (
     Exterior,
-    G3_NAMES,
+    ExteriorQuotient,
     PV3_DUALS,
     beer_rank,
     dual_restriction,
     g3_cup,
     g3_cup_matrix,
-    g3_relations,
     g3_ring,
-    pv3_relations,
     pv3_relations_via_splitting,
     pv3_ring,
-    relation_matrix,
     stability_rank,
 )
 from pvb3.intlinalg import IntMatrix, kernel_basis, rank, row_lattices_equal
@@ -82,7 +79,7 @@ def test_02_factor_ring_ranks_and_pairing_kernel():
         ring = g3_ring()
         assert tuple(ring.invariants(d)[0] for d in range(4)) == (1, 5, 6, 0)
         assert ring.invariants(3) == (0, ())  # top degree vanishes exactly
-        relations = relation_matrix(Exterior(G3_NAMES), g3_relations())
+        relations = ring.ideal_matrix(2)
         kernel = IntMatrix.from_rows(kernel_basis(g3_cup_matrix().transpose()))
         assert rank(kernel) == 4
         assert row_lattices_equal(kernel, relations)
@@ -104,9 +101,9 @@ def test_03_wedge_golden_values_bit_exact():
 
 def test_04_relation_span_routes_agree():
     with budget(1):
-        E = Exterior(PV3_DUALS)
-        direct = relation_matrix(E, pv3_relations())
-        transported = relation_matrix(E, pv3_relations_via_splitting())
+        direct = pv3_ring().ideal_matrix(2)
+        transported = ExteriorQuotient(Exterior(PV3_DUALS),
+                                       pv3_relations_via_splitting()).ideal_matrix(2)
         assert row_lattices_equal(direct, transported)
         assert rank(direct) == 9
         assert stability_rank() == 5  # six relations, linearly dependent

@@ -92,6 +92,27 @@ def test_subst_explicit_assignments(capsys):
     assert out.strip() == "a"
 
 
+@pytest.mark.parametrize("argv", [
+    ("subst", "a", "--gens", "a", "--assign", "a=b", "--assign", "c=d"),
+    ("subst", "x", "--assign", "x=a", "--gens", "x", "--assign", "y=b"),
+])
+def test_subst_assignment_to_an_unknown_generator_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unknown generators" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ("--assign", "l12=x"),
+    ("--gens", "l12"),
+    ("--target-gens", "x"),
+])
+def test_subst_rule_rejects_explicit_assignments(capsys, extra):
+    code, out, err = run(capsys, "subst", "l12", "--rule", "old-to-new", *extra)
+    assert (code, out) == (2, "")
+    assert "--rule takes no --assign, --gens or --target-gens" in err
+
+
 def test_check_hom_free_target_accepts(capsys):
     # both factors map to a commuting pair, so the commutator relator dies
     code, out, _ = run(capsys, "check-hom", "g3",
@@ -275,6 +296,15 @@ def test_nq_reads_presentation_files(tmp_path, capsys):
     assert code == 0
     assert "degree 1: rank 1, torsion Z/2" in out
     assert "degree 2: rank 0, torsion Z/2" in out
+
+
+def test_generator_names_the_grammar_cannot_read_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad.pres"
+    path.write_text("gens: a^2 b\nrel: b\n")
+    for argv in (("nq", str(path)), ("reduce", "x y", "--gens", "x(,y")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "letter followed by letters, digits or '_'" in err
 
 
 def test_cohomology_pv3_matches_closed_form(capsys):

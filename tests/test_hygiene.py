@@ -1,8 +1,10 @@
 """Source hygiene: every module in the package uses each name it imports,
-and imports only from the package itself and the standard library."""
+imports only from the package itself and the standard library, and
+defines no function, class or method that nothing outside the tests uses."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -82,3 +84,76 @@ def test_package_has_modules():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(qualified name, node) of every top-level function and class and of
+    every non-dunder method of a top-level class."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [("%s.%s" % (node.name, item.name), item) for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))]
+    return out
+
+
+def references(tree: ast.AST, dotted_strings: bool = False) -> Counter:
+    """How often each name is mentioned under ``tree``: as a ``Name``, an
+    attribute or an imported name, and with ``dotted_strings`` as a dotted
+    part of a string constant."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+        elif dotted_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(node.value.split("."))
+    return out
+
+
+def uncalled(package: dict[str, str], others: dict[str, str],
+             string_sources: dict[str, str]) -> list[str]:
+    """Definitions in ``package`` (module name -> source) that nothing
+    refers to outside their own definition; ``others`` refer by names and
+    ``string_sources`` also by their dotted strings."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    seen = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others.values())]:
+        seen += references(tree)
+    for source in string_sources.values():
+        seen += references(ast.parse(source), dotted_strings=True)
+    return ["%s.%s" % (module, qual) for module, tree in sorted(trees.items())
+            for qual, node in definitions(tree)
+            if seen[node.name] <= references(node)[node.name]]
+
+
+def test_the_checker_sees_names_without_a_caller():
+    package = {"m": ("class K:\n"
+                     "    def used(self): return self.helper()\n"
+                     "    def helper(self): return 1\n"
+                     "    def lonely(self): return 2\n"
+                     "    def traced(self): return 3\n"
+                     "    def __len__(self): return 0\n"
+                     "def recursive(n): return recursive(n - 1)\n"
+                     "def caller(): return callee()\n"
+                     "def callee(): pass\n"
+                     "def imported(): pass\n")}
+    others = {"client": "from m import K, imported\nK().used()\n"}
+    tracing = {"tracing": 'TRACED = (("m", "K.traced"),)\n'}
+    assert uncalled(package, others, tracing) == ["m.K.lonely", "m.recursive", "m.caller"]
+    assert uncalled(package, {}, {}) == ["m.K", "m.K.used", "m.K.lonely", "m.K.traced",
+                                         "m.recursive", "m.caller", "m.imported"]
+
+
+def test_every_package_name_has_a_caller():
+    package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    bench = {p.stem: p.read_text() for p in (ROOT / "bench").glob("*.py")}
+    tracing = {"tracing": bench.pop("tracing")}
+    assert uncalled(package, bench, tracing) == []

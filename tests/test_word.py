@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvb3.grammar import parse_word
 from pvb3.word import Alphabet, GenMap, Word, free_reduce
 
 AB = Alphabet(("a", "b"))
@@ -57,6 +58,18 @@ def test_alphabet_rejects_duplicates_and_bad_names():
         Alphabet(("a", "a"))
     with pytest.raises(ValueError):
         Alphabet(("a", "2x"))
+
+
+@pytest.mark.parametrize("name", ["a^2", "x(", "a-b", "a b", "a*", "_a", "é'"])
+def test_alphabet_rejects_names_the_grammar_cannot_read(name):
+    with pytest.raises(ValueError, match="letter followed by letters, digits or '_'"):
+        Alphabet(("b", name))
+
+
+def test_alphabet_accepts_every_grammar_name():
+    alphabet = Alphabet(("a_1", "é2", "x12", "Z"))
+    for name in alphabet.names:
+        assert parse_word(name, alphabet) == alphabet.gen(name)
 
 
 def test_words_over_different_alphabets_do_not_mix():
@@ -126,6 +139,11 @@ def test_composition_agrees_with_sequential_application(w, f, g):
 def test_genmap_from_dict_checks_completeness():
     with pytest.raises(ValueError):
         GenMap.from_dict(AB, AB, {"a": a})
+
+
+def test_genmap_from_dict_rejects_images_of_unknown_generators():
+    with pytest.raises(ValueError, match=r"unknown generators \['c'\]"):
+        GenMap.from_dict(AB, AB, {"a": b, "b": a, "c": a})
 
 
 def test_identity_genmap_fixes_words():
