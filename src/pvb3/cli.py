@@ -39,7 +39,6 @@ from .fpres import (
     SearchBounds,
     check_homomorphism_free,
     check_homomorphism_presented,
-    check_syzygy,
     g3_presentation,
     is_consequence,
     pv3_new_generators,
@@ -48,7 +47,7 @@ from .fpres import (
     q3_presentation,
     verify_certificate,
 )
-from .grammar import ParseError, _tokenize, parse_word, split_names
+from .grammar import _tokenize, parse_word, split_names
 from .grcohom import (
     G3_NAMES,
     beer_rank,
@@ -88,7 +87,7 @@ def _alphabet_from(args_gens: str | None, *texts: str) -> Alphabet:
     names = split_names(args_gens) if args_gens else tuple(dict.fromkeys(
         tok.text for text in texts for tok in _tokenize(text) if tok.kind == "NAME"))
     if not names:
-        raise ParseError("no generator names found", 1, 1)
+        raise ValueError("no generator names found")
     return Alphabet(names)
 
 
@@ -108,20 +107,20 @@ def _parse_steps(pres: Presentation, specs) -> tuple[CertificateStep, ...]:
     for spec in specs:
         parts = spec.split(":")
         if len(parts) != 3:
-            raise ParseError("certificate step must be 'CONJ : INDEX : SIGN',"
-                             " got %r" % spec, 1, 1)
+            raise ValueError("certificate step must be 'CONJ : INDEX : SIGN',"
+                             " got %r" % spec)
         conj_text, idx_text, sign_text = (p.strip() for p in parts)
         conj = pres.alphabet.identity() if conj_text in ("", "1") \
             else parse_word(conj_text, pres.alphabet)
         for what, text in (("relator index", idx_text), ("sign", sign_text)):
             if not re.fullmatch(r"[+-]?\d+", text):
-                raise ParseError("%s must be an integer, got %r" % (what, text), 1, 1)
+                raise ValueError("%s must be an integer, got %r" % (what, text))
         idx, sign = int(idx_text), int(sign_text)
         if not 0 <= idx < len(pres.relators):
-            raise ParseError("relator index %d out of range 0..%d"
-                             % (idx, len(pres.relators) - 1), 1, 1)
+            raise ValueError("relator index %d out of range 0..%d"
+                             % (idx, len(pres.relators) - 1))
         if sign not in (1, -1):
-            raise ParseError("sign must be +1 or -1, got %r" % sign_text, 1, 1)
+            raise ValueError("sign must be +1 or -1, got %r" % sign_text)
         steps.append(CertificateStep(conj, idx, sign))
     return tuple(steps)
 
@@ -139,7 +138,7 @@ def _epsilon_product(tokens, rank_override=None):
     for token in tokens:
         m = _EPSILON_TOKEN.match(token)
         if not m:
-            raise ParseError("cannot read %r as eij or eij^k" % token, 1, 1)
+            raise ValueError("cannot read %r as eij or eij^k" % token)
         parsed.append((int(m.group(1)), int(m.group(2)), int(m.group(3) or 1)))
     n = max(max(i, j) for i, j, _ in parsed) if rank_override is None else rank_override
     out = Automorphism.identity(free_alphabet(n))
@@ -170,7 +169,7 @@ def _assignments(specs) -> tuple[list[str], list[str]]:
     for spec in specs:
         name, sep, image = spec.partition("=")
         if not sep:
-            raise ParseError("assignment must be NAME=WORD, got %r" % spec, 1, 1)
+            raise ValueError("assignment must be NAME=WORD, got %r" % spec)
         names.append(name.strip())
         images.append(image)
     return names, images
@@ -184,7 +183,7 @@ def _substitution_from_args(args) -> tuple[GenMap, Alphabet]:
         genmap = f if args.rule == "old-to-new" else g
         return genmap, genmap.source
     if not args.assign:
-        raise ParseError("need --rule or at least one --assign", 1, 1)
+        raise ValueError("need --rule or at least one --assign")
     names, images = _assignments(args.assign)
     source = _alphabet_from(args.gens) if args.gens else Alphabet(tuple(names))
     target = _alphabet_from(args.target_gens, *images)
@@ -203,11 +202,11 @@ def cmd_subst(args) -> int:
 def cmd_check_hom(args) -> int:
     pres = _load_presentation(args.presentation)
     if not args.assign:
-        raise ParseError("need one --assign NAME=WORD per generator", 1, 1)
+        raise ValueError("need one --assign NAME=WORD per generator")
     names, images = _assignments(args.assign)
     if tuple(names) != pres.alphabet.names:
-        raise ParseError("assignments must cover the generators in order: %s"
-                         % " ".join(pres.alphabet.names), 1, 1)
+        raise ValueError("assignments must cover the generators in order: %s"
+                         % " ".join(pres.alphabet.names))
     if args.target:
         target = _load_presentation(args.target)
         target_alphabet = target.alphabet
@@ -254,7 +253,7 @@ def cmd_consequence(args) -> int:
 def cmd_syzygy(args) -> int:
     pres = _load_presentation(args.presentation)
     certificate = _parse_steps(pres, args.step or ())
-    if check_syzygy(pres, certificate):
+    if verify_certificate(pres, pres.alphabet.identity(), certificate):
         print("identity among relations: the product reduces to 1")
         return 0
     print("not an identity among relations")
@@ -509,9 +508,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
     except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

@@ -144,38 +144,14 @@ def pv3_new_generators() -> tuple[GenMap, GenMap]:
     return f, g
 
 
-@dataclass(frozen=True)
-class ConjugatePowerFamily:
-    """The infinite relator family w^(c^k), k in Z, materialised on demand."""
-
-    base: Word
-    conjugator: Word
-
-    def relator(self, k: int) -> Word:
-        return self.base.conj(self.conjugator ** k)
-
-    def materialise(self, bound: int) -> tuple[Word, ...]:
-        return tuple(self.relator(k) for k in range(-bound, bound + 1))
-
-
-def q3_relator_families() -> tuple[ConjugatePowerFamily, ConjugatePowerFamily]:
-    alphabet = Alphabet(G3_NAMES)
-    a1, b1, a2, b2, c1 = alphabet.gens()
-    return (ConjugatePowerFamily(a1.comm(b1), c1),
-            ConjugatePowerFamily(a2.comm(b2), c1))
-
-
 def q3_presentation(bound: int = 3) -> Presentation:
     """Quotient with all c1-power conjugates of the two commutators killed,
     truncated to |k| <= bound."""
-    families = q3_relator_families()
-    relators = families[0].materialise(bound) + families[1].materialise(bound)
-    return Presentation(Alphabet(G3_NAMES), relators)
-
-
-def extend_embedding(sub: Alphabet, full: Alphabet) -> GenMap:
-    """Inclusion of free groups induced by a name-preserving inclusion."""
-    return GenMap(sub, full, tuple(full.gen(name) for name in sub.names))
+    alphabet = Alphabet(G3_NAMES)
+    a1, b1, a2, b2, c1 = alphabet.gens()
+    return Presentation(alphabet, tuple(base.conj(c1 ** k)
+                                        for base in (a1.comm(b1), a2.comm(b2))
+                                        for k in range(-bound, bound + 1)))
 
 
 STABLE_LETTER = "t"
@@ -189,75 +165,34 @@ def mapping_torus_presentation(phi) -> Presentation:
         raise ValueError("stable letter %r clashes with a fiber generator" % STABLE_LETTER)
     full = Alphabet(fiber.names + (STABLE_LETTER,))
     t = full.gen(STABLE_LETTER)
-    inc = extend_embedding(fiber, full)
+    inc = GenMap(fiber, full, full.gens()[:-1])
     relators = tuple(t * inc(x) * t.inv() * inc(phi(x)).inv() for x in fiber.gens())
     return Presentation(full, relators)
 
 
-@dataclass(frozen=True)
-class TorusElement:
-    """Normal form w t^k in a mapping torus."""
+def torus_normal_form(phi, w: Word) -> tuple[Word, int]:
+    """The pair (v, k) with w = v t^k in the mapping torus of the
+    automorphism phi, for a word w over the fiber letters and t.
 
-    torus: "MappingTorus"
-    fiber: Word
-    shift: int
-
-    def __mul__(self, other: "TorusElement") -> "TorusElement":
-        if self.torus is not other.torus and self.torus != other.torus:
-            raise ValueError("elements of different mapping tori")
-        return TorusElement(self.torus,
-                            self.fiber * self.torus.twist(other.fiber, self.shift),
-                            self.shift + other.shift)
-
-    def inv(self) -> "TorusElement":
-        # (w t^k)^-1 = t^-k w^-1 = phi^-k(w^-1) t^-k
-        return TorusElement(self.torus,
-                            self.torus.twist(self.fiber.inv(), -self.shift),
-                            -self.shift)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.shift == 0 and self.fiber.is_identity
-
-
-@dataclass(frozen=True)
-class MappingTorus:
-    """Semidirect product of a free group with Z acting by an automorphism."""
-
-    automorphism: object  # Automorphism; kept loose to avoid an import cycle
-
-    def twist(self, w: Word, k: int) -> Word:
-        phi = self.automorphism if k >= 0 else self.automorphism.inv()
+    w is read left to right: t^s adds s to k, and a fiber letter x appends
+    phi^k(x) to v, since t^k x = phi^k(x) t^k.
+    """
+    fiber, full = phi.alphabet, w.alphabet
+    stable = full.index(STABLE_LETTER)
+    back = phi.inv()
+    v, k = fiber.identity(), 0
+    for g, s in w.letters:
+        if g == stable:
+            k += s
+            continue
+        x = fiber.gen(full.names[g]) ** s
         for _ in range(abs(k)):
-            w = phi(w)
-        return w
-
-    @property
-    def fiber_alphabet(self) -> Alphabet:
-        return self.automorphism.alphabet
-
-    def identity(self) -> TorusElement:
-        return TorusElement(self, self.fiber_alphabet.identity(), 0)
-
-    def element(self, fiber: Word, shift: int = 0) -> TorusElement:
-        return TorusElement(self, fiber, shift)
-
-    def from_word(self, w: Word) -> TorusElement:
-        """Collect a word over fiber + stable letter into normal form."""
-        full = w.alphabet
-        t_index = full.index(STABLE_LETTER)
-        fiber = self.fiber_alphabet
-        out = self.identity()
-        for g, s in w.letters:
-            if g == t_index:
-                out = out * TorusElement(self, fiber.identity(), s)
-            else:
-                letter = Word(fiber, ((fiber.index(full.names[g]), s),))
-                out = out * TorusElement(self, letter, 0)
-        return out
+            x = phi(x) if k > 0 else back(x)
+        v = v * x
+    return v, k
 
 
-def residual_nilpotence_criterion(phi) -> tuple[str, int]:
+def residual_nilpotence_criterion(phi: GenMap) -> tuple[str, int]:
     """Determinant test on the abelianised monodromy.
 
     Returns (verdict, det(A - E)) where A abelianises phi.  When the
@@ -267,10 +202,9 @@ def residual_nilpotence_criterion(phi) -> tuple[str, int]:
     """
     from .intlinalg import IntMatrix, determinant
 
-    fw = phi.forward if hasattr(phi, "forward") else phi
-    if fw.source != fw.target:
+    if phi.source != phi.target:
         raise ValueError("need an endomorphism")
-    a = fw.abelianisation_matrix()
+    a = phi.abelianisation_matrix()
     diff = IntMatrix.from_rows([[x - int(i == j) for j, x in enumerate(row)]
                                 for i, row in enumerate(a.entries)])
     d = determinant(diff)
@@ -311,26 +245,17 @@ class ConsequenceResult:
         return self.status == VERIFIED
 
 
-def certificate_product(pres: Presentation, certificate) -> Word:
+def verify_certificate(pres: Presentation, w: Word, certificate) -> bool:
+    """Check that the certificate product freely reduces to w.
+
+    Against the identity this checks an identity among relations: a
+    certificate whose product is trivial.
+    """
     out = pres.alphabet.identity()
     for step in certificate:
         r = pres.relators[step.relator_index]
         out = out * step.conjugator * r ** step.sign * step.conjugator.inv()
-    return out
-
-
-def verify_certificate(pres: Presentation, w: Word, certificate) -> bool:
-    """Check that the certificate product freely reduces to w."""
-    return certificate_product(pres, certificate) == w
-
-
-def check_syzygy(pres: Presentation, certificate) -> bool:
-    """True iff the certificate product freely reduces to the identity.
-
-    A certificate whose product is trivial is an identity among relations;
-    the checker is generic and takes the labelling as explicit input.
-    """
-    return certificate_product(pres, certificate).is_identity
+    return out == w
 
 
 def _encode(letters) -> str:

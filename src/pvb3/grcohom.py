@@ -94,15 +94,6 @@ class ExtElement(SparseCombination):
                     out[key] = out.get(key, 0) + sign * c1 * c2
         return self.algebra.element(out)
 
-    def degree(self):
-        """Common degree of all terms; zero elements report -1."""
-        degrees = {len(k) for k in self.terms}
-        if not degrees:
-            return -1
-        if len(degrees) > 1:
-            raise ValueError("element is not homogeneous")
-        return degrees.pop()
-
 
 def substitute(element, images, target):
     """Apply a degree-one substitution multiplicatively.

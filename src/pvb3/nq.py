@@ -227,11 +227,6 @@ class NilpotentQuotient:
     def image_is_trivial(self, w: Word) -> bool:
         return not self._normal_form(w)
 
-    @property
-    def lcs_ranks(self) -> tuple[int, ...]:
-        """Torsion-free rank of each layer gamma_c / gamma_{c+1}."""
-        return tuple(free for free, _ in self.layers)
-
 
 def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
         -> tuple[PcSystem, tuple[int, tuple[int, ...]]]:

@@ -152,6 +152,17 @@ def test_check_hom_requires_full_assignment(capsys):
     assert "cover the generators" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("subst", "x"), "need --rule or at least one --assign"),
+    (("check-hom", "g3"), "need one --assign NAME=WORD per generator"),
+])
+def test_option_errors_carry_no_text_position(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
 @pytest.mark.parametrize("argv", [("subst", "x", "--assign", "x"),
                                   ("check-hom", "g3", "--assign", "a1")])
 def test_assignment_without_equals_sign_exits_two(capsys, argv):

@@ -102,19 +102,21 @@ def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
 
 
 def references(tree: ast.AST, dotted_strings: bool = False) -> Counter:
-    """How often each name is mentioned under ``tree``: as a ``Name``, an
-    attribute or an imported name, and with ``dotted_strings`` as a dotted
-    part of a string constant."""
+    """How often each name is mentioned under ``tree``.  A ``Name`` or an
+    imported name counts under its spelling; an attribute ``x.name``, and
+    with ``dotted_strings`` a dotted part of a string constant, counts
+    under its spelling and under ``.name``, the key a method is called by."""
     out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            out.update((node.attr, "." + node.attr))
         elif isinstance(node, ast.alias):
             out[node.name.split(".")[-1]] += 1
         elif dotted_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.update(node.value.split("."))
+            for part in node.value.split("."):
+                out.update((part, "." + part))
     return out
 
 
@@ -122,16 +124,22 @@ def uncalled(package: dict[str, str], others: dict[str, str],
              string_sources: dict[str, str]) -> list[str]:
     """Definitions in ``package`` (module name -> source) that nothing
     refers to outside their own definition; ``others`` refer by names and
-    ``string_sources`` also by their dotted strings."""
+    ``string_sources`` also by their dotted strings.  A method counts as
+    referred to only as an attribute or a dotted string, never through a
+    bare name of the same spelling."""
     trees = {module: ast.parse(source) for module, source in package.items()}
     seen = Counter()
     for tree in [*trees.values(), *map(ast.parse, others.values())]:
         seen += references(tree)
     for source in string_sources.values():
         seen += references(ast.parse(source), dotted_strings=True)
-    return ["%s.%s" % (module, qual) for module, tree in sorted(trees.items())
-            for qual, node in definitions(tree)
-            if seen[node.name] <= references(node)[node.name]]
+    out = []
+    for module, tree in sorted(trees.items()):
+        for qual, node in definitions(tree):
+            key = "." + node.name if "." in qual else node.name
+            if seen[key] <= references(node)[key]:
+                out.append("%s.%s" % (module, qual))
+    return out
 
 
 def test_the_checker_sees_names_without_a_caller():
@@ -140,16 +148,20 @@ def test_the_checker_sees_names_without_a_caller():
                      "    def helper(self): return 1\n"
                      "    def lonely(self): return 2\n"
                      "    def traced(self): return 3\n"
+                     "    def shadowed(self): return 4\n"
                      "    def __len__(self): return 0\n"
                      "def recursive(n): return recursive(n - 1)\n"
                      "def caller(): return callee()\n"
                      "def callee(): pass\n"
                      "def imported(): pass\n")}
-    others = {"client": "from m import K, imported\nK().used()\n"}
+    # a bare name spelt like a method does not call it
+    others = {"client": "from m import K, imported\nshadowed = K().used()\n"}
     tracing = {"tracing": 'TRACED = (("m", "K.traced"),)\n'}
-    assert uncalled(package, others, tracing) == ["m.K.lonely", "m.recursive", "m.caller"]
+    assert uncalled(package, others, tracing) == ["m.K.lonely", "m.K.shadowed",
+                                                  "m.recursive", "m.caller"]
     assert uncalled(package, {}, {}) == ["m.K", "m.K.used", "m.K.lonely", "m.K.traced",
-                                         "m.recursive", "m.caller", "m.imported"]
+                                         "m.K.shadowed", "m.recursive", "m.caller",
+                                         "m.imported"]
 
 
 def test_every_package_name_has_a_caller():

@@ -11,7 +11,6 @@ from pvb3.autf import Automorphism
 from pvb3.fpres import (
     REFUTED,
     UNKNOWN,
-    MappingTorus,
     Presentation,
     SearchBounds,
     g3_presentation,
@@ -152,7 +151,7 @@ def test_final_system_is_consistent():
 
 def test_lcs_ranks_property():
     q = nilpotent_quotient(F2, 4)
-    assert q.lcs_ranks == (2, 1, 2, 3)
+    assert q.layers == ((2, ()), (1, ()), (2, ()), (3, ()))
 
 
 def test_separation_of_commuting_counterexamples():
