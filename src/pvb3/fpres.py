@@ -28,8 +28,9 @@ free reduction before being returned.
 
 from __future__ import annotations
 
-import heapq
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .grammar import parse_presentation_text
@@ -60,6 +61,12 @@ class Presentation:
         from .intlinalg import IntMatrix
 
         return IntMatrix.from_rows([r.exponent_vector() for r in self.relators], self.num_gens)
+
+    @cached_property
+    def _inserts(self) -> tuple[list, list, dict]:
+        """The search's (index, sign) moves, their codes, and the _seams met."""
+        moves = [(idx, s) for idx, r in enumerate(self.relators) for s in (1, -1) if r]
+        return moves, [_encode((self.relators[i] ** s).letters) for i, s in moves], {}
 
     def __str__(self) -> str:
         lines = ["gens: " + " ".join(self.alphabet.names)]
@@ -277,6 +284,41 @@ def _join(u: str, v: str) -> str:
     return u[:len(u) - i] + v[i:]
 
 
+def _seams(rels: list[str], u: str, v: str) -> tuple[list, list]:
+    """The rels that cancel against neither letter u nor v when inserted between
+    them ("" at an end), and the others as (a, rel[a:len(rel) - b], b, x, y, rel):
+    a and b letters cancel, unless none are left or x precedes u or y follows v."""
+    h, t = (chr(ord(c) ^ 1) if c else "" for c in (u, v))
+    cuts = [(int(r[0] == h), int(r[-1] == t), r) for r in rels]
+    return [r for a, b, r in cuts if not a + b], [
+        (a, r[a:len(r) - b], b, chr(ord(r[1]) ^ 1) if a and len(r) > 1 else None,
+         chr(ord(r[-2]) ^ 1) if b and len(r) > 1 else None, r) for a, b, r in cuts if a + b]
+
+
+def _children(letters: str, max_prefix: int, rels: list[str], seams: dict):
+    """For each p up to max_prefix, the reduced letters[:p] + rel +
+    letters[p:] for all rels, in no fixed order; seams caches _seams."""
+    for p in range(min(len(letters), max_prefix) + 1):
+        head, tail = letters[:p], letters[p:]
+        key = (head[-1:], tail[:1])
+        plain, seam = seams.get(key) or seams.setdefault(key, _seams(rels, *key))
+        yield [f"{head}{rel}{tail}" for rel in plain] + [
+            f"{head[:p - a]}{mid}{tail[b:]}" if mid and x != head[-2:-1] and y != tail[1:2]
+            else _join(_join(head, rel), tail) for a, mid, b, x, y, rel in seam]
+
+
+def _frontier(level: list, max_steps: int):
+    """The states of level and of each next one the caller puts in it, in the
+    order (level, len, str) for max_steps levels, each length sorted lazily."""
+    for _ in range(max_steps):
+        buckets = defaultdict(list)
+        for key in level:
+            buckets[len(key)].append(key)
+        level.clear()
+        for n in sorted(buckets):
+            yield from sorted(buckets.pop(n))
+
+
 def is_consequence(pres: Presentation, w: Word,
                    bounds: SearchBounds = SearchBounds()) -> ConsequenceResult:
     """Decide whether w lies in the normal closure of the relators.
@@ -304,47 +346,27 @@ def is_consequence(pres: Presentation, w: Word,
     # a word and its cyclic core lie in the normal closure together, and
     # the search does much better on the core; w == outer^-1 core outer
     core, outer = w.cyclic_reduction()
-    inserts = []
-    for idx, r in enumerate(pres.relators):
-        for s in (1, -1):
-            rel = _encode((r ** s).letters)
-            if rel:  # inserting a trivial relator changes nothing
-                inserts.append((idx, s, rel, rel[0], rel[-1]))
-
-    # states are strs, one code point per letter (see _encode), reduced by
-    # _join: compact, and not tracked by the cyclic GC
-    start = _encode(core.letters)
-    heap = [(0, len(start), start)]
-    came_from: dict = {start: None}
-    found, walked = None, False
+    moves, rels, seams = pres._inserts
+    # each state (see _encode) -> the state it was first reached from
+    level = [_encode(core.letters)]
+    came_from: dict = dict.fromkeys(level)
+    states, walked = _frontier(level, bounds.max_steps), False
     # one search, paused once at a tenth of its states to walk the quotient
     # tower: certificates within reach mostly need far fewer states
     for limit in (bounds.max_states // 10, bounds.max_states):
-        while heap and found is None and len(came_from) < limit:
-            steps, _, letters = heapq.heappop(heap)
-            if steps >= bounds.max_steps:
-                continue
-            for p in range(0, min(len(letters), bounds.max_prefix) + 1):
-                head, tail = letters[:p], letters[p:]
-                # the letters that would cancel against either seam; most
-                # relators start and end with neither and need no reduction
-                h = chr(ord(head[-1]) ^ 1) if head else ""
-                t = chr(ord(tail[0]) ^ 1) if tail else ""
-                for idx, s, rel, first, last in inserts:
-                    if first != h and last != t:
-                        key = head + rel + tail
-                    else:
-                        key = _join(_join(head, rel), tail)
-                    if key in came_from:
-                        continue
-                    came_from[key] = (letters, p, idx, s)
-                    if not key:
-                        found = key
-                        break
-                    heapq.heappush(heap, (steps + 1, len(key), key))
-                if found is not None:
+        while "" not in came_from and len(came_from) < limit:
+            letters = next(states, None)
+            if letters is None:
+                break
+            kids = set()
+            for row in _children(letters, bounds.max_prefix, rels, seams):
+                kids.update(row)
+                if "" in kids:
                     break
-        if found is None and not walked:
+            new = kids.difference(came_from)  # looks up each kid, not each key
+            came_from.update(dict.fromkeys(new, letters))
+            level += new
+        if "" not in came_from and not walked:
             try:
                 # class 1 passes: the abelianisation check above already did
                 for q in quotient_tower(pres, bounds.refute_class):
@@ -356,20 +378,18 @@ def is_consequence(pres: Presentation, w: Word,
                 if limit == bounds.max_states:
                     raise  # else search on, and walk again when the search ends
 
-    if found is None:
+    if "" not in came_from:
         return ConsequenceResult(UNKNOWN, None,
                                  "bounds exhausted without certificate or refutation")
-    moves = []
-    key = found
-    while came_from[key] is not None:
-        parent, p, idx, s = came_from[key]
-        moves.append((parent, p, idx, s))
-        key = parent
-    moves.reverse()  # now in application order starting from the core
-    shift = outer.inv()
-    certificate = tuple(
-        CertificateStep(shift * Word(pres.alphabet, _decode(parent[:p])), idx, -s)
-        for parent, p, idx, s in moves)
+    # each step is the first move, in (p, relator, sign) order, to the child
+    certificate, key, shift = (), "", outer.inv()
+    while (parent := came_from[key]) is not None:
+        p = next(p for p, row in enumerate(_children(parent, bounds.max_prefix, rels, seams))
+                 if key in row)
+        idx, s = moves[next(i for i, r in enumerate(rels)
+                            if _join(_join(parent[:p], r), parent[p:]) == key)]
+        step = CertificateStep(shift * Word(pres.alphabet, _decode(parent[:p])), idx, -s)
+        certificate, key = (step, *certificate), parent
     if not verify_certificate(pres, w, certificate):
         raise AssertionError("search produced an invalid certificate")
     return ConsequenceResult(VERIFIED, certificate)

@@ -107,20 +107,20 @@ class _WordParser:
         raise ParseError(message, tok.line, tok.col)
 
     def parse_word(self, *, stop=("END",)) -> Word:
-        out = self.alphabet.identity()
+        letters: list = []  # reduced once at the end, not after every factor
         first = True
         while True:
             tok = self.peek()
             if tok.kind in stop:
                 if first:
                     self.fail("empty word")
-                return out
+                return Word(self.alphabet, tuple(letters))
             if tok.kind == "*":
                 if first:
                     self.fail("word cannot start with '*'")
                 self.take()
                 continue
-            out = out * self.parse_factor()
+            letters += self.parse_factor().letters
             first = False
 
     def parse_factor(self) -> Word:

@@ -32,6 +32,7 @@ from pvb3.fpres import (
     residual_nilpotence_criterion,
     torus_normal_form,
     verify_certificate,
+    _children,
     _decode,
     _encode,
     _join,
@@ -541,8 +542,12 @@ def oracle_is_consequence(pres, w, bounds=SearchBounds()):
                              "bounds exhausted without certificate or refutation")
 
 
+ABCD = Alphabet(("a", "b", "c", "d"))
+# relators of length 1 and 2, which can cancel completely into a state
+SHORT = Presentation(ABCD, (ABCD.gen("d"), ABCD.gen("a") * ABCD.gen("b"),
+                            ABCD.gen("c") ** 2))
 SEARCH_PRESENTATIONS = {"pv3": pv_presentation(3), "pv3-new": pv3_new_presentation(),
-                        "g3": g3_presentation()}
+                        "g3": g3_presentation(), "short": SHORT}
 
 
 @st.composite
@@ -761,3 +766,100 @@ def test_collection_budget_at_the_checkpoint_defers_the_walk(monkeypatch):
     monkeypatch.undo()
     assert res == ConsequenceResult(REFUTED, None, "nonzero in the class-2 quotient")
     assert res == oracle_is_consequence(pres, w, bounds)
+
+
+# -- the search level by level, against the heap-ordered oracle ---------------
+
+
+small_letters = st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))),
+                         min_size=1, max_size=4)
+
+
+@given(st.lists(small_letters, min_size=1, max_size=3),
+       st.lists(st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), max_size=9),
+                min_size=1, max_size=4),
+       st.integers(0, 9))
+def test_children_are_the_reduced_insertions(relators, states, max_prefix):
+    rels = [_encode(r) for r in map(free_reduce, relators) if r]
+    seams = {}  # shared across the states, as across one search
+    for letters in map(free_reduce, states):
+        state = _encode(letters)
+        rows = list(_children(state, max_prefix, rels, seams))
+        assert len(rows) == min(len(state), max_prefix) + 1
+        for p, row in enumerate(rows):
+            want = [free_reduce(letters[:p] + _decode(rel) + letters[p:]) for rel in rels]
+            assert sorted(row) == sorted(map(_encode, want))
+
+
+def test_children_cancel_a_whole_relator_on_into_the_tail():
+    x, y, z, t = ABCD.gens()
+    rels = [codes(x * y)]
+    state = codes((x * y).inv().conj(z.inv()) * t)  # z (x y)^-1 z^-1 t
+    assert list(_children(state, 8, rels, {}))[3] == [codes(t)]
+
+
+def test_search_cut_inside_a_level_matches_the_oracle():
+    # r0 r3 is VERIFIED from 110 states on, inside the second level; the
+    # certificate of LATE_WORD needs 10,409 states, and the checkpoint at
+    # a tenth of them pauses the search inside a length bucket
+    r = LATE_PRES.relators
+    questions = [(r[0] * r[3], m) for m in range(100, 121)]
+    questions += [(LATE_WORD, m) for m in (10_408, 10_409)]
+    statuses = set()
+    for w, max_states in questions:
+        bounds = SearchBounds(max_states=max_states, refute_class=1)
+        res = is_consequence(LATE_PRES, w, bounds)
+        assert res == oracle_is_consequence(LATE_PRES, w, bounds)
+        statuses.add((w, res.status))
+    assert statuses == {(r[0] * r[3], UNKNOWN), (r[0] * r[3], VERIFIED),
+                        (LATE_WORD, UNKNOWN), (LATE_WORD, VERIFIED)}
+
+
+def test_search_depth_and_prefix_bounds_match_the_oracle():
+    pres = LATE_PRES
+    r, g = pres.relators, pres.alphabet.gens()
+    words = (r[1].conj(g[2]), r[0] * r[3], r[4].inv() * r[2].conj(g[0] * g[5]), g[0].comm(g[1]))
+    for bounds in (SearchBounds(max_steps=1, refute_class=2),
+                   SearchBounds(max_steps=2, refute_class=2),
+                   SearchBounds(max_prefix=0, max_steps=0, refute_class=2)):
+        for w in words:
+            assert is_consequence(pres, w, bounds) == oracle_is_consequence(pres, w, bounds)
+    assert is_consequence(pres, r[0] * r[3], SearchBounds(max_steps=1)).status == UNKNOWN
+    assert is_consequence(pres, r[0] * r[3], SearchBounds(max_steps=2)).status == VERIFIED
+
+
+def test_first_of_two_moves_to_one_child_is_the_certificate_step():
+    # every insertion of a^-3 into a^6 gives a^3, both relators give a^-3:
+    # each step is the first move, at p = 0 with the first relator
+    x = Alphabet(("a", "b")).gens()[0]
+    pres = Presentation(x.alphabet, (x ** 3, x ** -3))
+    res = is_consequence(pres, x ** 6)
+    assert res == oracle_is_consequence(pres, x ** 6)
+    assert res.certificate == (CertificateStep(x ** 0, 0, 1),) * 2
+
+
+def test_short_relators_match_the_oracle():
+    x, y, z, t = ABCD.gens()
+    bounds = SearchBounds(max_states=2_000, refute_class=2)
+    for w in (t.conj(x), (x * y).conj(z) * t.inv(), z * (x * y).inv() * z.inv() * t * x * y,
+              z ** 2 * t.conj(y) * z ** -2, x.comm(t), y * x, z.comm(x * y)):
+        res = is_consequence(SHORT, w, bounds)
+        assert res == oracle_is_consequence(SHORT, w, bounds)
+        assert res.status == VERIFIED
+
+
+def test_long_states_keep_the_search_memory_small():
+    # four relators under conjugators of length 3: states of about 48 letters
+    pres = pv_presentation(3)
+    r, conjugators = pres.relators, ("l12 l13 l23", "l21 l31^-1 l32", "l13^-1 l23 l12",
+                                     "l32 l21 l31")
+    u = [parse_word(text, pres.alphabet) for text in conjugators]
+    w = r[0].conj(u[0]) * r[3].conj(u[1]) * r[5].inv().conj(u[2]) * r[1].conj(u[3])
+    tracemalloc.start()
+    try:
+        res = is_consequence(pres, w, SearchBounds(max_states=50_000, refute_class=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == UNKNOWN
+    assert peak < 10.5 * 2 ** 20, "search peaked at %.1f MB" % (peak / 2 ** 20)

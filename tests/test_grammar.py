@@ -104,3 +104,11 @@ def test_rendering_round_trips(w):
         assert parse_word(str(w), AB).is_identity
     else:
         assert parse_word(str(w), AB) == w
+
+
+@given(words(), words(), words())
+@settings(max_examples=100)
+def test_factors_cancel_across_their_boundaries(u, v, x):
+    # the letters of all factors are reduced together once, at the end
+    text = "(%s) (%s)^-1 [%s, %s] * (%s)^2" % (u, u, v, x, v)
+    assert parse_word(text, AB) == u * u.inv() * v.comm(x) * v ** 2
