@@ -5,11 +5,12 @@ The package covers free-group words and substitutions, finitely
 presented groups with consequence certificates, basis-conjugating
 automorphisms, nilpotent quotients, the cohomology ring with its wedge
 model, and the associated graded Lie ring.  ``pvb3 suite`` (or
-``run_suite`` here) executes the ten-check verification battery tying
-the pieces together.
+``pvb3.suite.run_suite``) executes the ten-check verification battery
+tying the pieces together.  The package root re-exports the words,
+presentations and nilpotent quotients only, so that importing it does
+not load the automorphism, cohomology, Lie and suite modules.
 """
 
-from .autf import Automorphism, epsilon, free_alphabet
 from .fpres import (
     Presentation,
     SearchBounds,
@@ -20,34 +21,22 @@ from .fpres import (
     pv_presentation,
 )
 from .grammar import ParseError, parse_word
-from .grcohom import beer_rank, g3_ring, pv3_ring
-from .lie import pv3_lie_quotient
 from .nq import lcs_ranks, nilpotent_quotient
-from .suite import SuiteOptions, run_suite
 from .word import Alphabet, GenMap, Word
 
 __all__ = [
     "Alphabet",
-    "Automorphism",
     "GenMap",
     "ParseError",
     "Presentation",
     "SearchBounds",
-    "SuiteOptions",
     "Word",
-    "beer_rank",
-    "epsilon",
-    "free_alphabet",
     "g3_presentation",
-    "g3_ring",
     "is_consequence",
     "lcs_ranks",
     "nilpotent_quotient",
     "parse_word",
-    "pv3_lie_quotient",
     "pv3_new_generators",
     "pv3_new_presentation",
-    "pv3_ring",
     "pv_presentation",
-    "run_suite",
 ]

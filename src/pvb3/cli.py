@@ -11,6 +11,10 @@ for a file path.
 Exit status is 0 when everything requested holds, 1 when a comparison
 fails or a single question is refuted or left undecided, and 2 for
 usage errors such as unparseable input.
+
+Each command runs in a fresh interpreter, so the handlers of ``aut``,
+``cohomology``, ``lie`` and ``suite`` import their engines themselves:
+the other commands never load ``autf``, ``grcohom``, ``lie`` or ``suite``.
 """
 
 from __future__ import annotations
@@ -21,17 +25,6 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
-from .autf import (
-    Automorphism,
-    composition_order_report,
-    epsilon,
-    free_alphabet,
-    hnn_identities,
-    mccool_disjoint_commutators,
-    mccool_same_target_commutators,
-    mccool_triple_relations,
-    pv_relators_in_cb,
-)
 from .fpres import (
     VERIFIED,
     CertificateStep,
@@ -48,23 +41,7 @@ from .fpres import (
     verify_certificate,
 )
 from .grammar import _tokenize, parse_word, split_names
-from .grcohom import (
-    G3_NAMES,
-    beer_rank,
-    dual_restriction,
-    g3_cup,
-    g3_ring,
-    pv3_ring,
-    stability_rank,
-)
-from .lie import (
-    derivation_check,
-    enveloping_invariants,
-    pbw_coefficients,
-    pv3_lie_quotient,
-)
 from .nq import CollectionBudget, nilpotent_quotient
-from .suite import SuiteOptions, run_suite
 from .word import Alphabet, GenMap
 
 BUILTIN_PRESENTATIONS = {
@@ -125,15 +102,12 @@ def _parse_steps(pres: Presentation, specs) -> tuple[CertificateStep, ...]:
     return tuple(steps)
 
 
-def _print_automorphism(f: Automorphism) -> None:
-    for x in f.alphabet.gens():
-        print("%s -> %s" % (x, f(x)))
-
-
 _EPSILON_TOKEN = re.compile(r"^e(\d)(\d)(?:\^(-?\d+))?$")
 
 
 def _epsilon_product(tokens, rank_override=None):
+    from .autf import Automorphism, epsilon, free_alphabet
+
     parsed = []
     for token in tokens:
         m = _EPSILON_TOKEN.match(token)
@@ -261,9 +235,19 @@ def cmd_syzygy(args) -> int:
 
 
 def cmd_aut(args) -> int:
+    from .autf import (
+        composition_order_report,
+        hnn_identities,
+        mccool_disjoint_commutators,
+        mccool_same_target_commutators,
+        mccool_triple_relations,
+        pv_relators_in_cb,
+    )
+
     if args.action == "compose":
         f = _epsilon_product(args.generator, args.rank)
-        _print_automorphism(f)
+        for x in f.alphabet.gens():
+            print("%s -> %s" % (x, f(x)))
         if args.apply:
             w = parse_word(args.apply, f.alphabet)
             print("%s -> %s" % (w, f(w)))
@@ -300,16 +284,26 @@ def cmd_aut(args) -> int:
 
 def cmd_nq(args) -> int:
     pres = _load_presentation(args.presentation)
+    words = [parse_word(text, pres.alphabet) for text in args.image or ()]
     q = nilpotent_quotient(pres, args.class_)
     for degree, (free, torsion) in enumerate(q.layers, start=1):
         print(_layer_line(degree, free, torsion))
-    for text in args.image or ():
-        w = parse_word(text, pres.alphabet)
+    for w in words:
         print("%s -> %s" % (w, q.image(w)))
     return 0
 
 
 def cmd_cohomology(args) -> int:
+    from .grcohom import (
+        G3_NAMES,
+        beer_rank,
+        dual_restriction,
+        g3_cup,
+        g3_ring,
+        pv3_ring,
+        stability_rank,
+    )
+
     if args.flavour == "beer":
         n = args.strands
         if n < 1:
@@ -341,6 +335,13 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_lie(args) -> int:
+    from .lie import (
+        derivation_check,
+        enveloping_invariants,
+        pbw_coefficients,
+        pv3_lie_quotient,
+    )
+
     quotient = pv3_lie_quotient(include_free_generator=not args.factor_only)
     top = args.max_degree
     if args.action != "derivation" and top < 1:
@@ -375,6 +376,8 @@ def cmd_lie(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from .suite import SuiteOptions, run_suite
+
     options = SuiteOptions(
         class_=args.class_,
         max_degree=args.max_degree,

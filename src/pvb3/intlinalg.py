@@ -13,6 +13,7 @@ Lie elements, whose keys are monomials instead of columns.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 
@@ -149,6 +150,9 @@ def hermite_normal_form(mat: IntMatrix):
         if row:
             buckets.setdefault(min(row), []).append(dict(row))
     done: list[dict[int, int]] = []
+    # column -> positions in ``done`` of the rows nonzero there, so that the
+    # back-reduction visits only the rows a new pivot's column meets
+    holders: defaultdict[int, set[int]] = defaultdict(set)
     pivots: list[tuple[int, int]] = []
     for col in range(mat.ncols):
         live = buckets.pop(col, None)
@@ -167,10 +171,22 @@ def hermite_normal_form(mat: IntMatrix):
             for j in pivot_row:
                 pivot_row[j] = -pivot_row[j]
         val = pivot_row[col]
-        for r in done:
-            q = r.get(col, 0) // val
+        for i in list(holders.get(col, ())):
+            r = done[i]
+            q = r[col] // val
             if q:
-                _subtract(r, pivot_row, q)
+                for j, x in pivot_row.items():
+                    old = r.get(j, 0)
+                    y = old - q * x
+                    if y:
+                        r[j] = y
+                        if not old:
+                            holders[j].add(i)
+                    else:
+                        del r[j]
+                        holders[j].remove(i)
+        for j in pivot_row:
+            holders[j].add(len(done))
         done.append(pivot_row)
         pivots.append((col, val))
     return done, pivots

@@ -6,6 +6,10 @@ plumbing between the parser and the library stays sound.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +293,16 @@ def test_nq_layers_and_images(capsys):
     assert "-> (0, 0, 0, 0, 0, 0, -1," in lines[2]
 
 
+def test_nq_image_parse_error_exits_before_the_build(monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("built the quotient before reading --image")
+
+    monkeypatch.setattr(cli, "nilpotent_quotient", unreachable)
+    code, out, err = run(capsys, "nq", "pv3", "--class", "2", "--image", "l12^0")
+    assert (code, out) == (2, "")
+    assert "exponent 0 is not allowed" in err
+
+
 def test_nq_budget_stop_reports_unknown(monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise CollectionBudget("collection exceeded 10 steps")
@@ -468,3 +482,45 @@ def test_search_bounds_accept_zero(capsys):
     code, out, _ = run(capsys, "consequence", "pv3", "l12 l21", "--search-bounds", "0,0")
     assert code == 1
     assert out.startswith("REFUTED")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(*args):
+    """Run the interpreter with the package on its path and nothing loaded."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+LOADED = ("import sys, {module}; "
+          "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'pvb3')))")
+
+
+def test_cli_import_loads_only_the_presentation_engines():
+    done = fresh_python("-c", LOADED.format(module="pvb3.cli"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["pvb3", "pvb3.cli", "pvb3.fpres", "pvb3.grammar",
+                                   "pvb3.intlinalg", "pvb3.nq", "pvb3.word"]
+
+
+def test_package_import_skips_the_deferred_engines():
+    done = fresh_python("-c", LOADED.format(module="pvb3"))
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "pvb3" in loaded
+    assert not loaded & {"pvb3.autf", "pvb3.grcohom", "pvb3.lie", "pvb3.suite"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("aut", "hnn"),
+    ("aut", "compose", "e12", "e13^-1", "--apply", "x1"),
+    ("cohomology", "pv3"),
+    ("lie", "dims", "--max-degree", "2"),
+    ("suite", "--class", "2", "--max-degree", "2"),
+], ids="-".join)
+def test_commands_with_deferred_imports_run_in_a_fresh_interpreter(argv):
+    done = fresh_python("-m", "pvb3.cli", *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout

@@ -578,6 +578,16 @@ def test_hnf_moves_a_row_that_loses_its_lead_and_reduces_above_a_non_unit_pivot(
         == dense_hermite_normal_form(m)
 
 
+def test_hnf_back_reduction_creates_and_cancels_entries_of_an_earlier_row():
+    # the pivot in column 1 turns row 0 into (1, 0, -10, 0): a new entry in
+    # column 2, which the pivot 3 there must still reach, and none left in
+    # column 3, which the pivot 2 there must skip
+    m = IntMatrix.from_rows([[1, 2, 0, 2], [0, 1, 5, 1], [0, 0, 3, 0], [0, 0, 0, 2]])
+    expected = ([[1, 0, 2, 0], [0, 1, 2, 1], [0, 0, 3, 0], [0, 0, 0, 2]],
+                [(0, 1), (1, 1), (2, 3), (3, 2)])
+    assert checked_dense_hnf(m) == expected == dense_hermite_normal_form(m)
+
+
 @given(st.data())
 @settings(max_examples=300)
 def test_lattice_equality_matches_the_membership_reference(data):
