@@ -17,9 +17,9 @@ the layer by their Smith factors and the torsion powers by their entries.
 
 Normal forms are exponent vectors over the polycyclic generators, held as
 ``{generator: nonzero exponent}`` dicts, the row format of ``IntMatrix``,
-and computed by collection from the left.  Collection is deterministic
-(leftmost violation first) and guarded by a step budget so that a runaway
-input raises :class:`CollectionBudget` instead of looping.
+and computed by collecting unit letters, leftmost violation first; the
+letters of a pair with no ``comms`` entry commute and swap in place.  A step
+budget makes a runaway input raise :class:`CollectionBudget`, not loop.
 """
 
 from __future__ import annotations
@@ -77,19 +77,20 @@ class PcSystem:
     def _conjugate(self, j, sj, i, si) -> list[tuple[int, int]]:
         """Letters for b_i^-si b_j^sj b_i^si, j > i, with no naked b_i left.
 
-        Inserting the raw commutator identity would wrap the correction in
-        b_i^+-1 and the wrapper immediately re-triggers the swap it came
-        from; resolving the conjugate recursively (the recursion climbs to
-        strictly higher generators) is what makes collection terminate.
+        Cached only when a commutator changes it: a pair with no ``comms``
+        entry commutes and gives [(j, sj)].  Inserting the raw commutator
+        identity would wrap the correction in b_i^+-1, re-triggering the
+        swap it came from; resolving the conjugate recursively (the recursion
+        climbs to strictly higher generators) makes collection terminate.
         """
+        u = self.comms.get((j, i))
+        if not u:
+            return [(j, sj)]
         key = (j, sj, i, si)
         hit = self._conj_cache.get(key)
         if hit is not None:
             return hit
-        u = self.comms.get((j, i))
-        if not u:
-            out = [(j, sj)]
-        elif sj == -1:
+        if sj == -1:
             out = [(g, -s) for g, s in reversed(self._conjugate(j, 1, i, si))]
         elif si == 1:
             out = [(j, 1)] + self.expand(u)
@@ -105,29 +106,33 @@ class PcSystem:
 
     def collect(self, letters) -> dict[int, int]:
         """Normal form of a product of unit letters, as an exponent vector."""
-        w = list(letters)
+        end = (self.num, 0)  # above every generator, so never swapped or cancelled
+        w = list(letters) + [end]
+        orders, comms, budget = self.orders, self.comms, self.budget
         steps = 0
         p = 0
-        while p < len(w):
+        while w[p] is not end:
             steps += 1
-            if steps > self.budget:
-                raise CollectionBudget("collection exceeded %d steps" % self.budget)
+            if steps > budget:
+                raise CollectionBudget("collection exceeded %d steps" % budget)
             g, s = w[p]
-            d = self.orders[g]
-            if p + 1 < len(w):
-                g2, s2 = w[p + 1]
-                if g2 == g and s2 == -s:
-                    del w[p:p + 2]
-                    p = max(0, p - 1)
-                    continue
-                if g2 < g:
+            d = orders[g]
+            g2, s2 = w[p + 1]
+            if g2 == g and s2 == -s:
+                del w[p:p + 2]
+                p = p - 1 if p else 0
+                continue
+            if g2 < g:
+                if (g, g2) in comms:
                     w[p:p + 2] = [(g2, s2)] + self._conjugate(g, s, g2, s2)
-                    p = max(0, p - 1)
-                    continue
+                else:
+                    w[p], w[p + 1] = w[p + 1], w[p]
+                p = p - 1 if p else 0
+                continue
             if d >= 2 and s == -1:
                 # b^-1 = b^(d-1) v^-1
                 w[p:p + 1] = [(g, 1)] * (d - 1) + self.expand_inv(self.powers[g])
-                p = max(0, p - 1)
+                p = p - 1 if p else 0
                 continue
             if d >= 2 and s == 1:
                 # A full run starts at p, or ends at p when a swap brought its
@@ -143,10 +148,10 @@ class PcSystem:
         # w is now sorted by generator with no cancelling neighbours, so
         # each generator's letters share one sign and no exponent is zero
         vec: dict[int, int] = {}
-        for g, s in w:
+        for g, s in w[:-1]:
             vec[g] = vec.get(g, 0) + s
         for i, e in vec.items():
-            if self.orders[i] >= 2 and not 0 <= e < self.orders[i]:
+            if orders[i] >= 2 and not 0 <= e < orders[i]:
                 raise AssertionError("collection left exponent %d at torsion generator %d"
                                      % (e, i))
         return vec

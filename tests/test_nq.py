@@ -1,5 +1,6 @@
 """Nilpotent quotients: layer invariants, images, refutation fallback."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -499,3 +500,131 @@ def test_pv4_class_four_layers_match_the_koszul_dual_series():
                            for r in range(1, min(d, 3) + 1)))
     assert series == [1, 12, 108, 888, 7056]
     assert pbw_coefficients([free for free, _ in layers], 4) == tuple(series)
+
+
+def reference_conjugate(system, cache, j, sj, i, si):
+    """Letters for b_i^-si b_j^sj b_i^si, cached for every pair, commuting
+    or not, as the collector once did."""
+    key = (j, sj, i, si)
+    if key not in cache:
+        u = system.comms.get((j, i))
+        if not u:
+            out = [(j, sj)]
+        elif sj == -1:
+            out = [(g, -s) for g, s in reversed(reference_conjugate(system, cache, j, 1, i, si))]
+        elif si == 1:
+            out = [(j, 1)] + system.expand(u)
+        else:
+            out = [(j, 1)]
+            for g, s in system.expand_inv(u):
+                out.extend(reference_conjugate(system, cache, g, s, i, -1))
+        cache[key] = out
+    return cache[key]
+
+
+def reference_collect(system, letters):
+    """Unit-letter collection that splices a conjugate in on every swap,
+    kept as the oracle for PcSystem.collect: (normal form, steps taken)."""
+    cache = {}
+    w = list(letters)
+    steps = 0
+    p = 0
+    while p < len(w):
+        steps += 1
+        g, s = w[p]
+        d = system.orders[g]
+        if p + 1 < len(w):
+            g2, s2 = w[p + 1]
+            if g2 == g and s2 == -s:
+                del w[p:p + 2]
+                p = max(0, p - 1)
+                continue
+            if g2 < g:
+                w[p:p + 2] = [(g2, s2)] + reference_conjugate(system, cache, g, s, g2, s2)
+                p = max(0, p - 1)
+                continue
+        if d >= 2 and s == -1:
+            w[p:p + 1] = [(g, 1)] * (d - 1) + system.expand_inv(system.powers[g])
+            p = max(0, p - 1)
+            continue
+        if d >= 2 and s == 1:
+            run = [(g, 1)] * d
+            start = p if w[p:p + d] == run else p - d + 1
+            if start >= 0 and w[start:start + d] == run:
+                w[start:start + d] = system.expand(system.powers[g])
+                p = max(0, start - 1)
+                continue
+        p += 1
+    vec = {}
+    for g, s in w:
+        vec[g] = vec.get(g, 0) + s
+    return vec, steps
+
+
+def collection_samples():
+    """(quotient, seeded random letter lists) over pv3 at classes 2-4, g3,
+    <a, b | a^n> for n = 2..5 and the twisted circle bundle at class 4.
+    Half the words are products of generator images, half are raw pc letters."""
+    names = Alphabet(("a", "t"))
+    ka, kt = names.gens()
+    quotients = list(quotient_tower(pv_presentation(3), 4))[1:]
+    quotients += [nilpotent_quotient(pres, 4) for pres in (
+        g3_presentation(), Presentation(names, (kt * ka * kt.inv() * ka,)),
+        *(Presentation(AB, (a ** n,)) for n in (2, 3, 4, 5)))]
+    rng = random.Random(18)
+    for q in quotients:
+        system = q.system
+        max_len = 4 if q.class_ == 4 and system.num > 50 else 8
+        gens = q.presentation.num_gens
+        words = []
+        for _ in range(12):
+            w = Word(q.presentation.alphabet, tuple(
+                (rng.randrange(gens), rng.choice((1, -1)))
+                for _ in range(rng.randint(1, max_len))))
+            words.append([letter for g, s in w.letters for letter in (
+                system.expand(system.images[g]) if s == 1
+                else system.expand_inv(system.images[g]))])
+            words.append([(rng.randrange(system.num), rng.choice((1, -1)))
+                          for _ in range(rng.randint(1, 2 * max_len))])
+        yield q, words
+
+
+def test_collect_matches_the_splicing_reference_step_for_step():
+    torsion = 0
+    for q, words in collection_samples():
+        system = q.system
+        torsion += any(o >= 2 for o in system.orders)
+        for letters in filter(None, words):
+            vec, steps = reference_collect(system, letters)
+            system.budget = steps
+            assert system.collect(letters) == vec
+            system.budget = steps - 1
+            with pytest.raises(CollectionBudget):
+                system.collect(letters)
+        system.budget = nq.DEFAULT_BUDGET
+    assert torsion == 5
+
+
+def test_tower_built_by_the_reference_collector_is_identical(monkeypatch):
+    names = Alphabet(("a", "t"))
+    ka, kt = names.gens()
+    presentations = (pv_presentation(3), Presentation(names, (kt * ka * kt.inv() * ka,)),
+                     Presentation(AB, (a ** 3,)))
+    fast = [list(quotient_tower(pres, 4)) for pres in presentations]
+    monkeypatch.setattr(PcSystem, "collect",
+                        lambda system, letters: reference_collect(system, letters)[0])
+    for pres, tower in zip(presentations, fast):
+        assert list(quotient_tower(pres, 4)) == tower
+
+
+def test_conjugate_cache_holds_only_pairs_a_commutator_changes():
+    pres = pv_presentation(3)
+    tower = list(quotient_tower(pres, 4))
+    rng = random.Random(4)
+    for _ in range(8):
+        tower[-1].image(Word(pres.alphabet, tuple(
+            (rng.randrange(6), rng.choice((1, -1))) for _ in range(6))))
+    assert tower[-1].system._conj_cache
+    for q in tower:
+        system = q.system
+        assert all((j, i) in system.comms for j, _, i, _ in system._conj_cache)
