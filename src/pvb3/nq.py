@@ -18,8 +18,11 @@ the layer by their Smith factors and the torsion powers by their entries.
 Normal forms are exponent vectors over the polycyclic generators, held as
 ``{generator: nonzero exponent}`` dicts, the row format of ``IntMatrix``,
 and computed by collecting unit letters, leftmost violation first; the
-letters of a pair with no ``comms`` entry commute and swap in place.  A step
-budget makes a runaway input raise :class:`CollectionBudget`, not loop.
+letters of a pair with no ``comms`` entry commute, and a commuting letter is
+carried left to its place in one move.  Steps are still counted as one swap
+per place, so a step budget makes a runaway input raise
+:class:`CollectionBudget`, not loop, at the same count as a collector that
+swaps one place at a time.
 """
 
 from __future__ import annotations
@@ -125,9 +128,25 @@ class PcSystem:
             if g2 < g:
                 if (g, g2) in comms:
                     w[p:p + 2] = [(g2, s2)] + self._conjugate(g, s, g2, s2)
+                    p = p - 1 if p else 0
+                    continue
+                # Carry the commuting letter in one move to the first letter
+                # that is not above it or has a commutator with it, counting
+                # the one swap per place that the walk back would take.
+                q = p
+                while q and w[q - 1][0] > g2 and (w[q - 1][0], g2) not in comms:
+                    q -= 1
+                y = w[p + 1]
+                w[q:p + 2] = [y] + w[q:p + 1]
+                steps += p - q
+                if d < 2 and orders[g2] < 2 and (not q or w[q - 1][0] < g2 or w[q - 1] == y):
+                    # no rule fires again before p + 1, so count the advances
+                    # back over the settled letters and go on from there; the
+                    # budget check at the top of the loop sees the bulk steps
+                    steps += p - q + 2 if q else p + 1
+                    p += 1
                 else:
-                    w[p], w[p + 1] = w[p + 1], w[p]
-                p = p - 1 if p else 0
+                    p = q - 1 if q else 0
                 continue
             if d >= 2 and s == -1:
                 # b^-1 = b^(d-1) v^-1

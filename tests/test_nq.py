@@ -1,6 +1,8 @@
 """Nilpotent quotients: layer invariants, images, refutation fallback."""
 
+import inspect
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -628,3 +630,100 @@ def test_conjugate_cache_holds_only_pairs_a_commutator_changes():
     for q in tower:
         system = q.system
         assert all((j, i) in system.comms for j, _, i, _ in system._conj_cache)
+
+
+def carry_ends(system, letters):
+    """How the carries of ``system.collect(letters)`` end: where the carried
+    letter stops (position 0, or beside a letter above it with a commutator,
+    below it, equal to it or cancelling it) and which side has torsion.
+    Read from the collector's locals at the line that counts a carry."""
+    code = PcSystem.collect.__code__
+    lines, first = inspect.getsourcelines(code)
+    mark = first + next(k for k, line in enumerate(lines) if "steps += p - q" in line)
+    ends = set()
+
+    def at_line(frame, event, arg):
+        if event == "line" and frame.f_lineno == mark:
+            v = frame.f_locals
+            w, q, y = v["w"], v["q"], v["y"]
+            if not q:
+                ends.add("to 0")
+            elif w[q - 1][0] != y[0]:
+                ends.add("blocked" if w[q - 1][0] > y[0] else "below")
+            else:
+                ends.add("same" if w[q - 1] == y else "cancel")
+            # torsion on one side only, so that its guard alone decides
+            if (v["d"] >= 2) != (system.orders[y[0]] >= 2):
+                ends.add("torsion passed" if v["d"] >= 2 else "torsion carried")
+        return at_line
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: at_line if frame.f_code is code else None)
+    try:
+        system.collect(letters)
+    finally:
+        sys.settrace(old)
+    return ends
+
+
+def test_carried_letters_match_the_splicing_reference_step_for_step():
+    # raw pc letters, so that letters of every weight and order meet in any order
+    quotients = [nilpotent_quotient(Presentation(AB, (a ** n,)), 5) for n in (2, 3, 5, 7)]
+    quotients += [nilpotent_quotient(Presentation(AB, (a ** n, b ** m)), 3)
+                  for n, m in ((2, 2), (3, 3), (6, 4))]
+    # where a torsion letter is carried past free letters it commutes with
+    abc = Alphabet(("a", "b", "c"))
+    quotients.append(nilpotent_quotient(Presentation(abc, (abc.gen("a") ** 3,)), 3))
+    quotients += list(quotient_tower(pv_presentation(3), 4))[1:]
+    rng = random.Random(19)
+    ends = set()
+    for q in quotients:
+        system = q.system
+        words = []
+        for k in range(20):
+            # every other word on two to four generators, so that equal
+            # letters meet and torsion runs form across a carry
+            gens = (range(system.num) if k % 2 else
+                    rng.sample(range(system.num), rng.randint(2, 4)))
+            words.append([(rng.choice(gens), rng.choice((1, -1)))
+                          for _ in range(rng.randint(1, 40))])
+        n = system.orders[0]
+        if system.orders[1] < 2 and n >= 3:
+            # b is carried to the front past n - 1 letters of the central top
+            # generator, and the next one completes a run of n that starts
+            # behind the place b left
+            top = (system.num - 1, 1)
+            words.append([top] * (n - 1) + [(1, 1), top])
+        for k, letters in enumerate(words):
+            vec, steps = reference_collect(system, letters)
+            system.budget = steps
+            assert system.collect(letters) == vec
+            system.budget = steps - 1
+            with pytest.raises(CollectionBudget):
+                system.collect(letters)
+            system.budget = nq.DEFAULT_BUDGET
+            if k < 5 and steps < 2000:
+                ends |= carry_ends(system, letters)
+    assert ends == {"to 0", "blocked", "below", "same", "cancel",
+                    "torsion passed", "torsion carried"}
+
+
+def test_long_carries_keep_the_step_count():
+    # four conjugated pv3 relators, 48 letters; the count is that of the
+    # collector that swapped one place per step
+    pres = pv_presentation(3)
+    l12, l21, l13, l31, l23, l32 = pres.alphabet.gens()
+    r = pres.relators
+    w = pres.alphabet.identity()
+    for u, rel in ((l12 * l23 * l31, r[0]), (l32.inv() * l13 * l21, r[3].inv()),
+                   (l21 * l21 * l13.inv(), r[4]), (l31 * l12.inv() * l32, r[1].inv())):
+        w = w * u * rel * u.inv()
+    assert len(w) == 48
+    system = list(quotient_tower(pres, 4))[-1].system
+    letters = [letter for g, s in w.letters for letter in (
+        system.expand(system.images[g]) if s == 1 else system.expand_inv(system.images[g]))]
+    system.budget = 587_424
+    assert system.collect(letters) == {}
+    system.budget = 587_423
+    with pytest.raises(CollectionBudget):
+        system.collect(letters)
