@@ -62,7 +62,7 @@ def _load_presentation(spec: str) -> Presentation:
 def _alphabet_from(args_gens: str | None, *texts: str) -> Alphabet:
     """The listed names, or else the names the texts use in order."""
     names = split_names(args_gens) if args_gens else tuple(dict.fromkeys(
-        tok.text for text in texts for tok in _tokenize(text) if tok.kind == "NAME"))
+        text for source in texts for kind, text, _, _ in _tokenize(source) if kind == "NAME"))
     if not names:
         raise ValueError("no generator names found")
     return Alphabet(names)

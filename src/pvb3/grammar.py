@@ -17,10 +17,10 @@ any number of ``rel:`` lines, one relator each::
 
 from __future__ import annotations
 
+import re
 import sys
-from dataclasses import dataclass
 
-from .word import Alphabet, Word
+from .word import NAME_CHARS, Alphabet, Word, free_reduce, inverse, is_name
 
 
 class ParseError(ValueError):
@@ -31,157 +31,103 @@ class ParseError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NAME NUMBER ^ [ ] ( ) , * - END
-    text: str
-    line: int
-    col: int
+# Tokens are (kind, text, line, col) tuples; the kind of a punctuation
+# token is its text.  NAME also takes runs that is_name refuses, so that
+# such a run is reported at its first character.
+_TOKEN = re.compile(r"(?P<NUMBER>\d+)|(?P<NAME>%s)|(?P<PUNCT>[\^\[\](),*-])"
+                    r"|(?P<SKIP>[ \t\r]+|#[^\n]*)|(?P<NEWLINE>\n)|(?P<BAD>.)" % NAME_CHARS)
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     tokens = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("NUMBER", text[i:j], line, col))
-            col += j - i
-            i = j
-        elif ch in "^[](),*-":
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-        else:
-            raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(_Token("END", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "SKIP":
+            continue
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+            continue
+        piece, col = m.group(), m.start() - line_start + 1
+        if kind == "BAD" or (kind == "NAME" and not is_name(piece)):
+            raise ParseError("unexpected character %r" % piece[0], line, col)
+        tokens.append((piece if kind == "PUNCT" else kind, piece, line, col))
+    # a comment runs to the end of its line and does not move the column
+    tokens.append(("END", "", line, len(text[line_start:].split("#", 1)[0]) + 1))
     return tokens
 
 
-class _WordParser:
-    def __init__(self, tokens: list[_Token], alphabet: Alphabet):
-        self.tokens = tokens
-        self.pos = 0
-        self.alphabet = alphabet
+def _found(token) -> str:
+    return repr(token[1] or "end of input")
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _word(tokens, i: int, alphabet: Alphabet, stop: str) -> tuple[list, int]:
+    """The letters of the factors from token i up to a ``stop`` token, and
+    the index of that token."""
+    letters: list = []  # reduced once, by the Word that parse_word builds
+    first = True
+    while True:
+        kind, _, line, col = tokens[i]
+        if kind == stop:
+            if first:
+                raise ParseError("empty word", line, col)
+            return letters, i
+        if kind == "*":
+            if first:
+                raise ParseError("word cannot start with '*'", line, col)
+            i += 1
+            continue
+        atom, i = _atom(tokens, i, alphabet)
+        if tokens[i][0] == "^":
+            k, i = _exponent(tokens, i + 1)
+            atom = free_reduce(atom)  # so that (a a^-1)^k is empty for any k
+            atom = (atom if k > 0 else inverse(atom)) * abs(k)
+        letters += atom
+        first = False
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError("expected %r, found %r" % (kind, tok.text or "end of input"),
-                             tok.line, tok.col)
-        return self.take()
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+def _exponent(tokens, i: int) -> tuple[int, int]:
+    sign = 1
+    if tokens[i][0] == "-":
+        sign, i = -1, i + 1
+    kind, text, line, col = tokens[i]
+    if kind != "NUMBER":
+        raise ParseError("expected 'NUMBER', found %s" % _found(tokens[i]), line, col)
+    k = sign * int(text)
+    if k == 0:
+        raise ParseError("exponent 0 is not allowed", line, col)
+    if abs(k) > sys.maxsize:  # a tuple cannot be repeated that often
+        raise ParseError("exponent %d is too large" % k, line, col)
+    return k, i + 1
 
-    def parse_word(self, *, stop=("END",)) -> Word:
-        letters: list = []  # reduced once at the end, not after every factor
-        first = True
-        while True:
-            tok = self.peek()
-            if tok.kind in stop:
-                if first:
-                    self.fail("empty word")
-                return Word(self.alphabet, tuple(letters))
-            if tok.kind == "*":
-                if first:
-                    self.fail("word cannot start with '*'")
-                self.take()
-                continue
-            letters += self.parse_factor().letters
-            first = False
 
-    def parse_factor(self) -> Word:
-        atom = self.parse_atom()
-        if self.peek().kind == "^":
-            self.take()
-            k = self.parse_exponent()
-            return atom ** k
-        return atom
-
-    def parse_exponent(self) -> int:
-        sign = 1
-        if self.peek().kind == "-":
-            self.take()
-            sign = -1
-        tok = self.expect("NUMBER")
-        k = sign * int(tok.text)
-        if k == 0:
-            raise ParseError("exponent 0 is not allowed", tok.line, tok.col)
-        if abs(k) > sys.maxsize:  # Word.__pow__ cannot repeat a tuple that often
-            raise ParseError("exponent %d is too large" % k, tok.line, tok.col)
-        return k
-
-    def parse_atom(self) -> Word:
-        tok = self.peek()
-        if tok.kind == "NAME":
-            self.take()
-            try:
-                return self.alphabet.gen(tok.text)
-            except KeyError:
-                raise ParseError("unknown generator %r (alphabet: %s)"
-                                 % (tok.text, " ".join(self.alphabet.names)),
-                                 tok.line, tok.col) from None
-        if tok.kind == "NUMBER":
-            if tok.text == "1":
-                self.take()
-                return self.alphabet.identity()
-            raise ParseError("unexpected number %r (only 1 denotes the identity)" % tok.text,
-                             tok.line, tok.col)
-        if tok.kind == "(":
-            self.take()
-            inner = self.parse_word(stop=(")",))
-            self.expect(")")
-            return inner
-        if tok.kind == "[":
-            self.take()
-            left = self.parse_word(stop=(",",))
-            self.expect(",")
-            right = self.parse_word(stop=("]",))
-            self.expect("]")
-            return left.comm(right)
-        self.fail("expected a generator, '(', '[' or 1, found %r"
-                  % (tok.text or "end of input"))
+def _atom(tokens, i: int, alphabet: Alphabet) -> tuple[list, int]:
+    kind, text, line, col = tokens[i]
+    if kind == "NAME":
+        try:
+            return [(alphabet.index(text), 1)], i + 1
+        except KeyError:
+            raise ParseError("unknown generator %r (alphabet: %s)"
+                             % (text, " ".join(alphabet.names)), line, col) from None
+    if kind == "NUMBER":
+        if text == "1":
+            return [], i + 1
+        raise ParseError("unexpected number %r (only 1 denotes the identity)" % text, line, col)
+    if kind == "(":
+        inner, i = _word(tokens, i + 1, alphabet, ")")
+        return inner, i + 1
+    if kind == "[":
+        left, i = _word(tokens, i + 1, alphabet, ",")
+        right, i = _word(tokens, i + 1, alphabet, "]")
+        return [*inverse(left), *inverse(right), *left, *right], i + 1
+    raise ParseError("expected a generator, '(', '[' or 1, found %s" % _found(tokens[i]),
+                     line, col)
 
 
 def parse_word(text: str, alphabet: Alphabet) -> Word:
     """Parse a single word over the given alphabet."""
-    parser = _WordParser(_tokenize(text), alphabet)
-    word = parser.parse_word()
-    parser.expect("END")
-    return word
+    letters, _ = _word(_tokenize(text), 0, alphabet, "END")
+    return Word(alphabet, tuple(letters))
 
 
 def split_names(text: str) -> tuple[str, ...]:
@@ -192,7 +138,7 @@ def split_names(text: str) -> tuple[str, ...]:
 def parse_presentation_text(text: str) -> tuple[Alphabet, tuple[Word, ...]]:
     """Parse ``gens:``/``rel:`` lines into an alphabet and relator list."""
     alphabet = None
-    relator_sources: list[tuple[str, int]] = []
+    relator_sources: list[tuple[str, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -208,16 +154,18 @@ def parse_presentation_text(text: str) -> tuple[Alphabet, tuple[Word, ...]]:
             except ValueError as exc:
                 raise ParseError(str(exc), lineno, 1) from None
         elif line.startswith("rel:"):
-            relator_sources.append((line[len("rel:"):], lineno))
+            # the column in the file of the relator text's first character, less one
+            offset = len(raw) - len(raw.lstrip()) + len("rel:")
+            relator_sources.append((line[len("rel:"):], lineno, offset))
         else:
             raise ParseError("expected a gens: or rel: line", lineno, 1)
     if alphabet is None:
         raise ParseError("no gens: line", 1, 1)
     relators = []
-    for source, lineno in relator_sources:
+    for source, lineno, offset in relator_sources:
         try:
             relators.append(parse_word(source, alphabet))
         except ParseError as exc:
             raise ParseError("in rel: on line %d: %s" % (lineno, exc.message),
-                             lineno, exc.col) from None
+                             lineno, offset + exc.col) from None
     return alphabet, tuple(relators)

@@ -14,9 +14,20 @@ target alphabet and extends to the unique homomorphism of free groups.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 Letter = tuple[int, int]
+
+# In a str pattern \w is exactly str.isalnum() or "_", but no class is
+# exactly str.isalpha(), so is_name checks the first character apart.
+NAME_CHARS = r"\w+"
+_NAME_RUN = re.compile(NAME_CHARS)
+
+
+def is_name(text: str) -> bool:
+    """A generator name: a letter, then letters, digits or '_'."""
+    return text[:1].isalpha() and _NAME_RUN.fullmatch(text) is not None
 
 
 @dataclass(frozen=True)
@@ -29,8 +40,7 @@ class Alphabet:
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate generator names: %r" % (self.names,))
         for name in self.names:
-            # the grammar's NAME token, so that every generator can be written
-            if not (name and name[0].isalpha() and all(c.isalnum() or c == "_" for c in name)):
+            if not is_name(name):  # so that the grammar can read every generator
                 raise ValueError("generator name must be a letter followed by letters, "
                                  "digits or '_': %r" % name)
 
@@ -65,6 +75,11 @@ def free_reduce(letters) -> tuple[Letter, ...]:
         else:
             out.append((g, s))
     return tuple(out)
+
+
+def inverse(letters) -> tuple[Letter, ...]:
+    """The letters of the inverse word."""
+    return tuple((g, -s) for g, s in reversed(letters))
 
 
 @dataclass(frozen=True)
@@ -103,7 +118,7 @@ class Word:
         return Word(self.alphabet, self.letters + other.letters)
 
     def inv(self) -> "Word":
-        return Word(self.alphabet, tuple((g, -s) for g, s in reversed(self.letters)))
+        return Word(self.alphabet, inverse(self.letters))
 
     def __pow__(self, k: int) -> "Word":
         if k < 0:

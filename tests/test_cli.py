@@ -332,6 +332,17 @@ def test_generator_names_the_grammar_cannot_read_exit_two(tmp_path, capsys):
         assert "letter followed by letters, digits or '_'" in err
 
 
+def test_parse_errors_point_into_the_text_as_given(tmp_path, capsys):
+    # a superscript digit is a character the grammar does not know, and a
+    # relator's column counts from the start of its line in the file
+    path = tmp_path / "bad.pres"
+    path.write_text("gens: a\n  rel: a c\n")
+    for argv, message in ((("reduce", "a^\u00b2"), "line 1, col 3: unexpected character '\u00b2'"),
+                          (("nq", str(path)), "line 2, col 10: in rel: on line 2: "
+                                              "unknown generator 'c' (alphabet: a)")):
+        assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+
 def test_cohomology_pv3_matches_closed_form(capsys):
     code, out, _ = run(capsys, "cohomology", "pv3")
     assert code == 0

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvb3.grammar import parse_word
+from pvb3.grammar import ParseError, parse_word
 from pvb3.word import Alphabet, GenMap, Word, free_reduce
 
 AB = Alphabet(("a", "b"))
@@ -64,6 +64,17 @@ def test_alphabet_rejects_duplicates_and_bad_names():
 def test_alphabet_rejects_names_the_grammar_cannot_read(name):
     with pytest.raises(ValueError, match="letter followed by letters, digits or '_'"):
         Alphabet(("b", name))
+
+
+@pytest.mark.parametrize("name", ["\u00b2", "\u00bd", "\u216b"])  # superscript 2, 1/2, roman 12
+def test_a_name_starts_with_a_letter_not_any_alphanumeric(name):
+    with pytest.raises(ValueError, match="letter followed by letters, digits or '_'"):
+        Alphabet(("a", name))
+    with pytest.raises(ParseError, match="unexpected character %r" % name):
+        parse_word(name, Alphabet(("a",)))
+    # after the first letter they may follow
+    alphabet = Alphabet(("a" + name, "\u00e92"))
+    assert parse_word("a%s \u00e92" % name, alphabet).letters == ((0, 1), (1, 1))
 
 
 def test_alphabet_accepts_every_grammar_name():
