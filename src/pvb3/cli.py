@@ -338,41 +338,40 @@ def cmd_lie(args) -> int:
     from .lie import (
         derivation_check,
         enveloping_invariants,
+        lie_quotient,
         pbw_coefficients,
-        pv3_lie_quotient,
     )
 
-    quotient = pv3_lie_quotient(include_free_generator=not args.factor_only)
+    if args.action == "derivation":
+        if args.presentation is not None:
+            raise ValueError("lie derivation takes no presentation")
+        holds = derivation_check()
+        print("conjugation rule %s the relation ideal" % ("lands in" if holds else "left"))
+        return 0 if holds else 1
     top = args.max_degree
-    if args.action != "derivation" and top < 1:
+    if top < 1:
         raise ValueError("--max-degree must be at least 1, got %d" % top)
+    quotient = lie_quotient(_load_presentation(args.presentation or "pv3"))
     if args.action == "dims":
         for degree in range(1, top + 1):
             free, torsion = quotient.invariants(degree)
             print(_layer_line(degree, free, torsion))
         return 0
+    env = enveloping_invariants(quotient.ngens, quotient.relations, top)
     if args.action == "env":
-        invariants = enveloping_invariants(quotient.ngens, quotient.relations, top)
-        for degree, (free, torsion) in enumerate(invariants, start=1):
+        for degree, (free, torsion) in enumerate(env, start=1):
             print(_layer_line(degree, free, torsion))
         return 0
-    if args.action == "pbw":
-        dims = tuple(quotient.invariants(d)[0] for d in range(1, top + 1))
-        env = enveloping_invariants(quotient.ngens, quotient.relations, top)
-        env_dims = (1,) + tuple(free for free, _ in env)
-        predicted = pbw_coefficients(dims, top)
-        print("lie dimensions:       %s" % (dims,))
-        print("enveloping dimensions: %s" % (env_dims,))
-        print("series prediction:     %s" % (predicted,))
-        consistent = env_dims == predicted
-        print("consistent" if consistent else "INCONSISTENT")
-        return 0 if consistent else 1
-    # derivation
-    if derivation_check():
-        print("conjugation rule lands in the relation ideal")
-        return 0
-    print("conjugation rule left the relation ideal")
-    return 1
+    # pbw
+    dims = tuple(quotient.invariants(d)[0] for d in range(1, top + 1))
+    env_dims = (1,) + tuple(free for free, _ in env)
+    predicted = pbw_coefficients(dims, top)
+    print("lie dimensions:       %s" % (dims,))
+    print("enveloping dimensions: %s" % (env_dims,))
+    print("series prediction:     %s" % (predicted,))
+    consistent = env_dims == predicted
+    print("consistent" if consistent else "INCONSISTENT")
+    return 0 if consistent else 1
 
 
 def cmd_suite(args) -> int:
@@ -482,11 +481,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of strands for the closed-form row")
     p.set_defaults(handler=cmd_cohomology)
 
-    p = sub.add_parser("lie", help="the quadratic graded Lie presentation")
+    p = sub.add_parser("lie", help="the graded Lie ring of a presentation's "
+                                   "quadratic relations")
     p.add_argument("action", choices=("dims", "env", "pbw", "derivation"))
+    p.add_argument("presentation", nargs="?",
+                   help="file path or built-in name (default pv3); "
+                        "derivation takes none")
     p.add_argument("--max-degree", type=int, default=3)
-    p.add_argument("--factor-only", action="store_true",
-                   help="drop the free generator, keeping the five-generator factor")
     p.set_defaults(handler=cmd_lie)
 
     for name in ("suite", "paper-suite"):

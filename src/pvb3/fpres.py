@@ -62,6 +62,25 @@ class Presentation:
 
         return IntMatrix.from_rows([r.exponent_vector() for r in self.relators], self.num_gens)
 
+    def initial_forms(self) -> tuple[dict, ...]:
+        """Initial forms of the relators: their degree-two Magnus terms
+        under x -> 1 + X, as ``{(i, j): coefficient of X_i X_j}`` dicts.
+        A relator with a nonzero exponent sum has none: ValueError."""
+        forms = []
+        for r in self.relators:
+            form, exponents = defaultdict(int), defaultdict(int)
+            for g, s in r.letters:
+                # each earlier letter pairs with this one; x^-1 = 1 - X + X^2 - ...
+                for i, e in exponents.items():
+                    form[i, g] += s * e
+                if s < 0:
+                    form[g, g] += 1
+                exponents[g] += s
+            if any(exponents.values()):
+                raise ValueError("relator %s has a nonzero exponent sum" % r)
+            forms.append({k: c for k, c in form.items() if c})
+        return tuple(forms)
+
     @cached_property
     def _inserts(self) -> tuple[list, list, dict]:
         """The search's (index, sign) moves, their codes, and the _seams met."""

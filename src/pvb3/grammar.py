@@ -93,6 +93,12 @@ def _exponent(tokens, i: int) -> tuple[int, int]:
     kind, text, line, col = tokens[i]
     if kind != "NUMBER":
         raise ParseError("expected 'NUMBER', found %s" % _found(tokens[i]), line, col)
+    # int() may refuse a string of more than 640 digits (the least limit
+    # sys.set_int_max_str_digits takes); \d matches the zeros of any script
+    if len(text) > 640:
+        text = "".join(map(str, map(int, text))).lstrip("0") or "0"
+        if len(text) > 640:
+            raise ParseError("exponent of %d digits is too large" % len(text), line, col)
     k = sign * int(text)
     if k == 0:
         raise ParseError("exponent 0 is not allowed", line, col)
@@ -139,7 +145,7 @@ def parse_presentation_text(text: str) -> tuple[Alphabet, tuple[Word, ...]]:
     """Parse ``gens:``/``rel:`` lines into an alphabet and relator list."""
     alphabet = None
     relator_sources: list[tuple[str, int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # as _tokenize counts lines
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,23 +1,24 @@
 """Integer cohomology rings for the three-strand pure virtual braid group.
 
+A ring is the exterior algebra on the duals of a presentation's
+generators modulo the degree-two classes that pair to zero with every
+initial form of its relators, the kernel of the cup product on H^1
+(Fenn and Sjerve, Canad. J. Math. 39, 1987; Matei and Suciu, 2000).
 The group splits as a free product of a five-generator factor and an
-infinite cyclic factor.  The five-generator factor receives a map from a
-wedge of two tori and four genus-two surfaces that identifies first and
-second cohomology, so every degree-two product is decided by symplectic
-pairings on the wedge summands.  This module builds that model, the
-induced restriction of dual classes, the cup pairing, and presentations
-of both cohomology rings as quotients of exterior algebras.  Two
-independent derivations of the ring relations (direct, and transported
-across the free-product splitting) are exposed so tests can compare
-their integer spans.
+infinite cyclic factor.  The factor receives a map from a wedge of two
+tori and four genus-two surfaces that identifies first and second
+cohomology, so its cup products are symplectic pairings on the wedge
+summands: a second route to its relations.  A third carries the
+relations of the free product across the splitting.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 
-from .fpres import G3_NAMES, pv3_new_generators, pv_alphabet
-from .intlinalg import IntMatrix, SparseCombination, cokernel_invariants, rank
+from .fpres import (G3_NAMES, g3_presentation, pv3_new_generators, pv3_new_presentation,
+                    pv_alphabet, pv_presentation)
+from .intlinalg import IntMatrix, SparseCombination, cokernel_invariants, kernel_basis, rank
 from .word import GenMap
 
 
@@ -199,18 +200,21 @@ def g3_cup_matrix():
     return IntMatrix.from_rows([g3_cup(p, q) for p, q in pairs])
 
 
-def g3_relations(algebra=None):
-    """Degree-two relations presenting the five-generator factor's ring."""
-    E = algebra or Exterior(G3_NAMES)
-    a1, b1, a2, b2, c1 = (E.gen(n) for n in G3_NAMES)
-    return (a1 * c1 + a1 * b2 + c1 * b2,
-            b1 * c1 + b1 * a2 + c1 * a2,
-            a1 * a2,
-            b1 * b2)
+def presentation_ring(pres):
+    """Exterior algebra on the duals of a presentation's generators modulo
+    the kernel of the pairing of degree-two classes with the initial forms
+    of the relators.  Above degree 2 this is the cohomology ring only
+    where that ring is known to be quadratic."""
+    E = Exterior(pres.alphabet.names)
+    pairs = E.basis(2)
+    forms = IntMatrix(({k: form[pair] for k, pair in enumerate(pairs) if pair in form}
+                       for form in pres.initial_forms()), len(pairs))
+    return ExteriorQuotient(E, tuple(E.element(dict(zip(pairs, row)))
+                                     for row in kernel_basis(forms)))
 
 
 def g3_ring():
-    return ExteriorQuotient(Exterior(G3_NAMES), g3_relations())
+    return presentation_ring(g3_presentation())
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +226,7 @@ NEW_DUALS = G3_NAMES + ("c2",)
 
 def free_factor_dual():
     """Degree-one class dual to the infinite cyclic free factor."""
-    E = Exterior(PV3_DUALS)
-    l12, l21, l13, l31, l23, l32 = (E.gen(n) for n in PV3_DUALS)
-    return l13 - l31 - l12 + l21 - l23 + l32
+    return splitting_pullbacks()[0]["c2"]
 
 
 def pv3_stability_relations():
@@ -234,17 +236,8 @@ def pv3_stability_relations():
     return tuple(sigma * E.gen(n) for n in PV3_DUALS)
 
 
-def pv3_relations():
-    """Degree-two relations presenting the full group's ring."""
-    E = Exterior(PV3_DUALS)
-    l12, l21, l13, l31, l23, l32 = (E.gen(n) for n in PV3_DUALS)
-    opposite = (l12 * l21, l13 * l31, l23 * l32)
-    sparse = l21 * l31 - l21 * l32 - l23 * l31
-    return opposite + pv3_stability_relations() + (sparse,)
-
-
 def pv3_ring():
-    return ExteriorQuotient(Exterior(PV3_DUALS), pv3_relations())
+    return presentation_ring(pv_presentation(3))
 
 
 def degree_one_pullback(genmap: GenMap, source_algebra):
@@ -255,15 +248,9 @@ def degree_one_pullback(genmap: GenMap, source_algebra):
     combination of source duals.  Returns a dictionary keyed by target
     generator name.
     """
-    m = genmap.abelianisation_matrix()
-    gens = source_algebra.gens()
-    out = {}
-    for t, name in enumerate(genmap.target.names):
-        elt = source_algebra.zero()
-        for s in range(len(genmap.source)):
-            elt = elt + gens[s] * m.rows[s].get(t, 0)
-        out[name] = elt
-    return out
+    columns = genmap.abelianisation_matrix().transpose().rows
+    return {name: source_algebra.element({(s,): c for s, c in column.items()})
+            for name, column in zip(genmap.target.names, columns)}
 
 
 def splitting_pullbacks():
@@ -277,19 +264,12 @@ def splitting_pullbacks():
 
 
 def pv3_relations_via_splitting():
-    """Second derivation of the ring relations, transported across the
-    free-product splitting.
-
-    The five-generator factor contributes its four relations; the free
-    factor contributes the vanishing of its dual against the other five
-    generators.  All nine are rewritten in the standard dual basis.
-    """
-    E_new = Exterior(NEW_DUALS)
-    E_old = Exterior(PV3_DUALS)
-    c2 = E_new.gen("c2")
-    native = g3_relations(E_new) + tuple(c2 * E_new.gen(n) for n in G3_NAMES)
+    """The ring relations of the free product pv3-new, rewritten in the
+    standard dual basis across the splitting."""
     new_in_old, _ = splitting_pullbacks()
-    return tuple(substitute(r, new_in_old, E_old) for r in native)
+    E = Exterior(PV3_DUALS)
+    return tuple(substitute(r, new_in_old, E)
+                 for r in presentation_ring(pv3_new_presentation()).relations)
 
 
 def beer_rank(n, r):

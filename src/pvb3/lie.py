@@ -11,6 +11,8 @@ and no coordinates are ever solved for.
 Quotients by degree-two relations are handled layer by layer: the ideal
 component in each degree is spanned by iterated brackets of generators
 against the relations, and invariants come from integer linear algebra.
+A presentation's relations are the initial forms of its relators
+(``Presentation.initial_forms``).
 An enveloping-algebra route (tensor algebra modulo the two-sided ideal)
 plus the Poincare-Birkhoff-Witt series gives an independent check on
 the same dimensions.
@@ -21,6 +23,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
+from .fpres import g3_presentation
 from .intlinalg import IntMatrix, SparseCombination, cokernel_invariants, row_lattices_equal
 
 
@@ -165,37 +168,22 @@ def pbw_consistency(lie_dims, env_dims):
     return tuple(env_dims) == pbw_coefficients(tuple(lie_dims)[:top], top)
 
 
-PV3_LIE_NAMES = ("a1", "b1", "a2", "b2", "c1", "c2")
-
-
-def pv3_lie_quotient(include_free_generator=True):
-    """Degree-two presentation of the associated graded Lie ring.
-
-    The six relations only involve the first five generators; the sixth
-    spans the free factor and can be omitted to study the other factor
-    on its own.
-    """
-    names = PV3_LIE_NAMES if include_free_generator else PV3_LIE_NAMES[:5]
-    n = len(names)
-    a1, b1, a2, b2, c1 = (lie_gen(n, k) for k in range(5))
-    relations = (
-        a1.bracket(b1),
-        a2.bracket(b2),
-        c1.bracket(b1) - a2.bracket(b1),
-        c1.bracket(a1) - b2.bracket(a1),
-        c1.bracket(b2) - a1.bracket(b2),
-        c1.bracket(a2) - b1.bracket(a2),
-    )
-    return GradedLieQuotient(names, relations)
+def lie_quotient(pres):
+    """The free Lie ring on a presentation's generators modulo the initial
+    forms of its relators, which maps onto the group's associated graded
+    Lie ring."""
+    return GradedLieQuotient(pres.alphabet.names, tuple(
+        LieElement.make(pres.num_gens, form) for form in pres.initial_forms() if form))
 
 
 def derivation_check():
     """Confirm the weight-one conjugation rule is coherent on the
-    four-generator subring of the quadratic presentation.
+    four-generator subring of the quadratic presentation of g3.
 
     The rule d sends each of a1, b1, a2, b2 to the bracket that the
     defining relations assign to its bracket with c1.  Applying d to
-    the two commuting-pair relations must give elements of the degree-3
+    the two commuting-pair relations, [a1, b1] and [a2, b2], the initial
+    forms of the first two relators, must give elements of the degree-3
     component of the full relation ideal; that is what makes the
     subring a Lie ideal on which c1 acts through d.  Membership is
     checked exactly over the integers: adding the images to the ideal's
@@ -203,14 +191,14 @@ def derivation_check():
     genuinely needed here: the two commuting-pair relations alone span
     an ideal that does not contain these images.
     """
-    quotient = pv3_lie_quotient(include_free_generator=False)
+    quotient = lie_quotient(g3_presentation())
     n = quotient.ngens
     a1, b1, a2, b2 = (lie_gen(n, k) for k in range(4))
     images = {0: b2.bracket(a1), 1: a2.bracket(b1),
               2: b1.bracket(a2), 3: a1.bracket(b2)}
     ideal = quotient.ideal_matrix(3)
     derived = tuple(apply_derivation(r, images).lyndon_coefficients(3)
-                    for r in (a1.bracket(b1), a2.bracket(b2)))
+                    for r in quotient.relations[:2])
     return row_lattices_equal(ideal, IntMatrix(ideal.rows + derived, ideal.ncols))
 
 

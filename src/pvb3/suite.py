@@ -57,8 +57,8 @@ from .intlinalg import IntMatrix, kernel_basis, rank, row_lattices_equal
 from .lie import (
     derivation_check,
     enveloping_invariants,
+    lie_quotient,
     pbw_consistency,
-    pv3_lie_quotient,
 )
 from .nq import CollectionBudget, lcs_ranks, nilpotent_quotient, quotient_tower
 from .word import Alphabet, GenMap
@@ -334,7 +334,7 @@ def _check_lie(options: SuiteOptions):
     if options.max_degree < 1:
         return UNKNOWN, "skipped: the graded comparison needs max degree 1 and up"
     top = min(options.class_, options.max_degree)
-    quotient = pv3_lie_quotient()
+    quotient = lie_quotient(pv3_new_presentation())
     lie_invariants = [quotient.invariants(d) for d in range(1, top + 1)]
     lie_dims = tuple(r for r, _ in lie_invariants)
     group_layers = lcs_ranks(pv_presentation(3), top)

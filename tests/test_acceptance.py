@@ -48,8 +48,8 @@ from pvb3.intlinalg import IntMatrix, kernel_basis, rank, row_lattices_equal
 from pvb3.lie import (
     derivation_check,
     enveloping_invariants,
+    lie_quotient,
     pbw_consistency,
-    pv3_lie_quotient,
 )
 from pvb3.nq import lcs_ranks, nilpotent_quotient
 from pvb3.suite import _GOLDEN_CUPS, _GOLDEN_DUALS
@@ -166,7 +166,7 @@ def test_07_nilpotent_engine_oracles():
 
 def test_08_graded_lie_matches_lower_central_ranks():
     with budget(120):
-        quotient = pv3_lie_quotient()
+        quotient = lie_quotient(pv3_new_presentation())
         lie_dims = tuple(quotient.invariants(d)[0] for d in range(1, 4))
         group_layers = lcs_ranks(pv_presentation(3), 3)
         assert tuple(r for r, _ in group_layers) == lie_dims

@@ -25,7 +25,7 @@ from pvb3.fpres import (
     pv_presentation,
 )
 from pvb3.intlinalg import IntMatrix
-from pvb3.lie import pv3_lie_quotient
+from pvb3.lie import lie_quotient
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -83,7 +83,7 @@ def test_matrix_counters_read_sparse_rows_as_their_dense_twins():
     # the tracer counts cells and nonzeros of a matrix from its nrows,
     # ncols and entries, and ideal rows from nrows
     tracing = load_tracing()
-    sparse = pv3_lie_quotient().ideal_matrix(3)
+    sparse = lie_quotient(pv3_new_presentation()).ideal_matrix(3)
     # (sparse matrix, dense twin, rows, cells, nonzeros)
     cases = [(sparse, IntMatrix.from_rows(sparse.entries, 70), 36, 2520, 70),
              (IntMatrix([{}, {4: -2}, {}], 5),

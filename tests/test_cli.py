@@ -7,6 +7,8 @@ plumbing between the parser and the library stays sound.
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -218,11 +220,21 @@ def test_consequence_non_integer_step_field_exits_two(capsys, step, field):
     ("reduce", "1^-99999999999999999999", "--gens", "a"),
     ("consequence", "pv3", "l12^99999999999999999999"),
     ("nq", "pv3", "--image", "(l12 l13)^99999999999999999999"),
+    ("reduce", "a^" + "9" * 5000),  # past the digits int() converts
 ])
 def test_huge_exponent_exits_two(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "is too large" in err
+    assert len(err) < 100
+
+
+def test_exponent_past_the_integer_string_limit_is_positioned(capsys):
+    assert run(capsys, "reduce", "a^" + "9" * 5000) == \
+        (2, "", "error: line 1, col 3: exponent of 5000 digits is too large\n")
+    # leading zeros do not count, in any script
+    assert run(capsys, "reduce", "a^" + "0" * 5000 + "2") == (0, "a^2\n", "")
+    assert run(capsys, "reduce", "a^-" + "\u0660" * 700 + "\u0663") == (0, "a^-3\n", "")
 
 
 def test_syzygy_cancelling_pair(capsys):
@@ -379,13 +391,35 @@ def test_cohomology_wedge_lists_supports_and_cups(capsys):
     assert "a1* b2* -> (0, 0, 0, -1, 1, 0)" in out
 
 
-def test_lie_dims_default_and_factor_only(capsys):
-    code, out, _ = run(capsys, "lie", "dims")
+def test_lie_dims_default_and_the_factor(capsys):
+    # pv3 by default, and the same ranks from pv3-new; g3 is the factor
+    for argv, ranks in (((), ["6", "9", "34"]), (("pv3-new",), ["6", "9", "34"]),
+                        (("g3",), ["5", "4", "10"])):
+        code, out, _ = run(capsys, "lie", "dims", *argv)
+        assert code == 0
+        assert [l.split("rank ")[1] for l in out.splitlines()] == ranks
+
+
+def test_lie_reads_presentation_files(tmp_path, capsys):
+    path = tmp_path / "two-tori.pres"
+    path.write_text("gens: a b c d\nrel: [a, b]\nrel: [c, d]\n")
+    code, out, _ = run(capsys, "lie", "dims", str(path))
     assert code == 0
-    assert [l.split("rank ")[1] for l in out.splitlines()] == ["6", "9", "34"]
-    code, out, _ = run(capsys, "lie", "dims", "--factor-only")
-    assert code == 0
-    assert [l.split("rank ")[1] for l in out.splitlines()] == ["5", "4", "10"]
+    assert [l.split("rank ")[1] for l in out.splitlines()] == ["4", "4", "12"]
+
+
+def test_lie_rejects_a_relator_with_a_nonzero_exponent_sum(tmp_path, capsys):
+    path = tmp_path / "klein.pres"
+    path.write_text("gens: a t\nrel: t a t^-1 a\n")
+    code, out, err = run(capsys, "lie", "dims", str(path))
+    assert (code, out) == (2, "")
+    assert "nonzero exponent sum" in err
+
+
+def test_lie_factor_only_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lie", "dims", "--factor-only"])
+    assert exc.value.code == 2
 
 
 def test_lie_pbw_consistent(capsys):
@@ -407,6 +441,8 @@ def test_lie_derivation(capsys):
     code, out, _ = run(capsys, "lie", "derivation")
     assert code == 0
     assert "lands in the relation ideal" in out
+    assert run(capsys, "lie", "derivation", "g3") == \
+        (2, "", "error: lie derivation takes no presentation\n")
 
 
 def test_suite_default_all_pass(capsys):
@@ -535,3 +571,30 @@ def test_commands_with_deferred_imports_run_in_a_fresh_interpreter(argv):
     done = fresh_python("-m", "pvb3.cli", *argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands():
+    """The pvb3 lines of the README's sh blocks as argv lists, with
+    backslash continuations joined and comments stripped."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    return [argv[1:] for argv in commands
+            if argv[:1] == ["pvb3"] and not any("path/to/" in a for a in argv)]
+
+
+def test_readme_commands_are_accepted(capsys):
+    commands = readme_commands()
+    assert len(commands) >= 12
+    rejected = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exit:  # argparse refused the line
+            code = exit.code
+        if code == 2:
+            rejected.append(" ".join(argv))
+    assert rejected == []

@@ -1,8 +1,10 @@
 """Presentations, the distinguished groups, and consequence certificates."""
 
 import heapq
+import importlib.util
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,40 @@ def test_new_presentation_adds_one_free_generator():
     assert [r.letters for r in pres.relators] == \
         [r.letters for r in g3_presentation().relators]
     assert cokernel_invariants(pres.relator_matrix()) == (6, ())
+
+
+ORACLES = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
+
+
+def load_oracles():
+    """The benchmark's oracles, which import nothing from the package."""
+    spec = importlib.util.spec_from_file_location("pvb3_bench_oracles", ORACLES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("pres", [
+    pv_presentation(3), pv_presentation(4), g3_presentation(), pv3_new_presentation(),
+    q3_presentation()], ids=["pv3", "pv4", "g3", "pv3-new", "q3"])
+def test_initial_forms_are_the_degree_two_magnus_terms(pres):
+    magnus = load_oracles().magnus
+    forms = pres.initial_forms()
+    assert len(forms) == len(pres.relators)
+    for r, form in zip(pres.relators, forms):
+        expansion = magnus(r.letters, 2)
+        assert form == {k: c for k, c in expansion.items() if len(k) == 2}, str(r)
+        assert all(len(k) != 1 for k in expansion)
+        # a Lie element: minus its own reversal
+        assert form == {(j, i): -c for (i, j), c in form.items()}
+
+
+def test_initial_forms_need_relators_with_zero_exponent_sums():
+    a, b = AB.gens()
+    assert Presentation(AB, (a.comm(b), b.comm(a) * a.comm(b))).initial_forms() == \
+        ({(0, 1): 1, (1, 0): -1}, {})
+    with pytest.raises(ValueError, match="nonzero exponent sum"):
+        Presentation(AB, (a.comm(b), a * b * a)).initial_forms()
 
 
 def test_generator_change_round_trips_freely():

@@ -104,6 +104,16 @@ def test_bad_relator_column_counts_from_the_start_of_its_line(text, col):
     assert exc.value.message.startswith("in rel: on line 2: ")
 
 
+def test_presentation_lines_break_only_at_newlines():
+    # as in a word, a vertical tab is an unexpected character, not a line break
+    with pytest.raises(ParseError) as exc:
+        parse_presentation_text("gens: a\nrel: a\v c")
+    assert str(exc.value) == "line 2, col 7: in rel: on line 2: unexpected character '\\x0b'"
+    alphabet, relators = parse_presentation_text("gens: a b\r\nrel: [a, b]\r\n")
+    a_, b_ = alphabet.gens()
+    assert relators == (a_.comm(b_),)
+
+
 def test_exponent_digits_are_decimal_digits_only():
     # a superscript two is a digit to str.isdigit but not to int()
     with pytest.raises(ParseError) as exc:

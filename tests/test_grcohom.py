@@ -1,11 +1,17 @@
-"""Cohomology rings: wedge model, cup pairing, and both relation routes."""
+"""Cohomology rings: wedge model, cup pairing, and both relation routes.
+
+The package derives every ring relation from the relators' initial
+forms; the relations stated by hand in ``stated_g3_relations`` and
+``stated_pv3_relations`` are the oracle for those.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvb3.fpres import pv_presentation
+from pvb3.fpres import g3_presentation, pv3_new_presentation, pv_presentation
 from pvb3.grcohom import (
+    G3_NAMES,
     NEW_DUALS,
     PV3_DUALS,
     WEDGE_BASIS,
@@ -23,6 +29,7 @@ from pvb3.grcohom import (
     pv3_relations_via_splitting,
     pv3_ring,
     pv3_stability_relations,
+    presentation_ring,
     splitting_pullbacks,
     stability_rank,
     substitute,
@@ -48,6 +55,34 @@ PRODUCT_TABLE = {
     ("b2", "c1"): (0, 0, 0, 0, 1, 0),
     ("a2", "c1"): (0, 0, 0, 0, 0, 1),
 }
+
+
+def stated_g3_relations(algebra=None):
+    """Degree-two relations of the five-generator factor's ring, stated by hand."""
+    E = algebra or Exterior(G3_NAMES)
+    a1, b1, a2, b2, c1 = (E.gen(n) for n in G3_NAMES)
+    return (a1 * c1 + a1 * b2 + c1 * b2,
+            b1 * c1 + b1 * a2 + c1 * a2,
+            a1 * a2,
+            b1 * b2)
+
+
+def stated_free_factor_dual():
+    E = Exterior(PV3_DUALS)
+    l12, l21, l13, l31, l23, l32 = (E.gen(n) for n in PV3_DUALS)
+    return l13 - l31 - l12 + l21 - l23 + l32
+
+
+def stated_pv3_relations():
+    """Degree-two relations of the full group's ring, stated by hand: the
+    three opposite pairs, the free-factor dual against every generator,
+    and one more."""
+    E = Exterior(PV3_DUALS)
+    l12, l21, l13, l31, l23, l32 = (E.gen(n) for n in PV3_DUALS)
+    opposite = (l12 * l21, l13 * l31, l23 * l32)
+    sigma = stated_free_factor_dual()
+    sparse = l21 * l31 - l21 * l32 - l23 * l31
+    return opposite + tuple(sigma * E.gen(n) for n in PV3_DUALS) + (sparse,)
 
 
 def ranks_and_torsion(ring, top_degree):
@@ -178,6 +213,7 @@ def test_kernel_of_pairing_is_spanned_by_the_four_relations():
 RINGS = {
     "pv3": pv3_ring,
     "g3": g3_ring,
+    "stated-pv3": lambda: ExteriorQuotient(Exterior(PV3_DUALS), stated_pv3_relations()),
     "free-exterior": lambda: ExteriorQuotient(Exterior(PV3_DUALS), ()),
 }
 
@@ -236,6 +272,38 @@ def test_both_relation_routes_span_the_same_lattice():
     assert row_lattices_equal(direct, transported)
 
 
+def stated_pv3_new_relations():
+    """The factor's relations, and c2* against each of its generators."""
+    E = Exterior(NEW_DUALS)
+    return stated_g3_relations(E) + tuple(E.gen("c2") * E.gen(n) for n in G3_NAMES)
+
+
+@pytest.mark.parametrize("ring, stated, count", [
+    (g3_ring, stated_g3_relations, 4),
+    (pv3_ring, stated_pv3_relations, 9),
+    (lambda: presentation_ring(pv3_new_presentation()), stated_pv3_new_relations, 9),
+], ids=["g3", "pv3", "pv3-new"])
+def test_derived_relations_span_the_stated_lattice(ring, stated, count):
+    derived = ring()
+    assert len(derived.relations) == count
+    assert row_lattices_equal(derived.ideal_matrix(2),
+                              ExteriorQuotient(derived.algebra, stated()).ideal_matrix(2))
+
+
+def test_derived_relations_pair_to_zero_with_every_initial_form():
+    for pres in (pv_presentation(3), g3_presentation(), pv_presentation(4)):
+        ring = presentation_ring(pres)
+        for r in ring.relations:
+            for form in pres.initial_forms():
+                assert sum(c * form.get(key, 0) for key, c in r.terms.items()) == 0
+
+
+def test_pv4_ring_ranks_equal_the_closed_form():
+    ranks, torsion = ranks_and_torsion(presentation_ring(pv_presentation(4)), 4)
+    assert ranks == (1, 12, 36, 24, 0) == tuple(beer_rank(4, r) for r in range(5))
+    assert torsion == ((),) * 5
+
+
 def test_stability_relations_have_one_dependency():
     assert len(pv3_stability_relations()) == 6
     assert stability_rank() == 5
@@ -252,7 +320,7 @@ def test_splitting_pullbacks_golden_values():
     assert new_in_old["a2"] == l32
     assert new_in_old["b2"] == l21
     assert new_in_old["c1"] == l31 - l32 - l21
-    assert new_in_old["c2"] == free_factor_dual()
+    assert new_in_old["c2"] == free_factor_dual() == stated_free_factor_dual()
     En = Exterior(NEW_DUALS)
     a1, b1, a2, b2, c1, c2 = En.gens()
     assert old_in_new["l13"] == a1 + b1 + c1 + c2

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvb3 import intlinalg, nq
-from pvb3.fpres import pv_presentation
+from pvb3.fpres import pv3_new_presentation, pv_presentation
 from pvb3.intlinalg import (
     IntMatrix,
     NonSquareMatrixError,
@@ -22,7 +22,7 @@ from pvb3.intlinalg import (
     row_lattices_equal,
     smith_normal_form,
 )
-from pvb3.lie import pv3_lie_quotient
+from pvb3.lie import lie_quotient
 
 
 def rational_rank(rows):
@@ -566,7 +566,7 @@ def test_sparse_hnf_matches_the_dense_reference_on_pv3_nq_lattices(monkeypatch):
 
 @pytest.mark.parametrize("degree", [3, 4])
 def test_sparse_hnf_matches_the_dense_reference_on_lie_ideal_matrices(degree):
-    mat = pv3_lie_quotient().ideal_matrix(degree)
+    mat = lie_quotient(pv3_new_presentation()).ideal_matrix(degree)
     assert checked_dense_hnf(mat) == dense_hermite_normal_form(mat)
 
 

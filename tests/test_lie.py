@@ -3,7 +3,9 @@
 The package reads ideal rows as coefficients at Lyndon words.  The
 triangular solve into the Lyndon bracket basis (``is_lyndon``,
 ``standard_factorization``, ``bracket_tensor``, ``lyndon_coordinates``)
-is the oracle those rows are compared against.
+is the oracle those rows are compared against.  The package derives
+every relation from the relators' initial forms; the six relations
+stated by hand in ``stated_pv3_lie_quotient`` are the oracle for those.
 """
 
 from functools import lru_cache
@@ -13,7 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvb3.fpres import Presentation, pv_presentation
+from pvb3.fpres import (
+    Presentation,
+    g3_presentation,
+    pv3_new_presentation,
+    pv_presentation,
+    q3_presentation,
+)
 from pvb3.lie import (
     GradedLieQuotient,
     LieElement,
@@ -21,14 +29,37 @@ from pvb3.lie import (
     derivation_check,
     enveloping_invariants,
     lie_gen,
+    lie_quotient,
     lyndon_words,
     pbw_coefficients,
     pbw_consistency,
-    pv3_lie_quotient,
 )
-from pvb3.intlinalg import IntMatrix, cokernel_invariants, in_row_lattice
+from pvb3.intlinalg import IntMatrix, cokernel_invariants, in_row_lattice, row_lattices_equal
 from pvb3.nq import lcs_ranks
 from pvb3.word import Alphabet
+
+
+def stated_pv3_lie_quotient(free_generator=True):
+    """The degree-two presentation of the associated graded Lie ring as
+    stated by hand: six relations in the first five generators, the
+    sixth spanning the free factor."""
+    names = ("a1", "b1", "a2", "b2", "c1", "c2")[:6 if free_generator else 5]
+    n = len(names)
+    a1, b1, a2, b2, c1 = (lie_gen(n, k) for k in range(5))
+    relations = (
+        a1.bracket(b1),
+        a2.bracket(b2),
+        c1.bracket(b1) - a2.bracket(b1),
+        c1.bracket(a1) - b2.bracket(a1),
+        c1.bracket(b2) - a1.bracket(b2),
+        c1.bracket(a2) - b1.bracket(a2),
+    )
+    return GradedLieQuotient(names, relations)
+
+
+def pv3_quotient(free_generator=True):
+    """The Lie quotient of pv3-new, or of g3 without the free generator."""
+    return lie_quotient(pv3_new_presentation() if free_generator else g3_presentation())
 
 
 def is_lyndon(word):
@@ -222,12 +253,48 @@ def test_non_lie_tensors_are_rejected():
         lyndon_coordinates(LieElement.make(2, {(0, 0): 1}), 2)
 
 
-@pytest.mark.parametrize("include_free_generator", [True, False])
+@pytest.mark.parametrize("free_generator", [True, False])
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_pv3_ideal_rows_are_lyndon_coordinates_times_a_unitriangular_matrix(
-        include_free_generator, degree):
-    quotient = pv3_lie_quotient(include_free_generator)
+        free_generator, degree):
+    quotient = pv3_quotient(free_generator)
     assert_rows_are_coordinates_times_change_of_basis(quotient, degree)
+
+
+@pytest.mark.parametrize("free_generator", [True, False])
+def test_initial_forms_are_the_stated_relations_up_to_sign(free_generator):
+    derived = pv3_quotient(free_generator)
+    stated = stated_pv3_lie_quotient(free_generator)
+    assert derived.names == stated.names
+    assert len(derived.relations) == len(stated.relations) == 6
+    for d, s in zip(derived.relations, stated.relations):
+        assert d == s or d == -1 * s
+    for degree in (2, 3):
+        assert row_lattices_equal(derived.ideal_matrix(degree), stated.ideal_matrix(degree))
+
+
+def test_pv3_and_pv3_new_give_the_same_lie_ranks():
+    # the splitting changes the basis of H_1, and the initial forms with it
+    assert lie_dims(lie_quotient(pv_presentation(3)), 4) == lie_dims(pv3_quotient(), 4)
+
+
+def test_quotients_drop_zero_initial_forms():
+    # a relator in the third term of the lower central series has initial
+    # form 0, so it adds no relation
+    ab = Alphabet(("a", "b"))
+    a, b = ab.gens()
+    heisenberg = lie_quotient(Presentation(ab, (a.comm(b).comm(a), a.comm(b).comm(b))))
+    assert heisenberg.relations == ()
+    assert lie_dims(heisenberg, 3) == (2, 1, 2)
+    assert lie_quotient(q3_presentation()).invariants(2) == (8, ())
+
+
+def test_pv4_lie_ranks_equal_the_lower_central_ranks():
+    quotient = lie_quotient(pv_presentation(4))
+    assert quotient.names == pv_presentation(4).alphabet.names
+    dims = lie_dims(quotient, 4)
+    assert dims == (12, 30, 164, 918)
+    assert dims == tuple(free for free, _ in lcs_ranks(pv_presentation(4), 4))
 
 
 @st.composite
@@ -261,7 +328,7 @@ def test_non_lie_relation_is_rejected(terms):
 
 
 def test_pv3_quotient_dimensions():
-    q = pv3_lie_quotient()
+    q = pv3_quotient()
     assert q.names == ("a1", "b1", "a2", "b2", "c1", "c2")
     assert [q.invariants(d) for d in range(1, 5)] == \
         [(6, ()), (9, ()), (34, ()), (120, ())]
@@ -270,19 +337,19 @@ def test_pv3_quotient_dimensions():
 def test_pv3_degree_five_matches_the_koszul_dual_series():
     # prod_k (1 - t^k)^(-phi_k) = 1 / (1 - 6t + 6t^2), the Koszul dual of
     # the cohomology ranks (1, 6, 6), gives phi_5 = 474.
-    assert pv3_lie_quotient().invariants(5) == (474, ())
+    assert pv3_quotient().invariants(5) == (474, ())
 
 
 def test_free_factor_contributes_five_in_degree_two():
-    with_c2 = lie_dims(pv3_lie_quotient(), 2)
-    without = lie_dims(pv3_lie_quotient(include_free_generator=False), 2)
+    with_c2 = lie_dims(pv3_quotient(), 2)
+    without = lie_dims(pv3_quotient(free_generator=False), 2)
     assert without == (5, 4)
     assert with_c2[1] - without[1] == 5
 
 
 def test_quotient_dims_agree_with_group_quotients():
     # same graded ranks from the group side, by collection
-    assert lie_dims(pv3_lie_quotient(), 3) == \
+    assert lie_dims(pv3_quotient(), 3) == \
         tuple(f for f, _ in lcs_ranks(pv_presentation(3), 3))
     names = Alphabet(("a", "b", "c", "d"))
     a, b, c, d = names.gens()
@@ -311,7 +378,7 @@ def test_inhomogeneous_relation_is_rejected():
 
 def test_enveloping_dimensions():
     assert enveloping_invariants(6, (), 3) == ((6, ()), (36, ()), (216, ()))
-    env = enveloping_invariants(6, pv3_lie_quotient().relations, 3)
+    env = enveloping_invariants(6, pv3_quotient().relations, 3)
     assert env == ((6, ()), (30, ()), (144, ()))
 
 
@@ -346,7 +413,7 @@ def test_enveloping_rows_match_the_dense_oracle(quotient, top):
 
 def test_pv3_enveloping_series_through_degree_five():
     # the series 1 / (1 - 6t + 6t^2) of the Koszul dual algebra
-    env = enveloping_invariants(6, pv3_lie_quotient().relations, 5)
+    env = enveloping_invariants(6, pv3_quotient().relations, 5)
     assert (1,) + tuple(free for free, _ in env) == (1, 6, 30, 144, 684, 3240)
     assert all(torsion == () for _, torsion in env)
 
@@ -359,7 +426,7 @@ def test_pbw_series_values():
 
 
 def test_pbw_consistency_links_the_two_oracles():
-    q = pv3_lie_quotient()
+    q = pv3_quotient()
     env = enveloping_invariants(6, q.relations, 3)
     u = (1,) + tuple(f for f, _ in env)
     assert pbw_consistency(lie_dims(q, 3), u)
