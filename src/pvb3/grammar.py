@@ -34,8 +34,9 @@ class ParseError(ValueError):
 # Tokens are (kind, text, line, col) tuples; the kind of a punctuation
 # token is its text.  NAME also takes runs that is_name refuses, so that
 # such a run is reported at its first character.
+_BLANKS = " \t\r"
 _TOKEN = re.compile(r"(?P<NUMBER>\d+)|(?P<NAME>%s)|(?P<PUNCT>[\^\[\](),*-])"
-                    r"|(?P<SKIP>[ \t\r]+|#[^\n]*)|(?P<NEWLINE>\n)|(?P<BAD>.)" % NAME_CHARS)
+                    r"|(?P<SKIP>[%s]+|#[^\n]*)|(?P<NEWLINE>\n)|(?P<BAD>.)" % (NAME_CHARS, _BLANKS))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
@@ -137,8 +138,16 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
 
 
 def split_names(text: str) -> tuple[str, ...]:
-    """Generator names separated by commas, whitespace or both."""
-    return tuple(text.replace(",", " ").split())
+    """Generator names separated by commas, blanks or both, read by the
+    tokenizer; any other token is an error at its column."""
+    names = []
+    for kind, piece, line, col in _tokenize(text)[:-1]:
+        if kind == "NAME":
+            names.append(piece)
+        elif kind != ",":
+            raise ParseError("expected a generator name, a letter followed by letters, "
+                             "digits or '_', found %r" % piece, line, col)
+    return tuple(names)
 
 
 def parse_presentation_text(text: str) -> tuple[Alphabet, tuple[Word, ...]]:
@@ -146,25 +155,28 @@ def parse_presentation_text(text: str) -> tuple[Alphabet, tuple[Word, ...]]:
     alphabet = None
     relator_sources: list[tuple[str, int, int]] = []
     for lineno, raw in enumerate(text.split("\n"), start=1):  # as _tokenize counts lines
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(_BLANKS)
         if not line:
             continue
-        if line.startswith("gens:"):
-            if alphabet is not None:
-                raise ParseError("second gens: line", lineno, 1)
-            names = split_names(line[len("gens:"):])
-            if not names:
-                raise ParseError("gens: line names no generators", lineno, 1)
-            try:
-                alphabet = Alphabet(tuple(names))
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno, 1) from None
-        elif line.startswith("rel:"):
-            # the column in the file of the relator text's first character, less one
-            offset = len(raw) - len(raw.lstrip()) + len("rel:")
-            relator_sources.append((line[len("rel:"):], lineno, offset))
-        else:
+        keyword = next((k for k in ("gens:", "rel:") if line.startswith(k)), None)
+        if keyword is None:
             raise ParseError("expected a gens: or rel: line", lineno, 1)
+        body = line[len(keyword):]
+        # the column in the file of the body's first character, less one
+        offset = len(raw) - len(raw.lstrip(_BLANKS)) + len(keyword)
+        if keyword == "rel:":
+            relator_sources.append((body, lineno, offset))
+            continue
+        if alphabet is not None:
+            raise ParseError("second gens: line", lineno, 1)
+        try:
+            alphabet = Alphabet(split_names(body))
+        except ParseError as exc:
+            raise ParseError(exc.message, lineno, offset + exc.col) from None
+        except ValueError as exc:  # a name repeated
+            raise ParseError(str(exc), lineno, 1) from None
+        if not alphabet.names:
+            raise ParseError("gens: line names no generators", lineno, 1)
     if alphabet is None:
         raise ParseError("no gens: line", 1, 1)
     relators = []

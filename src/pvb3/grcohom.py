@@ -8,18 +8,19 @@ The group splits as a free product of a five-generator factor and an
 infinite cyclic factor.  The factor receives a map from a wedge of two
 tori and four genus-two surfaces that identifies first and second
 cohomology, so its cup products are symplectic pairings on the wedge
-summands: a second route to its relations.  A third carries the
-relations of the free product across the splitting.
+summands: a second route to its relations.  The full group's second
+route runs through the splitting, by rewriting the free product's
+relators in the standard generators: an initial form moves under a
+free-group map only through the map's abelianisation.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 
-from .fpres import (G3_NAMES, g3_presentation, pv3_new_generators, pv3_new_presentation,
-                    pv_alphabet, pv_presentation)
+from .fpres import (G3_NAMES, Presentation, g3_presentation, pv3_new_generators,
+                    pv3_new_presentation, pv_alphabet, pv_presentation)
 from .intlinalg import IntMatrix, SparseCombination, cokernel_invariants, kernel_basis, rank
-from .word import GenMap
 
 
 class Exterior:
@@ -40,12 +41,6 @@ class Exterior:
 
     def element(self, terms):
         return ExtElement(self, {k: c for k, c in terms.items() if c})
-
-    def zero(self):
-        return self.element({})
-
-    def scalar(self, c):
-        return self.element({(): c})
 
     def gen(self, name):
         return self.element({(self.names.index(name),): 1})
@@ -94,21 +89,6 @@ class ExtElement(SparseCombination):
                 if key is not None:
                     out[key] = out.get(key, 0) + sign * c1 * c2
         return self.algebra.element(out)
-
-
-def substitute(element, images, target):
-    """Apply a degree-one substitution multiplicatively.
-
-    images maps each generator name of the element's algebra to a
-    degree-one element of the target algebra.
-    """
-    out = target.zero()
-    for key, c in element.terms.items():
-        term = target.scalar(c)
-        for i in key:
-            term = term * images[element.algebra.names[i]]
-        out = out + term
-    return out
 
 
 @dataclass(frozen=True)
@@ -173,20 +153,10 @@ def surface_cup(u, v):
     return tuple(out)
 
 
-def dual_restriction(group_class):
-    """Pull a dual class of the five-generator factor back to the wedge.
-
-    Accepts a generator name or a dictionary over G3_NAMES.
-    """
-    if isinstance(group_class, str):
-        group_class = {group_class: 1}
-    out = {}
-    for name in WEDGE_BASIS:
-        c = sum(WEDGE_HOMOLOGY_IMAGES[name].get(g, 0) * m
-                for g, m in group_class.items())
-        if c:
-            out[name] = c
-    return out
+def dual_restriction(name):
+    """Pull the dual of one generator of the five-generator factor back to the wedge."""
+    return {w: WEDGE_HOMOLOGY_IMAGES[w][name] for w in WEDGE_BASIS
+            if name in WEDGE_HOMOLOGY_IMAGES[w]}
 
 
 def g3_cup(u, v):
@@ -221,12 +191,15 @@ def g3_ring():
 # The full group on three strands.
 
 PV3_DUALS = pv_alphabet(3).names
-NEW_DUALS = G3_NAMES + ("c2",)
 
 
 def free_factor_dual():
-    """Degree-one class dual to the infinite cyclic free factor."""
-    return splitting_pullbacks()[0]["c2"]
+    """Degree-one class dual to the infinite cyclic free factor: the c2
+    column of the change of generators' abelianisation."""
+    f, _ = pv3_new_generators()
+    c2 = f.target.index("c2")
+    column = {(s,): row.get(c2, 0) for s, row in enumerate(f.abelianisation_matrix().rows)}
+    return Exterior(PV3_DUALS).element(column)
 
 
 def pv3_stability_relations():
@@ -240,36 +213,12 @@ def pv3_ring():
     return presentation_ring(pv_presentation(3))
 
 
-def degree_one_pullback(genmap: GenMap, source_algebra):
-    """Induced substitution on dual classes for a group homomorphism.
-
-    For a map with abelianised matrix M (rows are source generator
-    images) the dual of target generator t pulls back to the column-t
-    combination of source duals.  Returns a dictionary keyed by target
-    generator name.
-    """
-    columns = genmap.abelianisation_matrix().transpose().rows
-    return {name: source_algebra.element({(s,): c for s, c in column.items()})
-            for name, column in zip(genmap.target.names, columns)}
-
-
-def splitting_pullbacks():
-    """Mutually inverse dual substitutions induced by the free-product
-    identification, as (new duals in the standard basis, standard duals
-    in the new basis)."""
+def pv3_ring_via_splitting():
+    """The ring of pv3-new's relators rewritten in the standard generators
+    across the splitting."""
     f, g = pv3_new_generators()
-    new_in_old = degree_one_pullback(f, Exterior(PV3_DUALS))
-    old_in_new = degree_one_pullback(g, Exterior(NEW_DUALS))
-    return new_in_old, old_in_new
-
-
-def pv3_relations_via_splitting():
-    """The ring relations of the free product pv3-new, rewritten in the
-    standard dual basis across the splitting."""
-    new_in_old, _ = splitting_pullbacks()
-    E = Exterior(PV3_DUALS)
-    return tuple(substitute(r, new_in_old, E)
-                 for r in presentation_ring(pv3_new_presentation()).relations)
+    relators = tuple(g(r) for r in pv3_new_presentation().relators)
+    return presentation_ring(Presentation(f.source, relators))
 
 
 def beer_rank(n, r):

@@ -32,16 +32,13 @@ from pvb3.fpres import (
     torus_normal_form,
 )
 from pvb3.grcohom import (
-    Exterior,
-    ExteriorQuotient,
-    PV3_DUALS,
     beer_rank,
     dual_restriction,
     g3_cup,
     g3_cup_matrix,
     g3_ring,
-    pv3_relations_via_splitting,
     pv3_ring,
+    pv3_ring_via_splitting,
     stability_rank,
 )
 from pvb3.intlinalg import IntMatrix, kernel_basis, rank, row_lattices_equal
@@ -102,8 +99,7 @@ def test_03_wedge_golden_values_bit_exact():
 def test_04_relation_span_routes_agree():
     with budget(1):
         direct = pv3_ring().ideal_matrix(2)
-        transported = ExteriorQuotient(Exterior(PV3_DUALS),
-                                       pv3_relations_via_splitting()).ideal_matrix(2)
+        transported = pv3_ring_via_splitting().ideal_matrix(2)
         assert row_lattices_equal(direct, transported)
         assert rank(direct) == 9
         assert stability_rank() == 5  # six relations, linearly dependent

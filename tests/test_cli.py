@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import pvb3
 from pvb3 import cli
 from pvb3.cli import main
 from pvb3.nq import CollectionBudget
@@ -344,6 +345,13 @@ def test_generator_names_the_grammar_cannot_read_exit_two(tmp_path, capsys):
         assert "letter followed by letters, digits or '_'" in err
 
 
+def test_generator_lists_are_read_by_the_tokenizer(capsys):
+    # as on a gens: line, a list stops at its first bad token, at its column
+    for flag in ("--gens", "--target-gens"):
+        assert run(capsys, "subst", "x", "--assign", "x=a", flag, "x a!") == \
+            (2, "", "error: line 1, col 4: unexpected character '!'\n")
+
+
 def test_parse_errors_point_into_the_text_as_given(tmp_path, capsys):
     # a superscript digit is a character the grammar does not know, and a
     # relator's column counts from the start of its line in the file
@@ -584,6 +592,17 @@ def readme_commands():
     commands = [shlex.split(line, comments=True) for line in lines]
     return [argv[1:] for argv in commands
             if argv[:1] == ["pvb3"] and not any("path/to/" in a for a in argv)]
+
+
+def test_readme_library_example_runs():
+    text = README.read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["q"].layers == ((6, ()), (9, ()), (34, ()))
+    assert namespace["res"].status == "VERIFIED"
+    exports = re.search(r"The package root exports (.*?)\. The other", text, re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)`", exports)) == sorted(pvb3.__all__)
 
 
 def test_readme_commands_are_accepted(capsys):

@@ -114,6 +114,28 @@ def test_presentation_lines_break_only_at_newlines():
     assert relators == (a_.comm(b_),)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("gens: a rel: a", "line 1, col 12: unexpected character ':'"),
+    ("gens: a b!", "line 1, col 10: unexpected character '!'"),
+    ("\tgens: a 2b", "line 1, col 10: expected a generator name, a letter followed by "
+                     "letters, digits or '_', found '2'"),
+    ("gens: a\u00a0b", "line 1, col 8: unexpected character '\\xa0'"),
+    ("gens: a b\nrel: [a, b]\v", "line 2, col 12: in rel: on line 2: "
+                                 "unexpected character '\\x0b'"),
+])
+def test_gens_line_is_read_by_the_tokenizer(text, message):
+    # a bad name is reported at its column in the file, and a line loses
+    # only the blanks the tokenizer skips, at its ends as in its middle
+    with pytest.raises(ParseError) as exc:
+        parse_presentation_text(text)
+    assert str(exc.value) == message
+
+
+def test_gens_names_split_at_commas_and_blanks():
+    alphabet, _ = parse_presentation_text("  gens:\ta,b ,, c\r # d\nrel: a b c")
+    assert alphabet.names == ("a", "b", "c")
+
+
 def test_exponent_digits_are_decimal_digits_only():
     # a superscript two is a digit to str.isdigit but not to int()
     with pytest.raises(ParseError) as exc:

@@ -1,18 +1,24 @@
-"""Cohomology rings: wedge model, cup pairing, and both relation routes.
+"""Cohomology rings: wedge model, cup pairing, and every relation route.
 
 The package derives every ring relation from the relators' initial
 forms; the relations stated by hand in ``stated_g3_relations`` and
-``stated_pv3_relations`` are the oracle for those.
+``stated_pv3_relations`` are the oracle for those.  The package carries
+rings across a change of generators on the group side, by rewriting the
+relators; ``substitute`` and ``degree_one_pullback`` carry them on the
+cohomology side instead, and are the oracle for that.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvb3.fpres import g3_presentation, pv3_new_presentation, pv_presentation
+from pvb3.autf import Automorphism
+from pvb3.fpres import (Presentation, g3_presentation, pv3_new_generators, pv3_new_presentation,
+                        pv_presentation)
 from pvb3.grcohom import (
     G3_NAMES,
-    NEW_DUALS,
     PV3_DUALS,
     WEDGE_BASIS,
     WEDGE_BLOCKS,
@@ -26,16 +32,17 @@ from pvb3.grcohom import (
     g3_cup,
     g3_cup_matrix,
     g3_ring,
-    pv3_relations_via_splitting,
     pv3_ring,
+    pv3_ring_via_splitting,
     pv3_stability_relations,
     presentation_ring,
-    splitting_pullbacks,
     stability_rank,
-    substitute,
     surface_cup,
 )
 from pvb3.intlinalg import IntMatrix, cokernel_invariants, kernel_basis, rank, row_lattices_equal
+from pvb3.word import GenMap
+
+NEW_DUALS = G3_NAMES + ("c2",)
 
 # duals of the five group generators, restricted to the wedge
 RESTRICTION_TABLE = {
@@ -83,6 +90,50 @@ def stated_pv3_relations():
     sigma = stated_free_factor_dual()
     sparse = l21 * l31 - l21 * l32 - l23 * l31
     return opposite + tuple(sigma * E.gen(n) for n in PV3_DUALS) + (sparse,)
+
+
+def substitute(element, images, target):
+    """Apply a degree-one substitution multiplicatively.
+
+    images maps each generator name of the element's algebra to a
+    degree-one element of the target algebra.
+    """
+    out = target.element({})
+    for key, c in element.terms.items():
+        term = target.element({(): c})
+        for i in key:
+            term = term * images[element.algebra.names[i]]
+        out = out + term
+    return out
+
+
+def degree_one_pullback(genmap: GenMap, source_algebra):
+    """Induced substitution on dual classes for a group homomorphism.
+
+    For a map with abelianised matrix M (rows are source generator
+    images) the dual of target generator t pulls back to the column-t
+    combination of source duals.  Returns a dictionary keyed by target
+    generator name.
+    """
+    columns = genmap.abelianisation_matrix().transpose().rows
+    return {name: source_algebra.element({(s,): c for s, c in column.items()})
+            for name, column in zip(genmap.target.names, columns)}
+
+
+def splitting_pullbacks():
+    """Mutually inverse dual substitutions induced by the free-product
+    identification, as (new duals in the standard basis, standard duals
+    in the new basis)."""
+    f, g = pv3_new_generators()
+    return degree_one_pullback(f, Exterior(PV3_DUALS)), degree_one_pullback(g, Exterior(NEW_DUALS))
+
+
+def pulled_back_ring(ring, genmap):
+    """The ring's relations pulled back along a map into its group, as a
+    ring on the map's source generators."""
+    E = Exterior(genmap.source.names)
+    images = degree_one_pullback(genmap, E)
+    return ExteriorQuotient(E, tuple(substitute(r, images, E) for r in ring.relations))
 
 
 def ranks_and_torsion(ring, top_degree):
@@ -265,11 +316,52 @@ def test_degree_one_rank_matches_abelianisation():
 
 def test_both_relation_routes_span_the_same_lattice():
     direct = pv3_ring().ideal_matrix(2)
-    transported = ExteriorQuotient(Exterior(PV3_DUALS),
-                                   pv3_relations_via_splitting()).ideal_matrix(2)
-    assert rank(direct) == 9
-    assert rank(transported) == 9
-    assert row_lattices_equal(direct, transported)
+    rewritten = pv3_ring_via_splitting().ideal_matrix(2)
+    f, _ = pv3_new_generators()
+    pulled_back = pulled_back_ring(presentation_ring(pv3_new_presentation()), f).ideal_matrix(2)
+    for lattice in (direct, rewritten, pulled_back):
+        assert rank(lattice) == 9
+    assert row_lattices_equal(direct, rewritten)
+    assert row_lattices_equal(direct, pulled_back)
+
+
+def nielsen_transvection(alphabet, i, j, sign, side):
+    """x_i -> x_i x_j^sign (side 1) or x_j^sign x_i (side -1), i != j."""
+    gens = alphabet.gens()
+
+    def images(s):
+        step = gens[j] ** s
+        xi = gens[i] * step if side == 1 else step * gens[i]
+        return GenMap(alphabet, alphabet, gens[:i] + (xi,) + gens[i + 1:])
+    return Automorphism(images(sign), images(-sign))
+
+
+def random_automorphisms(alphabet, count, seed, length=4):
+    rng = random.Random(seed)
+    n = len(alphabet)
+    out = []
+    for _ in range(count):
+        phi = Automorphism.identity(alphabet)
+        for _ in range(length):
+            i, j = rng.sample(range(n), 2)
+            phi = phi * nielsen_transvection(alphabet, i, j, rng.choice((1, -1)),
+                                             rng.choice((1, -1)))
+        out.append(phi)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rewriting_the_relators_pulls_the_ring_back_along_the_inverse(seed):
+    # the degree-two Magnus term of a word in [F, F] moves under a free map
+    # only through its abelianisation, so the ring of phi(R) is g3's ring
+    # pulled back along phi^-1
+    pres = g3_presentation()
+    ring = g3_ring()
+    for phi in random_automorphisms(pres.alphabet, 10, seed):
+        rewritten = presentation_ring(Presentation(pres.alphabet,
+                                                   tuple(phi(r) for r in pres.relators)))
+        pulled_back = pulled_back_ring(ring, phi.backward)
+        assert row_lattices_equal(rewritten.ideal_matrix(2), pulled_back.ideal_matrix(2))
 
 
 def stated_pv3_new_relations():
