@@ -28,10 +28,12 @@ free reduction before being returned.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
+from math import inf
 
 from .grammar import parse_presentation_text
 from .word import Alphabet, GenMap, Word
@@ -303,47 +305,44 @@ def _join(u: str, v: str) -> str:
     return u[:len(u) - i] + v[i:]
 
 
-def _seams(rels: list[str], u: str, v: str) -> tuple[list, list]:
+def _seams(rels: list[str], u: str, v: str) -> tuple[list, list, list]:
     """The rels that cancel against neither letter u nor v when inserted between
-    them ("" at an end), and the others as (a, rel[a:len(rel) - b], b, x, y, rel):
-    a and b letters cancel, unless none are left or x precedes u or y follows v."""
+    them ("" at an end), sorted by length, their lengths, and the others as
+    (a, rel[a:len(rel) - b], b, x, y, rel): a and b letters cancel, unless none
+    are left or x precedes u or y follows v."""
     h, t = (chr(ord(c) ^ 1) if c else "" for c in (u, v))
     cuts = [(int(r[0] == h), int(r[-1] == t), r) for r in rels]
-    return [r for a, b, r in cuts if not a + b], [
+    plain = sorted((r for a, b, r in cuts if not a + b), key=len)
+    return plain, [len(r) for r in plain], [
         (a, r[a:len(r) - b], b, chr(ord(r[1]) ^ 1) if a and len(r) > 1 else None,
          chr(ord(r[-2]) ^ 1) if b and len(r) > 1 else None, r) for a, b, r in cuts if a + b]
 
 
-def _children(letters: str, max_prefix: int, rels: list[str], seams: dict):
+def _children(letters: str, max_prefix: int, rels: list[str], seams: dict,
+              lo: float = -1, hi: float = inf):
     """For each p up to max_prefix, the reduced letters[:p] + rel +
-    letters[p:] for all rels, in no fixed order; seams caches _seams."""
-    for p in range(min(len(letters), max_prefix) + 1):
+    letters[p:] for all rels, in no fixed order, but only those longer than
+    lo and no longer than hi; seams caches _seams."""
+    n = len(letters)
+    for p in range(min(n, max_prefix) + 1):
         head, tail = letters[:p], letters[p:]
         key = (head[-1:], tail[:1])
-        plain, seam = seams.get(key) or seams.setdefault(key, _seams(rels, *key))
-        yield [f"{head}{rel}{tail}" for rel in plain] + [
-            f"{head[:p - a]}{mid}{tail[b:]}" if mid and x != head[-2:-1] and y != tail[1:2]
-            else _join(_join(head, rel), tail) for a, mid, b, x, y, rel in seam]
-
-
-def _frontier(level: list, max_steps: int):
-    """The states of level and of each next one the caller puts in it, in the
-    order (level, len, str) for max_steps levels, each length sorted lazily."""
-    for _ in range(max_steps):
-        buckets = defaultdict(list)
-        for key in level:
-            buckets[len(key)].append(key)
-        level.clear()
-        for n in sorted(buckets):
-            yield from sorted(buckets.pop(n))
+        plain, lens, seam = seams.get(key) or seams.setdefault(key, _seams(rels, *key))
+        yield [f"{head}{rel}{tail}" for rel in plain[bisect(lens, lo - n):bisect(lens, hi - n)]] + [
+            kid for a, mid, b, x, y, rel in seam
+            if lo < len(kid := f"{head[:p - a]}{mid}{tail[b:]}" if mid and x != head[-2:-1]
+                        and y != tail[1:2] else _join(_join(head, rel), tail)) <= hi]
 
 
 def is_consequence(pres: Presentation, w: Word,
                    bounds: SearchBounds = SearchBounds()) -> ConsequenceResult:
     """Decide whether w lies in the normal closure of the relators.
 
-    The search inserts conjugated relators; a success is returned only after
-    the reconstructed certificate has been re-verified by free reduction.
+    The search inserts conjugated relators level by level, each level in
+    (length, str) order, and builds a child longer than the cyclic core only
+    when its level reaches it or it could bring the search to a limit; a
+    success is returned only after the reconstructed certificate has been
+    re-verified by free reduction.
     Once the search holds a tenth of ``max_states`` states, the word is
     tried in the nilpotent quotients up to ``refute_class``, and a quotient
     that refutes it ends the search; a word with a certificate is never
@@ -366,25 +365,66 @@ def is_consequence(pres: Presentation, w: Word,
     # the search does much better on the core; w == outer^-1 core outer
     core, outer = w.cyclic_reduction()
     moves, rels, seams = pres._inserts
-    # each state (see _encode) -> the state it was first reached from
-    level = [_encode(core.letters)]
-    came_from: dict = dict.fromkeys(level)
-    states, walked = _frontier(level, bounds.max_steps), False
+    start = _encode(core.letters)
+    # each state (see _encode) -> the state it was first reached from; the
+    # children longer than cap wait in held as (parent, level, count) in
+    # expansion order, and waiting sums the counts
+    came_from, held, cap, waiting = {start: None}, [], len(start), 0
+
+    def grow(parent, level, lo=-1, hi=inf):
+        """Put the new children of parent with lo < length <= hi in level;
+        return how many children that range left out."""
+        kids, made = set(), 0
+        for row in _children(parent, bounds.max_prefix, rels, seams, lo, hi):
+            kids.update(row)
+            made += len(row)
+            if "" in kids:
+                break
+        new = kids.difference(came_from)  # looks up each kid, not each key
+        came_from.update(dict.fromkeys(new, parent))
+        level += new
+        return (min(len(parent), bounds.max_prefix) + 1) * len(rels) - made
+
+    def build(upto):
+        nonlocal waiting
+        for parent, level, count in held[:upto]:
+            grow(parent, level, cap)
+            waiting -= count
+        del held[:upto]
+
+    def frontier():
+        """(state, the level of its children) in the order (level, len, str)
+        for max_steps levels, each length sorted lazily.  A level's held
+        children are its longest states, built in expansion order when the
+        others run out, so each keeps the first parent it would have had."""
+        level = [start]
+        for _ in range(bounds.max_steps):
+            after, buckets = [], defaultdict(list)
+            while level or buckets or held and held[0][1] is level:
+                if level:  # the level's states at its start, or built since
+                    for key in level:
+                        buckets[len(key)].append(key)
+                    level.clear()
+                elif buckets:
+                    for letters in sorted(buckets.pop(min(buckets))):
+                        yield letters, after
+                else:
+                    build(sum(entry[1] is level for entry in held))
+            level = after
+
+    states, walked = frontier(), False
     # one search, paused once at a tenth of its states to walk the quotient
     # tower: certificates within reach mostly need far fewer states
     for limit in (bounds.max_states // 10, bounds.max_states):
-        while "" not in came_from and len(came_from) < limit:
-            letters = next(states, None)
-            if letters is None:
+        while "" not in came_from:
+            if held and len(came_from) + waiting >= limit:
+                build(len(held))
+                cap = inf  # from here on every child is built at once
+            if len(came_from) >= limit or (state := next(states, None)) is None:
                 break
-            kids = set()
-            for row in _children(letters, bounds.max_prefix, rels, seams):
-                kids.update(row)
-                if "" in kids:
-                    break
-            new = kids.difference(came_from)  # looks up each kid, not each key
-            came_from.update(dict.fromkeys(new, letters))
-            level += new
+            if count := grow(*state, hi=cap):
+                held.append((*state, count))
+                waiting += count
         if "" not in came_from and not walked:
             try:
                 # class 1 passes: the abelianisation check above already did

@@ -139,10 +139,12 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
 
 def split_names(text: str) -> tuple[str, ...]:
     """Generator names separated by commas, blanks or both, read by the
-    tokenizer; any other token is an error at its column."""
+    tokenizer; any other token, or a name repeated, is an error at its column."""
     names = []
     for kind, piece, line, col in _tokenize(text)[:-1]:
         if kind == "NAME":
+            if piece in names:
+                raise ParseError("duplicate generator name %r" % piece, line, col)
             names.append(piece)
         elif kind != ",":
             raise ParseError("expected a generator name, a letter followed by letters, "
@@ -173,8 +175,6 @@ def parse_presentation_text(text: str) -> tuple[Alphabet, tuple[Word, ...]]:
             alphabet = Alphabet(split_names(body))
         except ParseError as exc:
             raise ParseError(exc.message, lineno, offset + exc.col) from None
-        except ValueError as exc:  # a name repeated
-            raise ParseError(str(exc), lineno, 1) from None
         if not alphabet.names:
             raise ParseError("gens: line names no generators", lineno, 1)
     if alphabet is None:

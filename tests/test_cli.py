@@ -352,6 +352,16 @@ def test_generator_lists_are_read_by_the_tokenizer(capsys):
             (2, "", "error: line 1, col 4: unexpected character '!'\n")
 
 
+def test_repeated_generator_name_is_reported_at_its_column(tmp_path, capsys):
+    path = tmp_path / "twice.pres"
+    path.write_text("# c\ngens: a b a\nrel: a b\n")
+    assert run(capsys, "nq", str(path)) == \
+        (2, "", "error: line 2, col 11: duplicate generator name 'a'\n")
+    for flag in ("--gens", "--target-gens"):
+        assert run(capsys, "subst", "x", "--assign", "x=a", flag, "a a") == \
+            (2, "", "error: line 1, col 3: duplicate generator name 'a'\n")
+
+
 def test_parse_errors_point_into_the_text_as_given(tmp_path, capsys):
     # a superscript digit is a character the grammar does not know, and a
     # relator's column counts from the start of its line in the file

@@ -2,6 +2,7 @@
 
 import heapq
 import importlib.util
+import random
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvb3 import nq
+from pvb3 import fpres, nq
 from pvb3.autf import Automorphism
 from pvb3.fpres import (
     REFUTED,
@@ -617,7 +618,8 @@ def search_questions(draw):
 
 
 @given(search_questions(),
-       st.builds(SearchBounds, max_states=st.sampled_from((200, 2000)),
+       st.builds(SearchBounds, max_steps=st.sampled_from((1, 2, 3, 12)),
+                 max_prefix=st.sampled_from((0, 3, 8)), max_states=st.sampled_from((200, 2000)),
                  refute_class=st.sampled_from((2, 3))))
 @settings(max_examples=60, deadline=None)
 def test_search_matches_word_based_oracle(question, bounds):
@@ -814,17 +816,23 @@ small_letters = st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))),
 @given(st.lists(small_letters, min_size=1, max_size=3),
        st.lists(st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), max_size=9),
                 min_size=1, max_size=4),
-       st.integers(0, 9))
-def test_children_are_the_reduced_insertions(relators, states, max_prefix):
+       st.integers(0, 9), st.integers(0, 12))
+def test_children_are_the_reduced_insertions(relators, states, max_prefix, cap):
     rels = [_encode(r) for r in map(free_reduce, relators) if r]
     seams = {}  # shared across the states, as across one search
     for letters in map(free_reduce, states):
         state = _encode(letters)
         rows = list(_children(state, max_prefix, rels, seams))
         assert len(rows) == min(len(state), max_prefix) + 1
+        # with a cap, a row is the children no longer than it, or the rest
+        short = list(_children(state, max_prefix, rels, seams, -1, cap))
+        long = list(_children(state, max_prefix, rels, seams, cap))
         for p, row in enumerate(rows):
-            want = [free_reduce(letters[:p] + _decode(rel) + letters[p:]) for rel in rels]
-            assert sorted(row) == sorted(map(_encode, want))
+            want = sorted(_encode(free_reduce(letters[:p] + _decode(rel) + letters[p:]))
+                          for rel in rels)
+            assert sorted(row) == want
+            assert sorted(short[p]) == [kid for kid in want if len(kid) <= cap]
+            assert sorted(long[p]) == [kid for kid in want if len(kid) > cap]
 
 
 def test_children_cancel_a_whole_relator_on_into_the_tail():
@@ -849,6 +857,82 @@ def test_search_cut_inside_a_level_matches_the_oracle():
         statuses.add((w, res.status))
     assert statuses == {(r[0] * r[3], UNKNOWN), (r[0] * r[3], VERIFIED),
                         (LATE_WORD, UNKNOWN), (LATE_WORD, VERIFIED)}
+
+
+def count_children(monkeypatch):
+    """A list whose one entry counts the children _children yields from now."""
+    real, built = fpres._children, [0]
+
+    def counting(*args):
+        for row in real(*args):
+            built[0] += len(row)
+            yield row
+
+    monkeypatch.setattr(fpres, "_children", counting)
+    return built
+
+
+def test_release_of_the_held_children_matches_the_oracle(monkeypatch):
+    # with its held children counted in, LATE_WORD's search could reach at
+    # most 11,337 states before its certificate: a checkpoint at 11,337
+    # builds every held child at once, one at 11,338 never needs to, and
+    # both find the oracle's certificate
+    built = count_children(monkeypatch)
+    for max_states, released in ((113_370, True), (113_379, True), (113_380, False)):
+        bounds = SearchBounds(max_states=max_states, refute_class=1)
+        built[0] = 0
+        res = is_consequence(LATE_PRES, LATE_WORD, bounds)
+        assert (built[0] > 10_000) == released
+        assert res.status == VERIFIED
+        assert res == oracle_is_consequence(LATE_PRES, LATE_WORD, bounds)
+
+
+def test_three_relator_products_hold_their_long_children(monkeypatch):
+    # building every child of a product's first two levels takes over
+    # 11,000 children; holding back those longer than the core leaves
+    # hundreds, and the certificates stay the oracle's
+    built = count_children(monkeypatch)
+    rng = random.Random(23)
+    for pres in (pv_presentation(3), pv3_new_presentation(), g3_presentation()):
+        for _ in range(2):
+            w = pres.alphabet.identity()
+            for u in (pres.alphabet.identity(), *rng.sample(pres.alphabet.gens(), 2)):
+                w = w * pres.relators[rng.randrange(len(pres.relators))].conj(u)
+            built[0] = 0
+            res = is_consequence(pres, w)
+            assert built[0] < 2_000
+            assert res.status == VERIFIED and len(res.certificate) == 3
+            assert res == oracle_is_consequence(pres, w)
+
+
+def test_certificate_through_a_state_longer_than_the_core():
+    # the six-letter core of a pv3 relator's image in pv3-new is cleared
+    # only after a relator is inserted that it does not cancel
+    f, _ = pv3_new_generators()
+    pres = pv3_new_presentation()
+    core = f(pv_presentation(3).relators[3]).cyclic_reduction()[0]
+    res = is_consequence(pres, core)
+    assert res.status == VERIFIED
+    assert res == oracle_is_consequence(pres, core)
+    lengths, state = [], core
+    for step in res.certificate:
+        u, r = step.conjugator, pres.relators[step.relator_index]
+        state = (u * r ** step.sign * u.inv()).inv() * state
+        lengths.append(len(state.letters))
+    assert lengths[-1] == 0
+    assert max(lengths) > len(core.letters)
+
+
+def test_held_children_keep_their_first_parent():
+    # every child of the one-letter core is held back, and two parents held
+    # in one level reach a state of the certificate's path: the first of
+    # them in expansion order must stay its parent
+    pres = Presentation.from_text("gens: a b\nrel: b^-1 a^2\nrel: b^-1 a")
+    x, y = pres.alphabet.gens()
+    res = is_consequence(pres, y)
+    assert res == oracle_is_consequence(pres, y)
+    assert res.certificate == (CertificateStep(y, 1, -1), CertificateStep(x, 0, 1),
+                               CertificateStep(x ** 0, 1, -1))
 
 
 def test_search_depth_and_prefix_bounds_match_the_oracle():

@@ -120,6 +120,8 @@ def test_presentation_lines_break_only_at_newlines():
     ("\tgens: a 2b", "line 1, col 10: expected a generator name, a letter followed by "
                      "letters, digits or '_', found '2'"),
     ("gens: a\u00a0b", "line 1, col 8: unexpected character '\\xa0'"),
+    ("gens: a b a", "line 1, col 11: duplicate generator name 'a'"),
+    ("\tgens: a, b a", "line 1, col 13: duplicate generator name 'a'"),
     ("gens: a b\nrel: [a, b]\v", "line 2, col 12: in rel: on line 2: "
                                  "unexpected character '\\x0b'"),
 ])
