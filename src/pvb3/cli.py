@@ -6,7 +6,8 @@ u^-1 v^-1 u v, parentheses for grouping, and ``1`` for the identity.
 Presentation files hold one ``gens:`` line followed by ``rel:`` lines;
 ``#`` starts a comment.  Wherever a command expects a presentation,
 one of the built-in names pv3, pv4, g3, pv3-new or q3 may stand in
-for a file path.
+for a file path.  The generator arguments of ``aut compose`` and
+``aut inner`` together form one such word in the names ``eij``.
 
 Exit status is 0 when everything requested holds, 1 when a comparison
 fails or a single question is refuted or left undecided, and 2 for
@@ -102,30 +103,39 @@ def _parse_steps(pres: Presentation, specs) -> tuple[CertificateStep, ...]:
     return tuple(steps)
 
 
-_EPSILON_TOKEN = re.compile(r"^e(\d)(\d)(?:\^(-?\d+))?$")
+def _epsilon_product(generators, rank=None):
+    """The generators as one word in the eij, each x_i |-> x_j^-1 x_i x_j on
+    the free group of the given rank (default: the largest index)."""
+    from .autf import epsilon, word_automorphism
+
+    text = " ".join(generators)
+    alphabet = _alphabet_from(None, text)
+    w = parse_word(text, alphabet)
+    pairs = []
+    for name in alphabet.names:
+        if not (len(name) == 3 and name[0] == "e" and name[1:].isdecimal()):
+            raise ValueError("cannot read generator %r as eij" % name)
+        pairs.append((int(name[1]), int(name[2])))
+    n = max(map(max, pairs)) if rank is None else rank
+    return word_automorphism(w, [epsilon(n, i, j) for i, j in pairs])
 
 
-def _epsilon_product(tokens, rank_override=None):
-    from .autf import Automorphism, epsilon, free_alphabet
-
-    parsed = []
-    for token in tokens:
-        m = _EPSILON_TOKEN.match(token)
-        if not m:
-            raise ValueError("cannot read %r as eij or eij^k" % token)
-        parsed.append((int(m.group(1)), int(m.group(2)), int(m.group(3) or 1)))
-    n = max(max(i, j) for i, j, _ in parsed) if rank_override is None else rank_override
-    out = Automorphism.identity(free_alphabet(n))
-    for i, j, k in parsed:
-        out = out * epsilon(n, i, j) ** k
-    return out
+def _print_layers(invariants, start: int) -> None:
+    """One line per (rank, torsion) layer, numbered from start."""
+    for degree, (free, torsion) in enumerate(invariants, start=start):
+        line = "degree %d: rank %d" % (degree, free)
+        if torsion:
+            line += ", torsion " + " x ".join("Z/%d" % t for t in torsion)
+        print(line)
 
 
-def _layer_line(degree: int, free: int, torsion) -> str:
-    out = "degree %d: rank %d" % (degree, free)
-    if torsion:
-        out += ", torsion " + " x ".join("Z/%d" % t for t in torsion)
-    return out
+def _print_verdicts(pairs, holds: str, fails: str) -> bool:
+    """One line per (label, verdict) pair; whether every verdict holds."""
+    ok = True
+    for label, verdict in pairs:
+        print("%s: %s" % (label, holds if verdict else fails))
+        ok = ok and verdict
+    return ok
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -190,14 +200,12 @@ def cmd_check_hom(args) -> int:
     mapping = {name: parse_word(image, target_alphabet)
                for name, image in zip(names, images)}
     genmap = GenMap.from_dict(pres.alphabet, target_alphabet, mapping)
-    ok = True
     if target is None:
-        for label, holds in check_homomorphism_free(pres, genmap):
-            print("relator %s: %s" % (label, "dies" if holds else "SURVIVES"))
-            ok = ok and holds
+        ok = _print_verdicts((("relator " + label, holds) for label, holds
+                              in check_homomorphism_free(pres, genmap)), "dies", "SURVIVES")
     else:
-        for label, res in check_homomorphism_presented(
-                pres, genmap, target, args.search_bounds or SearchBounds()):
+        ok = True
+        for label, res in check_homomorphism_presented(pres, genmap, target, args.search_bounds):
             print("relator %s: %s%s" % (
                 label, res.status, " (%s)" % res.detail if res.detail else ""))
             ok = ok and res.status == VERIFIED
@@ -215,7 +223,7 @@ def cmd_consequence(args) -> int:
             return 0
         print("certificate does not reduce to %s" % w)
         return 1
-    res = is_consequence(pres, w, args.search_bounds or SearchBounds())
+    res = is_consequence(pres, w, args.search_bounds)
     print(res.status + (": %s" % res.detail if res.detail else ""))
     if res.certificate:
         for step in res.certificate:
@@ -262,32 +270,22 @@ def cmd_aut(args) -> int:
         return 1
     if args.action == "mccool":
         n = 3 if args.rank is None else args.rank
-        batches = (mccool_disjoint_commutators(n),
-                   mccool_same_target_commutators(n),
-                   mccool_triple_relations(n),
-                   pv_relators_in_cb(n))
-        ok = True
-        for batch in batches:
-            for label, holds in batch:
-                print("%s: %s" % (label, "holds" if holds else "FAILS"))
-                ok = ok and holds
+        ok = _print_verdicts(mccool_disjoint_commutators(n)
+                             + mccool_same_target_commutators(n)
+                             + mccool_triple_relations(n)
+                             + pv_relators_in_cb(n), "holds", "FAILS")
         report = composition_order_report(n)
         print("composition order pinned: %s" % report["pinned"])
         return 0 if ok else 1
     # hnn
-    ok = True
-    for label, holds in hnn_identities():
-        print("%s: %s" % (label, "holds" if holds else "FAILS"))
-        ok = ok and holds
-    return 0 if ok else 1
+    return 0 if _print_verdicts(hnn_identities(), "holds", "FAILS") else 1
 
 
 def cmd_nq(args) -> int:
     pres = _load_presentation(args.presentation)
     words = [parse_word(text, pres.alphabet) for text in args.image or ()]
     q = nilpotent_quotient(pres, args.class_)
-    for degree, (free, torsion) in enumerate(q.layers, start=1):
-        print(_layer_line(degree, free, torsion))
+    _print_layers(q.layers, 1)
     for w in words:
         print("%s -> %s" % (w, q.image(w)))
     return 0
@@ -323,8 +321,7 @@ def cmd_cohomology(args) -> int:
         raise ValueError("--max-degree must be at least 0, got %d" % top)
     ring = g3_ring() if args.flavour == "g3" else pv3_ring()
     invariants = [ring.invariants(d) for d in range(top + 1)]
-    for degree, (free, torsion) in enumerate(invariants):
-        print(_layer_line(degree, free, torsion))
+    _print_layers(invariants, 0)
     if args.flavour == "pv3":
         closed = tuple(beer_rank(3, r) for r in range(top + 1))
         match = tuple(free for free, _ in invariants) == closed
@@ -353,14 +350,11 @@ def cmd_lie(args) -> int:
         raise ValueError("--max-degree must be at least 1, got %d" % top)
     quotient = lie_quotient(_load_presentation(args.presentation or "pv3"))
     if args.action == "dims":
-        for degree in range(1, top + 1):
-            free, torsion = quotient.invariants(degree)
-            print(_layer_line(degree, free, torsion))
+        _print_layers(map(quotient.invariants, range(1, top + 1)), 1)
         return 0
     env = enveloping_invariants(quotient.ngens, quotient.relations, top)
     if args.action == "env":
-        for degree, (free, torsion) in enumerate(env, start=1):
-            print(_layer_line(degree, free, torsion))
+        _print_layers(env, 1)
         return 0
     # pbw
     dims = tuple(quotient.invariants(d)[0] for d in range(1, top + 1))
@@ -377,14 +371,8 @@ def cmd_lie(args) -> int:
 def cmd_suite(args) -> int:
     from .suite import SuiteOptions, run_suite
 
-    options = SuiteOptions(
-        class_=args.class_,
-        max_degree=args.max_degree,
-        max_prefix=(args.search_bounds or SearchBounds()).max_prefix,
-        max_steps=(args.search_bounds or SearchBounds()).max_steps,
-        timings=args.timings,
-    )
-    report = run_suite(options)
+    report = run_suite(SuiteOptions(class_=args.class_, max_degree=args.max_degree,
+                                    bounds=args.search_bounds, timings=args.timings))
     if args.json == "-":
         sys.stdout.write(report.to_json())
     else:
@@ -428,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="target presentation (file or built-in); "
                                     "relator images then get consequence searches")
     p.add_argument("--target-gens", help="free target generators, comma separated")
-    p.add_argument("--search-bounds", type=_parse_bounds, metavar="L,K",
-                   help="conjugator and certificate length bounds")
+    p.add_argument("--search-bounds", type=_parse_bounds, default=SearchBounds(),
+                   metavar="L,K", help="conjugator and certificate length bounds")
     p.set_defaults(handler=cmd_check_hom)
 
     p = sub.add_parser("consequence",
@@ -439,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", action="append", metavar="CONJ:INDEX:SIGN",
                    help="certificate step to verify instead of searching "
                         "(conjugator word, 0-based relator index, +1 or -1)")
-    p.add_argument("--search-bounds", type=_parse_bounds, metavar="L,K")
+    p.add_argument("--search-bounds", type=_parse_bounds, default=SearchBounds(), metavar="L,K")
     p.set_defaults(handler=cmd_consequence)
 
     p = sub.add_parser("syzygy",
@@ -451,12 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aut", help="basis-conjugating automorphisms")
     auts = p.add_subparsers(dest="action", required=True)
     q = auts.add_parser("compose", help="compose eij generators, print images")
-    q.add_argument("generator", nargs="+", metavar="eij[^k]")
+    q.add_argument("generator", nargs="+", metavar="WORD", help="a word in the eij")
     q.add_argument("--rank", type=int, help="ambient free rank (default: largest index)")
     q.add_argument("--apply", metavar="WORD", help="also print the image of WORD")
     q.set_defaults(handler=cmd_aut)
     q = auts.add_parser("inner", help="test a composite for being a conjugation")
-    q.add_argument("generator", nargs="+", metavar="eij[^k]")
+    q.add_argument("generator", nargs="+", metavar="WORD", help="a word in the eij")
     q.add_argument("--by", required=True, metavar="WORD")
     q.add_argument("--rank", type=int)
     q.set_defaults(handler=cmd_aut)
@@ -496,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="nilpotency class for the main-group checks (default 3)")
         p.add_argument("--max-degree", type=int, default=3,
                        help="top degree for the graded Lie comparison (default 3)")
-        p.add_argument("--search-bounds", type=_parse_bounds, metavar="L,K",
-                       help="certificate search bounds (default 8,12)")
+        p.add_argument("--search-bounds", type=_parse_bounds, default=SearchBounds(),
+                       metavar="L,K", help="certificate search bounds (default 8,12)")
         p.add_argument("--json", metavar="PATH",
                        help="also write the report as JSON ('-' for stdout only)")
         p.add_argument("--timings", action="store_true",

@@ -440,13 +440,14 @@ def is_consequence(pres: Presentation, w: Word,
     if "" not in came_from:
         return ConsequenceResult(UNKNOWN, None,
                                  "bounds exhausted without certificate or refutation")
-    # each step is the first move, in (p, relator, sign) order, to the child
+    # each step is the first move, in (p, relator, sign) order, to the child; at p
+    # it can only insert parent[:p]^-1 key parent[p:]^-1, reduced (back is parent^-1)
     certificate, key, shift = (), "", outer.inv()
     while (parent := came_from[key]) is not None:
-        p = next(p for p, row in enumerate(_children(parent, bounds.max_prefix, rels, seams))
-                 if key in row)
-        idx, s = moves[next(i for i, r in enumerate(rels)
-                            if _join(_join(parent[:p], r), parent[p:]) == key)]
+        n, back = len(parent), "".join([chr(ord(c) ^ 1) for c in reversed(parent)])
+        p, i = next((p, rels.index(r)) for p in range(min(n, bounds.max_prefix) + 1)
+                    if (r := _join(_join(back[n - p:], key), back[:n - p])) in rels)
+        idx, s = moves[i]
         step = CertificateStep(shift * Word(pres.alphabet, _decode(parent[:p])), idx, -s)
         certificate, key = (step, *certificate), parent
     if not verify_certificate(pres, w, certificate):

@@ -75,24 +75,20 @@ class SuiteOptions:
     ``class_`` is the nilpotency class used wherever the main group's
     lower central series is involved; the small fixed engine oracles
     keep their intrinsic depths.  ``max_degree`` caps the graded Lie
-    comparison, ``max_prefix`` and ``max_steps`` bound the certificate
-    search, and ``timings`` adds wall-clock figures to the output.
+    comparison, ``bounds`` limits the certificate search, and
+    ``timings`` adds wall-clock figures to the output.
     """
 
     class_: int = 3
     max_degree: int = 3
-    max_prefix: int = 8
-    max_steps: int = 12
+    bounds: SearchBounds = SearchBounds()
     timings: bool = False
-
-    def bounds(self) -> SearchBounds:
-        return SearchBounds(max_steps=self.max_steps, max_prefix=self.max_prefix)
 
     def as_dict(self) -> dict:
         return {
             "class": self.class_,
             "max_degree": self.max_degree,
-            "search_bounds": [self.max_prefix, self.max_steps],
+            "search_bounds": [self.bounds.max_prefix, self.bounds.max_steps],
             "timings": self.timings,
         }
 
@@ -272,11 +268,10 @@ def _check_free_product(options: SuiteOptions):
         for x in there.source.gens():
             if back(there(x)) != x:
                 return FAIL, "round trip failed on %s" % x
-    bounds = options.bounds()
     verified = 0
     pending = []
-    for r, res in (check_homomorphism_presented(old, f, new, bounds)
-                   + check_homomorphism_presented(new, g, old, bounds)):
+    for r, res in (check_homomorphism_presented(old, f, new, options.bounds)
+                   + check_homomorphism_presented(new, g, old, options.bounds)):
         if res.status == VERIFIED:
             verified += 1
         elif res.status == SEARCH_UNKNOWN:

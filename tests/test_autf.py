@@ -16,7 +16,8 @@ from pvb3.autf import (
     pv_relators_in_cb,
     word_automorphism,
 )
-from pvb3.word import Word
+from pvb3.grammar import parse_word
+from pvb3.word import Alphabet, Word
 
 F3 = free_alphabet(3)
 x1, x2, x3 = F3.gens()
@@ -60,9 +61,10 @@ def test_product_is_application_order():
 
 def test_powers_and_inverse():
     e12 = epsilon(3, 1, 2)
-    assert (e12 ** 3)(x1) == x2 ** -3 * x1 * x2 ** 3
+    one = Alphabet(("e12",))
+    assert word_automorphism(parse_word("e12^3", one), (e12,))(x1) == x2 ** -3 * x1 * x2 ** 3
+    assert word_automorphism(parse_word("e12 e12^-1", one), (e12,)).is_identity()
     assert (e12 * e12.inv()).is_identity()
-    assert (e12 ** 0).is_identity()
 
 
 def test_word_automorphism_evaluates_letters_in_order():
@@ -105,8 +107,14 @@ def test_triple_relations_hold_in_both_composition_orders():
     rels = mccool_triple_relations(3)
     assert len(rels) == 6
     assert all(ok for _, ok in rels)
-    report = composition_order_report(3)
-    assert report["application_order"] and report["reversed_order"]
+    assert composition_order_report(3) == {"application_order": True,
+                                           "pinned": "application_order"}
+    # composing right to left reverses each side's product, which gives the
+    # other side, so the reversed order repeats the same comparisons
+    for n in (3, 4):
+        for label, _ in mccool_triple_relations(n):
+            left, right = label.split(" = ")
+            assert left.split()[::-1] == right.split()
 
 
 def test_triple_relations_on_four_letters():

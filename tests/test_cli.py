@@ -282,9 +282,35 @@ def test_aut_mccool_all_hold(capsys):
     (("mccool", "--rank", "0"), "need at least two strands"),
     (("compose", "e12", "--rank", "0"), "need distinct indices in 1..0, got (1, 2)"),
     (("inner", "e12", "--by", "x2", "--rank", "0"), "need distinct indices in 1..0, got (1, 2)"),
+    (("compose", "(e12 e13)^2", "--rank", "0"), "need distinct indices in 1..0, got (1, 2)"),
 ])
 def test_aut_rank_zero_is_rejected_not_replaced(capsys, argv, message):
     code, out, err = run(capsys, "aut", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+def test_aut_generators_form_one_word(capsys):
+    code, grouped, _ = run(capsys, "aut", "compose", "(e12 e13)^2", "--apply", "x1")
+    assert code == 0
+    assert grouped == run(capsys, "aut", "compose", "e12", "e13", "e12", "e13",
+                          "--apply", "x1")[1]
+    code, bracket, _ = run(capsys, "aut", "compose", "[e12, e13]")
+    assert code == 0
+    assert bracket == run(capsys, "aut", "compose", "e12^-1", "e13^-1", "e12", "e13")[1]
+    assert "x1 -> x1" not in bracket
+
+
+@pytest.mark.parametrize("generators, message", [
+    (("e12^0",), "line 1, col 5: exponent 0 is not allowed"),
+    (("e12", "e13^0"), "line 1, col 9: exponent 0 is not allowed"),
+    (("e12^x",), "line 1, col 5: expected 'NUMBER', found 'x'"),
+    (("x12",), "cannot read generator 'x12' as eij"),
+    (("e12", "e1x"), "cannot read generator 'e1x' as eij"),
+])
+def test_aut_generators_must_be_a_word_in_the_eij(capsys, generators, message):
+    code, out, err = run(capsys, "aut", "compose", *generators)
     assert code == 2
     assert out == ""
     assert err == "error: %s\n" % message
