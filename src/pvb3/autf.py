@@ -36,6 +36,13 @@ class Automorphism:
         if f.then(b) != ident or b.then(f) != ident:
             raise ValueError("forward and backward maps are not mutually inverse")
 
+    @classmethod
+    def _unchecked(cls, forward: GenMap, backward: GenMap) -> "Automorphism":
+        """For maps known to be mutually inverse: skips the check in __post_init__."""
+        out = object.__new__(cls)
+        out.__dict__.update(forward=forward, backward=backward)
+        return out
+
     @property
     def alphabet(self) -> Alphabet:
         return self.forward.source
@@ -43,7 +50,7 @@ class Automorphism:
     @staticmethod
     def identity(alphabet: Alphabet) -> "Automorphism":
         e = GenMap.identity(alphabet)
-        return Automorphism(e, e)
+        return Automorphism._unchecked(e, e)
 
     @staticmethod
     def inner(w: Word) -> "Automorphism":
@@ -56,11 +63,11 @@ class Automorphism:
         return self.forward(w)
 
     def inv(self) -> "Automorphism":
-        return Automorphism(self.backward, self.forward)
+        return Automorphism._unchecked(self.backward, self.forward)
 
     def __mul__(self, other: "Automorphism") -> "Automorphism":
-        return Automorphism(self.forward.then(other.forward),
-                            other.backward.then(self.backward))
+        return Automorphism._unchecked(self.forward.then(other.forward),
+                                       other.backward.then(self.backward))
 
     def is_identity(self) -> bool:
         return self.forward == GenMap.identity(self.alphabet)

@@ -17,12 +17,12 @@ the layer by their Smith factors and the torsion powers by their entries.
 
 Normal forms are exponent vectors over the polycyclic generators, held as
 ``{generator: nonzero exponent}`` dicts, the row format of ``IntMatrix``,
-and computed by collecting unit letters, leftmost violation first; the
-letters of a pair with no ``comms`` entry commute, and a commuting letter is
-carried left to its place in one move.  Steps are still counted as one swap
-per place, so a step budget makes a runaway input raise
-:class:`CollectionBudget`, not loop, at the same count as a collector that
-swaps one place at a time.
+and computed by collecting unit letters, leftmost violation first.  Letters
+of a pair with no ``comms`` entry commute, so a carried letter moves left in
+one move, jumping by bisection over the sorted prefix past every letter above
+its last commutator partner.  Steps still count one swap per place, so a
+step budget makes a runaway input raise :class:`CollectionBudget`, not loop,
+at the same count as a collector that swaps one place at a time.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ class PcSystem:
     definitions: set = field(default_factory=set)
     budget: int = DEFAULT_BUDGET
     _conj_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _reach: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def num(self) -> int:
@@ -111,7 +112,11 @@ class PcSystem:
         """Normal form of a product of unit letters, as an exponent vector."""
         end = (self.num, 0)  # above every generator, so never swapped or cancelled
         w = list(letters) + [end]
-        orders, comms, budget = self.orders, self.comms, self.budget
+        orders, comms, budget, reach = self.orders, self.comms, self.budget, self._reach
+        if not reach:  # built here, as _advance adds tail keys after construction
+            reach.extend(range(self.num))
+            for j, i in comms:
+                reach[i] = max(reach[i], j)
         steps = 0
         p = 0
         while w[p] is not end:
@@ -132,8 +137,11 @@ class PcSystem:
                     continue
                 # Carry the commuting letter in one move to the first letter
                 # that is not above it or has a commutator with it, counting
-                # the one swap per place that the walk back would take.
+                # one swap per place; w[:p] is sorted, so bisection skips every
+                # letter above reach[g2], its last commutator partner (w[-1] is end).
                 q = p
+                if w[p - 1][0] > reach[g2]:
+                    q = bisect_right(w, (reach[g2], 1), 0, p)
                 while q and w[q - 1][0] > g2 and (w[q - 1][0], g2) not in comms:
                     q -= 1
                 y = w[p + 1]

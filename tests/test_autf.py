@@ -1,5 +1,7 @@
 """Basis-conjugating automorphisms and their defining relations."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from pvb3.autf import (
     word_automorphism,
 )
 from pvb3.grammar import parse_word
-from pvb3.word import Alphabet, Word
+from pvb3.word import Alphabet, GenMap, Word
 
 F3 = free_alphabet(3)
 x1, x2, x3 = F3.gens()
@@ -52,6 +54,30 @@ def test_automorphism_requires_mutually_inverse_maps():
     bad = GenMap(F3, F3, (x1 * x2, x2, x3))
     with pytest.raises(ValueError):
         Automorphism(bad, bad)
+
+
+def test_products_and_inverses_stay_mutually_inverse():
+    # products and inverses skip the check that a direct construction makes,
+    # so it is made here; products whose images pass 500 letters are drawn
+    # again, as substituting into them letter by letter takes seconds
+    rng = random.Random(25)
+    for n in (3, 4):
+        ident = GenMap.identity(free_alphabet(n))
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        products = []
+        while len(products) < 12:
+            f = Automorphism.identity(free_alphabet(n))
+            factors = rng.randint(1, 30)
+            for _ in range(factors):
+                e = epsilon(n, *rng.choice(pairs))
+                f = f * (e if rng.random() < 0.5 else e.inv())
+            if max(map(len, f.forward.images + f.backward.images)) <= 500:
+                products.append(factors)
+                for g in (f, f.inv()):
+                    assert g.forward.then(g.backward) == ident
+                    assert g.backward.then(g.forward) == ident
+                    assert Automorphism(g.forward, g.backward) == g
+        assert max(products) >= 20
 
 
 def test_product_is_application_order():

@@ -632,37 +632,45 @@ def test_conjugate_cache_holds_only_pairs_a_commutator_changes():
         assert all((j, i) in system.comms for j, _, i, _ in system._conj_cache)
 
 
-def carry_ends(system, letters):
-    """How the carries of ``system.collect(letters)`` end: where the carried
-    letter stops (position 0, or beside a letter above it with a commutator,
-    below it, equal to it or cancelling it) and which side has torsion.
-    Read from the collector's locals at the line that counts a carry."""
+def watch_carries(system, letters, see):
+    """``system.collect(letters)``, handing ``see`` the collector's locals at
+    the line that counts each carry, after the carried letter y has moved to w[q]."""
     code = PcSystem.collect.__code__
     lines, first = inspect.getsourcelines(code)
     mark = first + next(k for k, line in enumerate(lines) if "steps += p - q" in line)
-    ends = set()
 
     def at_line(frame, event, arg):
         if event == "line" and frame.f_lineno == mark:
-            v = frame.f_locals
-            w, q, y = v["w"], v["q"], v["y"]
-            if not q:
-                ends.add("to 0")
-            elif w[q - 1][0] != y[0]:
-                ends.add("blocked" if w[q - 1][0] > y[0] else "below")
-            else:
-                ends.add("same" if w[q - 1] == y else "cancel")
-            # torsion on one side only, so that its guard alone decides
-            if (v["d"] >= 2) != (system.orders[y[0]] >= 2):
-                ends.add("torsion passed" if v["d"] >= 2 else "torsion carried")
+            see(frame.f_locals)
         return at_line
 
     old = sys.gettrace()
     sys.settrace(lambda frame, event, arg: at_line if frame.f_code is code else None)
     try:
-        system.collect(letters)
+        return system.collect(letters)
     finally:
         sys.settrace(old)
+
+
+def carry_ends(system, letters):
+    """How the carries of ``system.collect(letters)`` end: where the carried
+    letter stops (position 0, or beside a letter above it with a commutator,
+    below it, equal to it or cancelling it) and which side has torsion."""
+    ends = set()
+
+    def see(v):
+        w, q, y = v["w"], v["q"], v["y"]
+        if not q:
+            ends.add("to 0")
+        elif w[q - 1][0] != y[0]:
+            ends.add("blocked" if w[q - 1][0] > y[0] else "below")
+        else:
+            ends.add("same" if w[q - 1] == y else "cancel")
+        # torsion on one side only, so that its guard alone decides
+        if (v["d"] >= 2) != (system.orders[y[0]] >= 2):
+            ends.add("torsion passed" if v["d"] >= 2 else "torsion carried")
+
+    watch_carries(system, letters, see)
     return ends
 
 
@@ -727,3 +735,115 @@ def test_long_carries_keep_the_step_count():
     system.budget = 587_423
     with pytest.raises(CollectionBudget):
         system.collect(letters)
+
+
+def brute_reach(system):
+    """The last generator with a commutator on each generator (itself if none)."""
+    return [max([j for j, i in system.comms if i == g], default=g) for g in range(system.num)]
+
+
+def test_reach_is_the_last_commutator_partner_of_each_generator():
+    system = list(quotient_tower(pv_presentation(3), 4))[-1].system
+    assert system._reach == []  # built by the first collection
+    system.collect([(1, 1), (0, 1)])
+    assert system._reach == brute_reach(system)
+    assert any(r > g for g, r in enumerate(system._reach))
+    assert any(r == g for g, r in enumerate(system._reach))
+
+
+def image_letters(system, w):
+    return [letter for g, s in w.letters for letter in (
+        system.expand(system.images[g]) if s == 1 else system.expand_inv(system.images[g]))]
+
+
+def quick_images(system, make_word, count, budget=200_000):
+    """Images of ``count`` words from ``make_word()`` that collect within
+    ``budget`` steps, so that the oracle stays quick."""
+    system.budget = budget
+    out = []
+    while len(out) < count:
+        letters = image_letters(system, make_word())
+        try:
+            system.collect(letters)
+        except CollectionBudget:
+            continue
+        out.append(letters)
+    system.budget = nq.DEFAULT_BUDGET
+    return out
+
+
+def carry_jump_samples():
+    """(family, system, letter lists) whose carries cross long sorted runs of
+    letters above the carried letter's last commutator partner.
+
+    - pv3 class 5: images of products of conjugated relators, 12-20 letters;
+    - g3 class 5: images of 12-letter words in powers of up to 4, whose
+      collection brings in commutators with exponents up to 8;
+    - <a, b | a^n>, n = 2..5, class 6: a normal form over the upper half of
+      the pc generators, torsion letters among them, then low letters carried
+      across it; and random raw letters."""
+    rng = random.Random(25)
+    pres = pv_presentation(3)
+
+    def relator_product():
+        w = pres.alphabet.identity()
+        while len(w) < 12:
+            u = Word(pres.alphabet, tuple((rng.randrange(6), rng.choice((1, -1)))
+                                          for _ in range(rng.randint(0, 2))))
+            w = w * u * rng.choice(pres.relators) * u.inv()
+        return w if len(w) <= 20 else relator_product()
+
+    system = nilpotent_quotient(pres, 5).system
+    yield "pv3", system, quick_images(system, relator_product, 6)
+
+    g3 = g3_presentation()
+
+    def powers():
+        w = g3.alphabet.identity()
+        while len(w) < 12:
+            w = w * rng.choice(g3.alphabet.gens()) ** (rng.choice((1, -1)) * rng.randint(1, 4))
+        return w
+
+    system = nilpotent_quotient(g3, 5).system
+    yield "g3", system, quick_images(system, powers, 8)
+
+    for n in (2, 3, 4, 5):
+        system = nilpotent_quotient(Presentation(AB, (a ** n,)), 6).system
+        half = system.num // 2
+        words = []
+        for _ in range(10):
+            run = []
+            for g in sorted(rng.sample(range(half, system.num), half // 2)):
+                order = system.orders[g]
+                run += system.expand({g: rng.randint(1, order - 1) if order >= 2
+                                      else rng.choice((1, -1)) * rng.randint(1, 3)})
+            words.append(run + [(rng.randrange(half), rng.choice((1, -1)))
+                                for _ in range(rng.randint(1, 4))])
+            words.append([(rng.randrange(system.num), rng.choice((1, -1)))
+                          for _ in range(rng.randint(10, 30))])
+        yield "torsion", system, words
+
+
+def test_carry_jumps_match_the_splicing_reference_step_for_step():
+    crossed = {}
+    for family, system, words in carry_jump_samples():
+        reach = brute_reach(system)
+
+        def see(v):
+            # the letters the carry passed that lie above the carried letter's reach
+            w, p, q, y = v["w"], v["p"], v["q"], v["y"]
+            above = [x for x in w[q + 1:p + 2] if x[0] > reach[y[0]]]
+            torsion = sum(system.orders[x[0]] >= 2 for x in above)
+            best = crossed.get(family, (0, 0))
+            crossed[family] = (max(best[0], len(above)), max(best[1], torsion))
+
+        for letters in words:
+            vec, steps = reference_collect(system, letters)
+            system.budget = steps
+            assert watch_carries(system, letters, see) == vec
+            system.budget = steps - 1
+            with pytest.raises(CollectionBudget):
+                system.collect(letters)
+            system.budget = nq.DEFAULT_BUDGET
+    assert all(crossed[family][0] >= 10 for family in ("pv3", "g3", "torsion"))
+    assert crossed["torsion"][1] >= 5
