@@ -393,6 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "nilpotent quotients, cohomology, and the graded Lie ring.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    bounds = argparse.ArgumentParser(add_help=False)  # the commands that search
+    bounds.add_argument("--search-bounds", type=_parse_bounds, default=SearchBounds(),
+                        metavar="L,K", help="certificate search bounds: L the insertion depth "
+                                            "max_prefix, K the certificate length max_steps "
+                                            "(default 8,12)")
+
     p = sub.add_parser("reduce", help="freely reduce a word")
     p.add_argument("word")
     p.add_argument("--gens", help="comma-separated generator names "
@@ -409,25 +415,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-gens", help="target generators, comma separated")
     p.set_defaults(handler=cmd_subst)
 
-    p = sub.add_parser("check-hom",
+    p = sub.add_parser("check-hom", parents=[bounds],
                        help="check that generator images kill every relator")
     p.add_argument("presentation", help="file path or built-in name")
     p.add_argument("--assign", action="append", metavar="NAME=WORD")
     p.add_argument("--target", help="target presentation (file or built-in); "
                                     "relator images then get consequence searches")
     p.add_argument("--target-gens", help="free target generators, comma separated")
-    p.add_argument("--search-bounds", type=_parse_bounds, default=SearchBounds(),
-                   metavar="L,K", help="conjugator and certificate length bounds")
     p.set_defaults(handler=cmd_check_hom)
 
-    p = sub.add_parser("consequence",
+    p = sub.add_parser("consequence", parents=[bounds],
                        help="search for or verify a consequence certificate")
     p.add_argument("presentation")
     p.add_argument("word")
     p.add_argument("--step", action="append", metavar="CONJ:INDEX:SIGN",
                    help="certificate step to verify instead of searching "
                         "(conjugator word, 0-based relator index, +1 or -1)")
-    p.add_argument("--search-bounds", type=_parse_bounds, default=SearchBounds(), metavar="L,K")
     p.set_defaults(handler=cmd_consequence)
 
     p = sub.add_parser("syzygy",
@@ -479,13 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_lie)
 
     for name in ("suite", "paper-suite"):
-        p = sub.add_parser(name, help="run the ten-check verification battery")
+        p = sub.add_parser(name, parents=[bounds], help="run the ten-check verification battery")
         p.add_argument("--class", dest="class_", type=int, default=3,
                        help="nilpotency class for the main-group checks (default 3)")
         p.add_argument("--max-degree", type=int, default=3,
                        help="top degree for the graded Lie comparison (default 3)")
-        p.add_argument("--search-bounds", type=_parse_bounds, default=SearchBounds(),
-                       metavar="L,K", help="certificate search bounds (default 8,12)")
         p.add_argument("--json", metavar="PATH",
                        help="also write the report as JSON ('-' for stdout only)")
         p.add_argument("--timings", action="store_true",

@@ -36,7 +36,8 @@ from itertools import permutations
 from math import inf
 
 from .grammar import parse_presentation_text
-from .word import Alphabet, GenMap, Word
+from .intlinalg import IntMatrix, _in_hermite_span, determinant, hermite_normal_form
+from .word import Alphabet, GenMap, Word, free_reduce, inverse
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,6 @@ class Presentation:
 
     def relator_matrix(self):
         """Exponent vectors of the relators, one row each."""
-        from .intlinalg import IntMatrix
-
         return IntMatrix.from_rows([r.exponent_vector() for r in self.relators], self.num_gens)
 
     def initial_forms(self) -> tuple[dict, ...]:
@@ -84,10 +83,17 @@ class Presentation:
         return tuple(forms)
 
     @cached_property
-    def _inserts(self) -> tuple[list, list, dict]:
-        """The search's (index, sign) moves, their codes, and the _seams met."""
+    def _abelian(self) -> tuple[list, list]:
+        """Hermite form of the relator exponent rows, for the abelianisation."""
+        return hermite_normal_form(self.relator_matrix())
+
+    @cached_property
+    def _inserts(self) -> tuple[list, dict, dict]:
+        """The codes of the search's (index, sign) moves, each code's first
+        move, and the _seams met."""
         moves = [(idx, s) for idx, r in enumerate(self.relators) for s in (1, -1) if r]
-        return moves, [_encode((self.relators[i] ** s).letters) for i, s in moves], {}
+        rels = [_encode((self.relators[i] ** s).letters) for i, s in moves]
+        return rels, dict(zip(reversed(rels), reversed(moves))), {}
 
     def __str__(self) -> str:
         lines = ["gens: " + " ".join(self.alphabet.names)]
@@ -228,8 +234,6 @@ def residual_nilpotence_criterion(phi: GenMap) -> tuple[str, int]:
     approximating the fiber by nilpotent quotients and the verdict is
     CRITERION_APPLIES; otherwise the test is INCONCLUSIVE.
     """
-    from .intlinalg import IntMatrix, determinant
-
     if phi.source != phi.target:
         raise ValueError("need an endomorphism")
     a = phi.abelianisation_matrix()
@@ -274,16 +278,19 @@ class ConsequenceResult:
 
 
 def verify_certificate(pres: Presentation, w: Word, certificate) -> bool:
-    """Check that the certificate product freely reduces to w.
+    """Check that the certificate product freely reduces to w: the letters
+    of its factors u r^sign u^-1 are joined and freely reduced once.
 
     Against the identity this checks an identity among relations: a
     certificate whose product is trivial.
     """
-    out = pres.alphabet.identity()
+    letters = []
     for step in certificate:
-        r = pres.relators[step.relator_index]
-        out = out * step.conjugator * r ** step.sign * step.conjugator.inv()
-    return out == w
+        r, u = pres.relators[step.relator_index], step.conjugator
+        r._require_same_alphabet(u)
+        power = (r.letters if step.sign > 0 else inverse(r.letters)) * abs(step.sign)
+        letters += [*u.letters, *power, *inverse(u.letters)]
+    return w.alphabet == pres.alphabet and free_reduce(letters) == w.letters
 
 
 def _encode(letters) -> str:
@@ -319,19 +326,24 @@ def _seams(rels: list[str], u: str, v: str) -> tuple[list, list, list]:
 
 
 def _children(letters: str, max_prefix: int, rels: list[str], seams: dict,
-              lo: float = -1, hi: float = inf):
+              lo: float = -1, hi: float = inf, long: list | None = None):
     """For each p up to max_prefix, the reduced letters[:p] + rel +
     letters[p:] for all rels, in no fixed order, but only those longer than
-    lo and no longer than hi; seams caches _seams."""
-    n = len(letters)
+    lo and no longer than hi; seams caches _seams.  A list long keeps the
+    children that cancel at a seam for a second pass, so each is made once:
+    a pass from lo < 0 adds those longer than hi to it, and a pass from
+    lo >= 0 makes none, leaving them to the caller."""
+    n, fill = len(letters), long is not None and lo < 0
     for p in range(min(n, max_prefix) + 1):
         head, tail = letters[:p], letters[p:]
         key = (head[-1:], tail[:1])
         plain, lens, seam = seams.get(key) or seams.setdefault(key, _seams(rels, *key))
         yield [f"{head}{rel}{tail}" for rel in plain[bisect(lens, lo - n):bisect(lens, hi - n)]] + [
-            kid for a, mid, b, x, y, rel in seam
+            kid for a, mid, b, x, y, rel in (seam if long is None or fill else ())
+            # append gives None, so a kid it keeps is left out of the row
             if lo < len(kid := f"{head[:p - a]}{mid}{tail[b:]}" if mid and x != head[-2:-1]
-                        and y != tail[1:2] else _join(_join(head, rel), tail)) <= hi]
+                        and y != tail[1:2] else _join(_join(head, rel), tail)) <= hi
+            or fill and long.append(kid)]
 
 
 def is_consequence(pres: Presentation, w: Word,
@@ -355,27 +367,26 @@ def is_consequence(pres: Presentation, w: Word,
         return ConsequenceResult(VERIFIED, ())
 
     # cheap refutation first: the image in the abelianisation must vanish
-    from .intlinalg import in_row_lattice
     from .nq import CollectionBudget, quotient_tower
 
-    if not in_row_lattice(pres.relator_matrix(), w.exponent_vector()):
+    if not _in_hermite_span(*pres._abelian, list(w.exponent_vector())):
         return ConsequenceResult(REFUTED, None, "nonzero in the abelianisation")
 
     # a word and its cyclic core lie in the normal closure together, and
     # the search does much better on the core; w == outer^-1 core outer
     core, outer = w.cyclic_reduction()
-    moves, rels, seams = pres._inserts
+    rels, first, seams = pres._inserts
     start = _encode(core.letters)
     # each state (see _encode) -> the state it was first reached from; the
-    # children longer than cap wait in held as (parent, level, count) in
-    # expansion order, and waiting sums the counts
+    # children longer than cap wait in held as (parent, level, count, the
+    # seam children made) in expansion order, and waiting sums the counts
     came_from, held, cap, waiting = {start: None}, [], len(start), 0
 
-    def grow(parent, level, lo=-1, hi=inf):
-        """Put the new children of parent with lo < length <= hi in level;
-        return how many children that range left out."""
-        kids, made = set(), 0
-        for row in _children(parent, bounds.max_prefix, rels, seams, lo, hi):
+    def grow(parent, level, lo, hi, long):
+        """Put the new children of parent held in long or with lo < length <= hi
+        in level (see _children for long); return how many the range left out."""
+        kids, made = set(long), 0
+        for row in _children(parent, bounds.max_prefix, rels, seams, lo, hi, long):
             kids.update(row)
             made += len(row)
             if "" in kids:
@@ -387,8 +398,8 @@ def is_consequence(pres: Presentation, w: Word,
 
     def build(upto):
         nonlocal waiting
-        for parent, level, count in held[:upto]:
-            grow(parent, level, cap)
+        for parent, level, count, long in held[:upto]:
+            grow(parent, level, cap, inf, long)
             waiting -= count
         del held[:upto]
 
@@ -422,8 +433,8 @@ def is_consequence(pres: Presentation, w: Word,
                 cap = inf  # from here on every child is built at once
             if len(came_from) >= limit or (state := next(states, None)) is None:
                 break
-            if count := grow(*state, hi=cap):
-                held.append((*state, count))
+            if count := grow(*state, -1, cap, long := []):
+                held.append((*state, count, long))
                 waiting += count
         if "" not in came_from and not walked:
             try:
@@ -442,13 +453,12 @@ def is_consequence(pres: Presentation, w: Word,
                                  "bounds exhausted without certificate or refutation")
     # each step is the first move, in (p, relator, sign) order, to the child; at p
     # it can only insert parent[:p]^-1 key parent[p:]^-1, reduced (back is parent^-1)
-    certificate, key, shift = (), "", outer.inv()
+    certificate, key, shift = (), "", inverse(outer.letters)
     while (parent := came_from[key]) is not None:
         n, back = len(parent), "".join([chr(ord(c) ^ 1) for c in reversed(parent)])
-        p, i = next((p, rels.index(r)) for p in range(min(n, bounds.max_prefix) + 1)
-                    if (r := _join(_join(back[n - p:], key), back[:n - p])) in rels)
-        idx, s = moves[i]
-        step = CertificateStep(shift * Word(pres.alphabet, _decode(parent[:p])), idx, -s)
+        p, (idx, s) = next((p, first[r]) for p in range(min(n, bounds.max_prefix) + 1)
+                           if (r := _join(_join(back[n - p:], key), back[:n - p])) in first)
+        step = CertificateStep(Word(pres.alphabet, shift + _decode(parent[:p])), idx, -s)
         certificate, key = (step, *certificate), parent
     if not verify_certificate(pres, w, certificate):
         raise AssertionError("search produced an invalid certificate")

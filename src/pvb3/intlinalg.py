@@ -240,7 +240,12 @@ def in_row_lattice(mat: IntMatrix, vec) -> bool:
     if len(v) != mat.ncols:
         raise ValueError("vector length %d, matrix has %d columns" % (len(v), mat.ncols))
     _check_ints(v)
-    rows, pivots = hermite_normal_form(mat)
+    return _in_hermite_span(*hermite_normal_form(mat), v)
+
+
+def _in_hermite_span(rows, pivots, v: list) -> bool:
+    """Whether the vector v lies in the span of the Hermite form (rows,
+    pivots); v is reduced in place."""
     for row, (col, val) in zip(rows, pivots):
         q, r = divmod(v[col], val)
         if r != 0:

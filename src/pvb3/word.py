@@ -43,6 +43,7 @@ class Alphabet:
             if not is_name(name):  # so that the grammar can read every generator
                 raise ValueError("generator name must be a letter followed by letters, "
                                  "digits or '_': %r" % name)
+        object.__setattr__(self, "_at", {name: i for i, name in enumerate(self.names)})
 
     def __len__(self) -> int:
         return len(self.names)
@@ -52,8 +53,8 @@ class Alphabet:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._at[name]
+        except KeyError:
             raise KeyError("unknown generator %r, alphabet is %r" % (name, self.names)) from None
 
     def identity(self) -> "Word":

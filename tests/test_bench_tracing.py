@@ -121,7 +121,8 @@ def test_traced_nq_builds_count_overlaps_collections_and_eliminations():
 def test_traced_splitting_questions_search_each_word_once():
     # the 12 relator images of the free-product splitting: 8 of them are
     # not cyclically reduced, and the search on their cyclic core must
-    # not repeat the abelianisation check, a 6x6 HNF per question
+    # not repeat the abelianisation check, whose 6x6 HNF is built once
+    # per presentation
     old, new = pv_presentation(3), pv3_new_presentation()
     f, g = pv3_new_generators()
     tracer = load_tracing().Tracer()
@@ -137,4 +138,4 @@ def test_traced_splitting_questions_search_each_word_once():
         "intlinalg.hnf_calls", "intlinalg.hnf_cells")}
     assert counts == {"fpres.queries": 12, "fpres.verified": 12,
                       "fpres.certificate_steps": 20,
-                      "intlinalg.hnf_calls": 12, "intlinalg.hnf_cells": 432}
+                      "intlinalg.hnf_calls": 2, "intlinalg.hnf_cells": 72}

@@ -18,6 +18,7 @@ import pytest
 import pvb3
 from pvb3 import cli
 from pvb3.cli import main
+from pvb3.fpres import SearchBounds
 from pvb3.nq import CollectionBudget
 
 
@@ -573,6 +574,18 @@ def test_search_bounds_accept_zero(capsys):
     code, out, _ = run(capsys, "consequence", "pv3", "l12 l21", "--search-bounds", "0,0")
     assert code == 1
     assert out.startswith("REFUTED")
+
+
+@pytest.mark.parametrize("command", ["check-hom", "consequence", "suite", "paper-suite"])
+def test_search_bounds_help_is_one_text_naming_both_bounds(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # as wrapped at any width
+    default = SearchBounds()
+    assert ("--search-bounds L,K certificate search bounds: L the insertion depth max_prefix, "
+            "K the certificate length max_steps (default %d,%d)"
+            % (default.max_prefix, default.max_steps)) in out
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

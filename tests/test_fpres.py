@@ -41,7 +41,7 @@ from pvb3.fpres import (
     _join,
 )
 from pvb3.grammar import parse_word
-from pvb3.intlinalg import cokernel_invariants, in_row_lattice
+from pvb3.intlinalg import _in_hermite_span, cokernel_invariants, in_row_lattice
 from pvb3.nq import CollectionBudget, nilpotent_quotient
 from pvb3.word import Alphabet, GenMap, Word, free_reduce
 
@@ -983,3 +983,168 @@ def test_long_states_keep_the_search_memory_small():
         tracemalloc.stop()
     assert res.status == UNKNOWN
     assert peak < 10.5 * 2 ** 20, "search peaked at %.1f MB" % (peak / 2 ** 20)
+
+
+def test_held_parents_make_each_seam_child_once(monkeypatch):
+    # [l32, l21] is refuted at the checkpoint after holding back the long
+    # children of almost every parent; the release builds their long plain
+    # children and takes the seam children from the parent's first pass,
+    # so the search joins at a seam exactly as often as building every
+    # parent's children once does
+    pres = pv_presentation(3)
+    l32, l21 = (pres.alphabet.gen(name) for name in ("l32", "l21"))
+    parents, released, joins = [], [], [0]
+    real_children, real_join = fpres._children, fpres._join
+
+    def children(letters, *args):  # args: max_prefix, rels, seams, lo, hi, long
+        (parents if args[3] < 0 else released).append(letters)
+        return real_children(letters, *args)
+
+    def join(u, v):
+        joins[0] += 1
+        return real_join(u, v)
+
+    monkeypatch.setattr(fpres, "_children", children)
+    monkeypatch.setattr(fpres, "_join", join)
+    res = is_consequence(pres, l32.comm(l21))
+    assert res == ConsequenceResult(REFUTED, None, "nonzero in the class-2 quotient")
+    assert len(set(parents)) == len(parents) > 150
+    assert len(set(released)) == len(released) > 150 and set(released) <= set(parents)
+    searched, joins[0] = joins[0], 0
+    rels, _, _ = pres._inserts
+    for parent in parents:
+        for _ in real_children(parent, SearchBounds().max_prefix, rels, {}):
+            pass
+    assert searched == joins[0]
+
+
+# -- the abelianisation check, one Hermite form per presentation -------------
+
+
+TORSION = Presentation.from_text("gens: a b c\nrel: a^2\nrel: b^4 c^6\nrel: [a, b]")
+
+
+@pytest.mark.parametrize("pres", [pv_presentation(3), pv_presentation(4), g3_presentation(),
+                                  TORSION, Presentation(AB, ())],
+                         ids=["pv3", "pv4", "g3", "torsion", "no-relators"])
+def test_cached_abelianisation_agrees_with_row_lattice_membership(pres):
+    rng = random.Random(len(pres.alphabet) * 100 + len(pres.relators))
+    mat, n = pres.relator_matrix(), len(pres.alphabet)
+    outcomes = set()
+    for _ in range(150):
+        if pres.relators and rng.random() < 0.5:  # a lattice vector, perhaps moved
+            v = [0] * n
+            for r in pres.relators:
+                c = rng.randint(-3, 3)
+                v = [x + c * e for x, e in zip(v, r.exponent_vector())]
+            if rng.random() < 0.5:
+                v[rng.randrange(n)] += rng.choice((-1, 1, 2))
+        else:
+            v = [rng.randint(-2, 2) * rng.randint(0, 1) for _ in range(n)]
+        want = in_row_lattice(mat, v)
+        assert _in_hermite_span(*pres._abelian, list(v)) == want
+        letters = [(g, 1 if e > 0 else -1) for g, e in enumerate(v) for _ in range(abs(e))]
+        rng.shuffle(letters)  # the letters of one generator share a sign: nothing cancels
+        res = is_consequence(pres, Word(pres.alphabet, tuple(letters)),
+                             SearchBounds(max_steps=0, refute_class=1))
+        assert (res.detail == "nonzero in the abelianisation") == (not want)
+        outcomes.add(want)
+    assert outcomes == {True, False}
+    assert pres._abelian is pres._abelian
+
+
+def test_torsion_example_has_torsion_in_its_abelianisation():
+    assert cokernel_invariants(TORSION.relator_matrix()) == (1, (2, 2))
+
+
+# -- certificates checked by one free reduction, against Word products --------
+
+
+def oracle_verify_certificate(pres, w, certificate):
+    """verify_certificate as a chain of Word products, as it was before it
+    joined the letters of the factors and reduced them once."""
+    out = pres.alphabet.identity()
+    for step in certificate:
+        r = pres.relators[step.relator_index]
+        out = out * step.conjugator * r ** step.sign * step.conjugator.inv()
+    return out == w
+
+
+def random_steps(rng, pres, count, first_index):
+    """count steps with conjugators of 0-8 letters and either sign; the
+    first uses relator first_index."""
+    alphabet = pres.alphabet
+    return [CertificateStep(
+        Word(alphabet, tuple((rng.randrange(len(alphabet)), rng.choice((1, -1)))
+                             for _ in range(rng.randint(0, 8)))),
+        first_index if k == 0 else rng.randrange(len(pres.relators)), rng.choice((1, -1)))
+        for k in range(count)]
+
+
+def tampered(rng, pres, certificate):
+    """The certificate with one step changed, dropped, added or moved."""
+    steps = list(certificate)
+    k = rng.randrange(len(steps))
+    u, idx, sign = steps[k].conjugator, steps[k].relator_index, steps[k].sign
+    x = pres.alphabet.gens()[rng.randrange(len(pres.alphabet))]
+    change = rng.choice(("sign", "power", "index", "conjugator", "drop", "add", "swap"))
+    if change == "sign":
+        steps[k] = CertificateStep(u, idx, -sign)
+    elif change == "power":  # outside the CLI's +1 and -1, but the product is defined
+        steps[k] = CertificateStep(u, idx, sign * rng.choice((0, 2, 3)))
+    elif change == "index":
+        steps[k] = CertificateStep(u, (idx + rng.randint(1, 2)) % len(pres.relators), sign)
+    elif change == "conjugator":
+        steps[k] = CertificateStep(u * x ** rng.choice((1, -1)), idx, sign)
+    elif change == "drop":
+        del steps[k]
+    elif change == "add":
+        steps.insert(k, CertificateStep(x, rng.randrange(len(pres.relators)), sign))
+    else:
+        steps[k], steps[-1] = steps[-1], steps[k]
+    return tuple(steps)
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_PRESENTATIONS))
+def test_certificate_check_matches_the_word_product_oracle(name):
+    pres = SEARCH_PRESENTATIONS[name]
+    rng = random.Random(name)
+    identity = pres.alphabet.identity()
+    assert verify_certificate(pres, identity, ()) and oracle_verify_certificate(pres, identity, ())
+    seen = set()
+    for trial in range(120):
+        certificate = tuple(random_steps(rng, pres, rng.randint(0, 6),
+                                         trial % len(pres.relators)))
+        # the product, by the oracle's Word arithmetic
+        w = identity
+        for step in certificate:
+            r = pres.relators[step.relator_index] ** step.sign
+            w = w * r.conj(step.conjugator.inv())
+        other = w * pres.alphabet.gens()[rng.randrange(len(pres.alphabet))]
+        cases = [(w, certificate), (other, certificate), (identity, certificate)]
+        if certificate:
+            cases += [(w, tampered(rng, pres, certificate)) for _ in range(3)]
+            cases.append((identity, certificate + tuple(
+                CertificateStep(s.conjugator, s.relator_index, -s.sign)
+                for s in reversed(certificate))))
+        for target, steps in cases:
+            got = verify_certificate(pres, target, steps)
+            assert got == oracle_verify_certificate(pres, target, steps)
+            seen.add(got)
+        assert verify_certificate(pres, w, certificate)
+    assert seen == {True, False}
+
+
+def test_certificate_conjugator_over_another_alphabet_is_rejected():
+    pres = pv_presentation(3)
+    w = pres.relators[0]
+    certificate = (CertificateStep(pres.alphabet.identity(), 0, 1), CertificateStep(a, 1, -1))
+    with pytest.raises(ValueError) as oracle_error:
+        oracle_verify_certificate(pres, w, certificate)
+    with pytest.raises(ValueError) as error:
+        verify_certificate(pres, w, certificate)
+    assert str(error.value) == str(oracle_error.value)
+    assert "words over different alphabets" in str(error.value)
+    # a target over another alphabet is not the product, even when empty
+    assert not verify_certificate(pres, AB.identity(), ())
+    assert not oracle_verify_certificate(pres, AB.identity(), ())
