@@ -32,6 +32,7 @@ from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from itertools import permutations
 from math import inf
 
@@ -355,11 +356,14 @@ def is_consequence(pres: Presentation, w: Word,
     when its level reaches it or it could bring the search to a limit; a
     success is returned only after the reconstructed certificate has been
     re-verified by free reduction.
-    Once the search holds a tenth of ``max_states`` states, the word is
-    tried in the nilpotent quotients up to ``refute_class``, and a quotient
-    that refutes it ends the search; a word with a certificate is never
-    refuted, so this changes no answer.  If neither the search nor the
-    quotients decide, the result is UNKNOWN rather than a guess.
+    Once the search holds a tenth of ``max_states`` states it pauses for two
+    cheap deciders.  A descent, best-first in (length, str) order over the
+    children shorter than their parent, within ``max_steps`` and a tenth of
+    ``max_states`` states of its own, verifies the products whose relator
+    blocks cancel one by one (Dehn's algorithm), and says so in the detail.
+    Else a nilpotent quotient up to ``refute_class`` in which the word
+    survives refutes it; a word with a certificate is never refuted.  Else
+    the search resumes; if it does not decide, the result is UNKNOWN.
     """
     if w.alphabet != pres.alphabet:
         raise ValueError("word is not over the presentation alphabet")
@@ -423,9 +427,25 @@ def is_consequence(pres: Presentation, w: Word,
                     build(sum(entry[1] is level for entry in held))
             level = after
 
-    states, walked = frontier(), False
-    # one search, paused once at a tenth of its states to walk the quotient
-    # tower: certificates within reach mostly need far fewer states
+    def descend(limit):
+        """The parent links of a descent that reaches the empty word within
+        limit states, else None; the heap holds (length, state, steps)."""
+        links, heap = {start: None}, [(len(start), start, 0)]
+        while heap and len(links) < limit:
+            n, parent, steps = heappop(heap)
+            if steps < bounds.max_steps:
+                kids = {kid for row in _children(parent, bounds.max_prefix, rels, seams, -1, n - 1)
+                        for kid in row}.difference(links)
+                links.update(dict.fromkeys(kids, parent))
+                if "" in kids:
+                    return links
+                for kid in kids:
+                    heappush(heap, (len(kid), kid, steps + 1))
+        return None
+
+    states, walked, detail = frontier(), False, ""
+    # one search, paused once at a tenth of its states for the descent and the
+    # tower walk: certificates within reach mostly need far fewer states
     for limit in (bounds.max_states // 10, bounds.max_states):
         while "" not in came_from:
             if held and len(came_from) + waiting >= limit:
@@ -436,6 +456,9 @@ def is_consequence(pres: Presentation, w: Word,
             if count := grow(*state, -1, cap, long := []):
                 held.append((*state, count, long))
                 waiting += count
+        if "" not in came_from and limit < bounds.max_states and (links := descend(limit)):
+            came_from, detail = links, "certificate found by descent at the checkpoint"
+            break
         if "" not in came_from and not walked:
             try:
                 # class 1 passes: the abelianisation check above already did
@@ -462,7 +485,7 @@ def is_consequence(pres: Presentation, w: Word,
         certificate, key = (step, *certificate), parent
     if not verify_certificate(pres, w, certificate):
         raise AssertionError("search produced an invalid certificate")
-    return ConsequenceResult(VERIFIED, certificate)
+    return ConsequenceResult(VERIFIED, certificate, detail)
 
 
 def check_homomorphism_free(pres: Presentation, images: GenMap) -> list[tuple[str, bool]]:

@@ -189,6 +189,27 @@ def test_consequence_search_certifies_a_relator_conjugate(capsys):
     assert len(lines) > 1  # at least one certificate step
 
 
+FOUR_RELATORS = ("l12^-1 l13^-1 l23^-1 l12 l13 l23 l32^-1 l31 l21^-1 l23 l21 l31 l23^-1 "
+                 "l21^-1 l31^-1 l21 l31^-1 l32 l12^-1 l23^-1 l13 l21 l31 l32 l21^-1 "
+                 "l31^-1 l32^-1 l13^-1 l23 l12 l31^-1 l21^-1 l32^-1 l13 l12 l32 l13^-1 "
+                 "l12^-1 l21 l31")
+
+
+def test_consequence_prints_the_descent_and_its_steps_verify(capsys):
+    # four conjugated pv3 relators: the level search does not reach the
+    # fourth level, the descent at its checkpoint does
+    code, out, _ = run(capsys, "consequence", "pv3", FOUR_RELATORS)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "VERIFIED: certificate found by descent at the checkpoint"
+    steps = [re.fullmatch(r"  \((.*), (\d+), ([+-]\d+)\)", line).groups() for line in lines[1:]]
+    assert len(steps) == 4
+    argv = [arg for step in steps for arg in ("--step", ":".join(step))]
+    code, out, _ = run(capsys, "consequence", "pv3", FOUR_RELATORS, *argv)
+    assert code == 0
+    assert out.startswith("certificate verifies")
+
+
 def test_consequence_refutes_and_exits_one(capsys):
     code, out, _ = run(capsys, "consequence", "pv3", "l12 l21")
     assert code == 1

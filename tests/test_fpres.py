@@ -508,9 +508,42 @@ def test_stable_letter_name_clash_is_rejected():
 # -- the int-encoded search against the Word-based one it replaced -----------
 
 
-def oracle_is_consequence(pres, w, bounds=SearchBounds()):
+DESCENT = "certificate found by descent at the checkpoint"
+
+
+def oracle_insertions(pres, bounds, came_from, heap, limit, descent=False):
+    """Pop (rank, state, steps) from the heap and insert every relator at
+    each prefix, until the empty word or limit states: a level search ranks
+    a child by (steps, length), a descent keeps only the children shorter
+    than their parent and ranks them by length.  Whether it reached 1."""
+    inserts = []
+    for idx, r in enumerate(pres.relators):
+        for s in (1, -1):
+            inserts.append((idx, s, (r ** s).letters))
+    while heap and len(came_from) < limit:
+        _, letters, steps = heapq.heappop(heap)
+        if steps >= bounds.max_steps:
+            continue
+        for p in range(0, min(len(letters), bounds.max_prefix) + 1):
+            head, tail = letters[:p], letters[p:]
+            for idx, s, rel_letters in inserts:
+                key = Word(pres.alphabet, head + rel_letters + tail).letters
+                if key in came_from or descent and len(key) >= len(letters):
+                    continue
+                came_from[key] = (letters, p, idx, s)
+                if not key:
+                    return True
+                rank = (len(key),) if descent else (steps + 1, len(key))
+                heapq.heappush(heap, (rank, key, steps + 1))
+    return False
+
+
+def oracle_is_consequence(pres, w, bounds=SearchBounds(), checkpoint=True):
     """The search as it was before it ran on int-encoded letters: a Word
-    for every state, and one nilpotent quotient built per refutation class."""
+    for every state, and one nilpotent quotient built per refutation class.
+    With the checkpoint, a level search that reaches a tenth of max_states
+    pauses for a descent of as many states; without it, the level search
+    runs alone, as it did before the descent."""
     if w.alphabet != pres.alphabet:
         raise ValueError("word is not over the presentation alphabet")
     if w.is_identity:
@@ -519,7 +552,7 @@ def oracle_is_consequence(pres, w, bounds=SearchBounds()):
         return ConsequenceResult(REFUTED, None, "nonzero in the abelianisation")
     core, outer = w.cyclic_reduction()
     if not outer.is_identity:
-        inner = oracle_is_consequence(pres, core, bounds)
+        inner = oracle_is_consequence(pres, core, bounds, checkpoint)
         if inner.status != VERIFIED:
             return inner
         shift = outer.inv()
@@ -527,39 +560,22 @@ def oracle_is_consequence(pres, w, bounds=SearchBounds()):
             CertificateStep(shift * step.conjugator, step.relator_index, step.sign)
             for step in inner.certificate)
         assert verify_certificate(pres, w, certificate)
-        return ConsequenceResult(VERIFIED, certificate)
+        return ConsequenceResult(VERIFIED, certificate, inner.detail)
 
-    inserts = []
-    for idx, r in enumerate(pres.relators):
-        for s in (1, -1):
-            inserts.append((idx, s, (r ** s).letters))
-    start = w.letters
-    heap = [(0, len(start), start)]
-    came_from = {start: None}
-    found = None
-    while heap and len(came_from) < bounds.max_states:
-        steps, _, letters = heapq.heappop(heap)
-        if steps >= bounds.max_steps:
-            continue
-        for p in range(0, min(len(letters), bounds.max_prefix) + 1):
-            head, tail = letters[:p], letters[p:]
-            for idx, s, rel_letters in inserts:
-                key = Word(pres.alphabet, head + rel_letters + tail).letters
-                if key in came_from:
-                    continue
-                came_from[key] = (letters, p, idx, s)
-                if not key:
-                    found = key
-                    break
-                heapq.heappush(heap, (steps + 1, len(key), key))
-            if found is not None:
-                break
-        if found is not None:
-            break
+    start, detail = w.letters, ""
+    came_from, heap = {start: None}, [((0, len(start)), start, 0)]
+    tenth = bounds.max_states // 10 if checkpoint else bounds.max_states
+    found = oracle_insertions(pres, bounds, came_from, heap, tenth)
+    if not found and checkpoint:
+        links = {start: None}
+        if oracle_insertions(pres, bounds, links, [((len(start),), start, 0)], tenth, True):
+            came_from, found, detail = links, True, DESCENT
+        else:
+            found = oracle_insertions(pres, bounds, came_from, heap, bounds.max_states)
 
-    if found is not None:
+    if found:
         moves = []
-        key = found
+        key = ()
         while came_from[key] is not None:
             parent, p, idx, s = came_from[key]
             moves.append((parent, p, idx, s))
@@ -569,7 +585,7 @@ def oracle_is_consequence(pres, w, bounds=SearchBounds()):
             CertificateStep(Word(pres.alphabet, parent[:p]), idx, -s)
             for parent, p, idx, s in moves)
         assert verify_certificate(pres, w, certificate)
-        return ConsequenceResult(VERIFIED, certificate)
+        return ConsequenceResult(VERIFIED, certificate, detail)
 
     for c in range(2, bounds.refute_class + 1):
         if not nilpotent_quotient(pres, c).image_is_trivial(w):
@@ -624,7 +640,54 @@ def search_questions(draw):
 @settings(max_examples=60, deadline=None)
 def test_search_matches_word_based_oracle(question, bounds):
     pres, w = question
-    assert is_consequence(pres, w, bounds) == oracle_is_consequence(pres, w, bounds)
+    res = is_consequence(pres, w, bounds)
+    assert res == oracle_is_consequence(pres, w, bounds)
+    assert_descent_only_adds(res, oracle_is_consequence(pres, w, bounds, checkpoint=False))
+
+
+def assert_descent_only_adds(res, old):
+    """A search result against the level-order oracle without the
+    checkpoint: equal, unless the descent found a certificate that the
+    oracle missed or found later, never for a word the oracle refutes."""
+    if res.detail == DESCENT:
+        assert res.status == VERIFIED and old.status != REFUTED
+    else:
+        assert res == old
+
+
+def test_descent_keeps_the_splitting_certificates():
+    # suite check 06: the relator images both ways, all certified by the
+    # level search before the checkpoint
+    f, g = pv3_new_generators()
+    old, new = pv_presentation(3), pv3_new_presentation()
+    for pres, images in ((new, map(f, old.relators)), (old, map(g, new.relators))):
+        for w in images:
+            res = is_consequence(pres, w)
+            assert res.status == VERIFIED and res.detail == ""
+            assert_descent_only_adds(res, oracle_is_consequence(pres, w, checkpoint=False))
+
+
+def test_descent_keeps_every_answer_on_seeded_products():
+    # products of 1-4 conjugated relators, conjugators of length 0-3; the
+    # descent decides some products that the level order leaves UNKNOWN
+    rng, gained = random.Random(27), 0
+    bounds = SearchBounds(max_states=5_000, refute_class=2)
+    for pres in (pv_presentation(3), pv3_new_presentation(), g3_presentation()):
+        gens = pres.alphabet.gens()
+        for count in (1, 2, 3, 4):
+            for _ in range(3):
+                w = pres.alphabet.identity()
+                for _ in range(count):
+                    u = pres.alphabet.identity()
+                    for _ in range(rng.randint(0, 3)):
+                        u = u * rng.choice(gens) ** rng.choice((1, -1))
+                    w = w * pres.relators[rng.randrange(len(pres.relators))].conj(u)
+                res = is_consequence(pres, w, bounds)
+                old = oracle_is_consequence(pres, w, bounds, checkpoint=False)
+                assert_descent_only_adds(res, old)
+                assert res.status == VERIFIED
+                gained += old.status == UNKNOWN
+    assert gained > 0
 
 
 def test_search_matches_oracle_when_bounds_run_out():
@@ -733,13 +796,16 @@ def test_refutation_ends_the_search_at_its_checkpoint():
     assert peak < 10 * 2 ** 20, "search peaked at %.1f MB" % (peak / 2 ** 20)
 
 
+# a 46-letter commutator of weight 5: every quotient of class 4 or less
+# kills it, and neither the descent nor the level search verifies it
+GAMMA5 = "[[[[l12, l23], l31], l13], l32]"
+
+
 def test_no_quotient_outlives_the_checkpoint_walk():
-    # four relators under conjugators of length 3 stay UNKNOWN: the tower is
-    # walked at 2,000 states and must not be held while the search fills 20,000
+    # GAMMA5 stays UNKNOWN: the tower is walked at 2,000 states and must not
+    # be held while the search fills 20,000
     pres = pv_presentation(3)
-    r, conjugators = pres.relators, ("l12 l13 l23", "l21 l31^-1 l32", "l13^-1 l23 l12", "l32 l21 l31")
-    u = [parse_word(text, pres.alphabet) for text in conjugators]
-    w = r[0].conj(u[0]) * r[3].conj(u[1]) * r[5].inv().conj(u[2]) * r[1].conj(u[3])
+    w = parse_word(GAMMA5, pres.alphabet)
     tracemalloc.start()
     try:
         res = is_consequence(pres, w, SearchBounds(max_states=20_000))
@@ -750,11 +816,15 @@ def test_no_quotient_outlives_the_checkpoint_walk():
     assert peak < 9 * 2 ** 20, "search peaked at %.1f MB" % (peak / 2 ** 20)
 
 
-# three relators, no conjugators: the certificate needs about 10,400 states,
-# past the checkpoint of these bounds at 2,000
+# three relators, no conjugators: the certificate needs about 10,400 states
 LATE_PRES = pv_presentation(3)
 LATE_WORD = LATE_PRES.relators[2].inv() * LATE_PRES.relators[5] * LATE_PRES.relators[4]
-LATE_BOUNDS = SearchBounds(max_states=20_000)
+# a pv3 relator's image in pv3-new (suite check 06): no child of its
+# six-letter core is shorter, so the descent makes no step, and the level
+# search needs 10,268 states, past the checkpoint of these bounds at 2,000
+CLIMB_PRES = pv3_new_presentation()
+CLIMB_WORD = pv3_new_generators()[0](pv_presentation(3).relators[3])
+CLIMB_BOUNDS = SearchBounds(max_states=20_000)
 
 
 def patch_tower(monkeypatch, failures):
@@ -773,20 +843,20 @@ def patch_tower(monkeypatch, failures):
 
 def test_checkpoint_walk_leaves_a_late_certificate_unchanged(monkeypatch):
     calls = patch_tower(monkeypatch, failures=0)
-    res = is_consequence(LATE_PRES, LATE_WORD, LATE_BOUNDS)
-    assert calls == [(LATE_PRES, LATE_BOUNDS.refute_class)]
+    res = is_consequence(CLIMB_PRES, CLIMB_WORD, CLIMB_BOUNDS)
+    assert calls == [(CLIMB_PRES, CLIMB_BOUNDS.refute_class)]
     monkeypatch.undo()
-    assert res.status == VERIFIED
-    assert res == oracle_is_consequence(LATE_PRES, LATE_WORD, LATE_BOUNDS)
+    assert res.status == VERIFIED and res.detail == ""
+    assert res == oracle_is_consequence(CLIMB_PRES, CLIMB_WORD, CLIMB_BOUNDS)
 
 
 def test_collection_budget_at_the_checkpoint_does_not_stop_a_certificate(monkeypatch):
     calls = patch_tower(monkeypatch, failures=10)
-    res = is_consequence(LATE_PRES, LATE_WORD, LATE_BOUNDS)
+    res = is_consequence(CLIMB_PRES, CLIMB_WORD, CLIMB_BOUNDS)
     assert len(calls) == 1
     monkeypatch.undo()
-    assert res.status == VERIFIED
-    assert res == oracle_is_consequence(LATE_PRES, LATE_WORD, LATE_BOUNDS)
+    assert res.status == VERIFIED and res.detail == ""
+    assert res == oracle_is_consequence(CLIMB_PRES, CLIMB_WORD, CLIMB_BOUNDS)
 
 
 def test_collection_budget_at_the_checkpoint_defers_the_walk(monkeypatch):
@@ -843,20 +913,24 @@ def test_children_cancel_a_whole_relator_on_into_the_tail():
 
 
 def test_search_cut_inside_a_level_matches_the_oracle():
-    # r0 r3 is VERIFIED from 110 states on, inside the second level; the
-    # certificate of LATE_WORD needs 10,409 states, and the checkpoint at
-    # a tenth of them pauses the search inside a length bucket
-    r = LATE_PRES.relators
-    questions = [(r[0] * r[3], m) for m in range(100, 121)]
-    questions += [(LATE_WORD, m) for m in (10_408, 10_409)]
+    # r2 times a conjugate of r2 reduces to eight letters, none of whose
+    # children is shorter, so neither word gets a certificate from the
+    # descent: it is VERIFIED from 110 states on, inside the second level,
+    # and the certificate of CLIMB_WORD needs 10,268 states
+    r = CLIMB_PRES.relators
+    u = parse_word("a2^-1 b1 a2", CLIMB_PRES.alphabet)
+    twice = r[2] * u * r[2] * u.inv()
+    assert str(twice) == "c1^-1 b1^2 c1 a2^-1 b1^-2 a2"
+    questions = [(twice, m) for m in range(100, 121)]
+    questions += [(CLIMB_WORD, m) for m in (10_267, 10_268)]
     statuses = set()
     for w, max_states in questions:
         bounds = SearchBounds(max_states=max_states, refute_class=1)
-        res = is_consequence(LATE_PRES, w, bounds)
-        assert res == oracle_is_consequence(LATE_PRES, w, bounds)
+        res = is_consequence(CLIMB_PRES, w, bounds)
+        assert res == oracle_is_consequence(CLIMB_PRES, w, bounds)
         statuses.add((w, res.status))
-    assert statuses == {(r[0] * r[3], UNKNOWN), (r[0] * r[3], VERIFIED),
-                        (LATE_WORD, UNKNOWN), (LATE_WORD, VERIFIED)}
+    assert statuses == {(twice, UNKNOWN), (twice, VERIFIED),
+                        (CLIMB_WORD, UNKNOWN), (CLIMB_WORD, VERIFIED)}
 
 
 def count_children(monkeypatch):
@@ -969,12 +1043,9 @@ def test_short_relators_match_the_oracle():
 
 
 def test_long_states_keep_the_search_memory_small():
-    # four relators under conjugators of length 3: states of about 48 letters
+    # GAMMA5: states of about 48 letters
     pres = pv_presentation(3)
-    r, conjugators = pres.relators, ("l12 l13 l23", "l21 l31^-1 l32", "l13^-1 l23 l12",
-                                     "l32 l21 l31")
-    u = [parse_word(text, pres.alphabet) for text in conjugators]
-    w = r[0].conj(u[0]) * r[3].conj(u[1]) * r[5].inv().conj(u[2]) * r[1].conj(u[3])
+    w = parse_word(GAMMA5, pres.alphabet)
     tracemalloc.start()
     try:
         res = is_consequence(pres, w, SearchBounds(max_states=50_000, refute_class=1))
@@ -985,19 +1056,40 @@ def test_long_states_keep_the_search_memory_small():
     assert peak < 10.5 * 2 ** 20, "search peaked at %.1f MB" % (peak / 2 ** 20)
 
 
+def test_descent_verifies_four_conjugated_relators():
+    # the level search does not reach this certificate's fourth level within
+    # 50,000 states; deleting one relator block at a time lets its
+    # conjugator cancel, so the descent at the checkpoint finds it
+    pres = pv_presentation(3)
+    r, conjugators = pres.relators, ("l12 l13 l23", "l21 l31^-1 l32", "l13^-1 l23 l12",
+                                     "l32 l21 l31")
+    u = [parse_word(text, pres.alphabet) for text in conjugators]
+    w = r[0].conj(u[0]) * r[3].conj(u[1]) * r[5].inv().conj(u[2]) * r[1].conj(u[3])
+    bounds = SearchBounds(max_states=50_000, refute_class=1)
+    res = is_consequence(pres, w, bounds)
+    assert res.status == VERIFIED and res.detail == DESCENT
+    assert len(res.certificate) == 4
+    assert res == oracle_is_consequence(pres, w, bounds)
+    assert oracle_is_consequence(pres, w, bounds, checkpoint=False).status == UNKNOWN
+
+
 def test_held_parents_make_each_seam_child_once(monkeypatch):
     # [l32, l21] is refuted at the checkpoint after holding back the long
     # children of almost every parent; the release builds their long plain
     # children and takes the seam children from the parent's first pass,
-    # so the search joins at a seam exactly as often as building every
-    # parent's children once does
+    # so the level search joins at a seam exactly as often as building
+    # every parent's children once does, and the descent before the walk
+    # as often as building the shorter children of its parents once
     pres = pv_presentation(3)
     l32, l21 = (pres.alphabet.gen(name) for name in ("l32", "l21"))
-    parents, released, joins = [], [], [0]
+    parents, released, descended, joins = [], [], [], [0]
     real_children, real_join = fpres._children, fpres._join
 
-    def children(letters, *args):  # args: max_prefix, rels, seams, lo, hi, long
-        (parents if args[3] < 0 else released).append(letters)
+    def children(letters, *args):  # args: max_prefix, rels, seams, lo, hi[, long]
+        if len(args) == 5:  # the descent passes no list long
+            descended.append(letters)
+        else:
+            (parents if args[3] < 0 else released).append(letters)
         return real_children(letters, *args)
 
     def join(u, v):
@@ -1010,10 +1102,14 @@ def test_held_parents_make_each_seam_child_once(monkeypatch):
     assert res == ConsequenceResult(REFUTED, None, "nonzero in the class-2 quotient")
     assert len(set(parents)) == len(parents) > 150
     assert len(set(released)) == len(released) > 150 and set(released) <= set(parents)
+    assert len(set(descended)) == len(descended) > 0
     searched, joins[0] = joins[0], 0
     rels, _, _ = pres._inserts
     for parent in parents:
         for _ in real_children(parent, SearchBounds().max_prefix, rels, {}):
+            pass
+    for parent in descended:
+        for _ in real_children(parent, SearchBounds().max_prefix, rels, {}, -1, len(parent) - 1):
             pass
     assert searched == joins[0]
 
