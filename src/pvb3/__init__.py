@@ -21,7 +21,7 @@ from .fpres import (
     pv_presentation,
 )
 from .grammar import ParseError, parse_word
-from .nq import lcs_ranks, nilpotent_quotient
+from .nq import nilpotent_quotient
 from .word import Alphabet, GenMap, Word
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "Word",
     "g3_presentation",
     "is_consequence",
-    "lcs_ranks",
     "nilpotent_quotient",
     "parse_word",
     "pv3_new_generators",

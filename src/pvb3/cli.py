@@ -269,7 +269,8 @@ def cmd_aut(args) -> int:
         print("not conjugation by %s" % by)
         return 1
     if args.action == "mccool":
-        n = 3 if args.rank is None else args.rank
+        if (n := args.rank) < 3:  # no relation family has fewer than three letters
+            raise ValueError("--rank must be at least 3, got %d" % n)
         ok = _print_verdicts(mccool_disjoint_commutators(n)
                              + mccool_same_target_commutators(n)
                              + mccool_triple_relations(n)
@@ -452,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--rank", type=int)
     q.set_defaults(handler=cmd_aut)
     q = auts.add_parser("mccool", help="verify the defining relation families")
-    q.add_argument("--rank", type=int, help="number of letters (default 3)")
+    q.add_argument("--rank", type=int, default=3, help="number of letters (default 3)")
     q.set_defaults(handler=cmd_aut)
     q = auts.add_parser("hnn", help="verify the stable-letter identities")
     q.set_defaults(handler=cmd_aut)

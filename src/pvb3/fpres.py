@@ -96,6 +96,11 @@ class Presentation:
         rels = [_encode((self.relators[i] ** s).letters) for i, s in moves]
         return rels, dict(zip(reversed(rels), reversed(moves))), {}
 
+    @cached_property
+    def _tower(self) -> list:
+        """The nilpotent quotients of class 1, 2, ... built so far: nq.quotient_tower."""
+        return []
+
     def __str__(self) -> str:
         lines = ["gens: " + " ".join(self.alphabet.names)]
         lines += ["rel: " + str(r) for r in self.relators]
@@ -361,9 +366,10 @@ def is_consequence(pres: Presentation, w: Word,
     children shorter than their parent, within ``max_steps`` and a tenth of
     ``max_states`` states of its own, verifies the products whose relator
     blocks cancel one by one (Dehn's algorithm), and says so in the detail.
-    Else a nilpotent quotient up to ``refute_class`` in which the word
-    survives refutes it; a word with a certificate is never refuted.  Else
-    the search resumes; if it does not decide, the result is UNKNOWN.
+    Else a nilpotent quotient up to ``refute_class``, read from the stages kept
+    with the presentation, in which the word survives refutes it; a word with a
+    certificate is never refuted.  Else the search resumes; if it does not
+    decide, the result is UNKNOWN.
     """
     if w.alphabet != pres.alphabet:
         raise ValueError("word is not over the presentation alphabet")
@@ -466,7 +472,7 @@ def is_consequence(pres: Presentation, w: Word,
                     if not q.image_is_trivial(w):
                         return ConsequenceResult(
                             REFUTED, None, "nonzero in the class-%d quotient" % q.class_)
-                walked, q = True, None  # free the last quotient before the search resumes
+                walked = True
             except CollectionBudget:
                 if limit == bounds.max_states:
                     raise  # else search on, and walk again when the search ends

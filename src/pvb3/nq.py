@@ -14,6 +14,7 @@ having a small group that detects it.  Each stage eliminates its constraint
 lattice once, by one Hermite normal form on sparse rows: each unit-pivot
 row replaces its tail by minus the rest of the row, and the other rows give
 the layer by their Smith factors and the torsion powers by their entries.
+Finished stages are kept with the presentation, each built once when reached.
 
 Normal forms are exponent vectors over the polycyclic generators, held as
 ``{generator: nonzero exponent}`` dicts, the row format of ``IntMatrix``,
@@ -345,26 +346,20 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
     return new_system, layer
 
 
-def quotient_tower(pres: Presentation, class_: int, budget: int = DEFAULT_BUDGET):
-    """Yield the quotients of class 1, 2, ..., class_, each stage built on
-    the one before it."""
-    system = PcSystem([], [], {}, {}, [{} for _ in range(pres.num_gens)], set(), budget)
-    layers = []
+def quotient_tower(pres: Presentation, class_: int):
+    """Yield the quotients of class 1 to class_ kept with pres, building any missing."""
+    tower = pres._tower
     for c in range(1, class_ + 1):
-        system, layer = _advance(system, pres, c)
-        layers.append(layer)
-        yield NilpotentQuotient(pres, c, system, tuple(layers))
+        if c > len(tower):
+            system, layers = (tower[-1].system, tower[-1].layers) if tower else (
+                PcSystem([], [], {}, {}, [{} for _ in range(pres.num_gens)]), ())
+            system, layer = _advance(system, pres, c)
+            tower.append(NilpotentQuotient(pres, c, system, layers + (layer,)))
+        yield tower[c - 1]
 
 
-def nilpotent_quotient(pres: Presentation, class_: int,
-                       budget: int = DEFAULT_BUDGET) -> NilpotentQuotient:
+def nilpotent_quotient(pres: Presentation, class_: int) -> NilpotentQuotient:
     """Polycyclic presentation of G/gamma_{class_+1} with layer invariants."""
     if class_ < 1:
         raise ValueError("class must be at least 1")
-    return list(quotient_tower(pres, class_, budget))[-1]
-
-
-def lcs_ranks(pres: Presentation, class_: int,
-              budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Lower-central layers (free rank, torsion) up to the given class."""
-    return nilpotent_quotient(pres, class_, budget).layers
+    return list(quotient_tower(pres, class_))[-1]

@@ -57,7 +57,7 @@ from .lie import (
     lie_quotient,
     pbw_consistency,
 )
-from .nq import CollectionBudget, lcs_ranks, nilpotent_quotient, quotient_tower
+from .nq import CollectionBudget, nilpotent_quotient, quotient_tower
 from .word import Alphabet, GenMap
 
 PASS = "PASS"
@@ -290,17 +290,16 @@ def _check_nq_engine(options: SuiteOptions):
         return UNKNOWN, "skipped: the engine oracles need quotients of class 2 and up"
     ab = Alphabet(("a", "b"))
     a, b = ab.gens()
-    free_ranks = lcs_ranks(Presentation(ab, ()), 4)
-    if free_ranks != ((2, ()), (1, ()), (2, ()), (3, ())):
-        return FAIL, "free group of rank 2: layers %s" % (free_ranks,)
-    heis = lcs_ranks(Presentation(ab, (a.comm(b).comm(a), a.comm(b).comm(b))), 3)
-    if heis != ((2, ()), (1, ()), (0, ())):
-        return FAIL, "Heisenberg group: layers %s" % (heis,)
     at = Alphabet(("a", "t"))
     aa, tt = at.gens()
-    klein = lcs_ranks(Presentation(at, (tt * aa * tt.inv() * aa,)), 4)
-    if klein != ((1, (2,)), (0, (2,)), (0, (2,)), (0, (2,))):
-        return FAIL, "twisted circle bundle: layers %s" % (klein,)
+    for label, pres, want in (
+            ("free group of rank 2", Presentation(ab, ()), ((2, ()), (1, ()), (2, ()), (3, ()))),
+            ("Heisenberg group", Presentation(ab, (a.comm(b).comm(a), a.comm(b).comm(b))),
+             ((2, ()), (1, ()), (0, ()))),
+            ("twisted circle bundle", Presentation(at, (tt * aa * tt.inv() * aa,)),
+             ((1, (2,)), (0, (2,)), (0, (2,)), (0, (2,))))):
+        if (layers := nilpotent_quotient(pres, len(want)).layers) != want:
+            return FAIL, "%s: layers %s" % (label, layers)
 
     fw = GenMap.from_dict(ab, ab, {"a": a ** 2 * b, "b": a * b})
     bw = GenMap.from_dict(ab, ab, {"a": a * b.inv(), "b": b * a.inv() * b})
@@ -330,7 +329,7 @@ def _check_lie(options: SuiteOptions):
     quotient = lie_quotient(pv3_new_presentation())
     lie_invariants = [quotient.invariants(d) for d in range(1, top + 1)]
     lie_dims = tuple(r for r, _ in lie_invariants)
-    group_layers = lcs_ranks(pv_presentation(3), top)
+    group_layers = nilpotent_quotient(pv_presentation(3), top).layers
     group_dims = tuple(r for r, _ in group_layers)
     if group_dims != lie_dims:
         return FAIL, "group ranks %s differ from Lie dimensions %s" % (

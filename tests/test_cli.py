@@ -301,10 +301,11 @@ def test_aut_mccool_all_hold(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("mccool", "--rank", "0"), "need at least two strands"),
+    (("mccool", "--rank", "0"), "--rank must be at least 3, got 0"),
     (("compose", "e12", "--rank", "0"), "need distinct indices in 1..0, got (1, 2)"),
     (("inner", "e12", "--by", "x2", "--rank", "0"), "need distinct indices in 1..0, got (1, 2)"),
     (("compose", "(e12 e13)^2", "--rank", "0"), "need distinct indices in 1..0, got (1, 2)"),
+    (("mccool", "--rank", "2"), "--rank must be at least 3, got 2"),
 ])
 def test_aut_rank_zero_is_rejected_not_replaced(capsys, argv, message):
     code, out, err = run(capsys, "aut", *argv)

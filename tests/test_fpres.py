@@ -801,19 +801,24 @@ def test_refutation_ends_the_search_at_its_checkpoint():
 GAMMA5 = "[[[[l12, l23], l31], l13], l32]"
 
 
-def test_no_quotient_outlives_the_checkpoint_walk():
-    # GAMMA5 stays UNKNOWN: the tower is walked at 2,000 states and must not
-    # be held while the search fills 20,000
-    pres = pv_presentation(3)
+def test_an_unknown_search_stays_small_and_asks_again_without_building(monkeypatch):
+    # GAMMA5 stays UNKNOWN: the class-4 tower walked at 2,000 states stays
+    # kept with the presentation while the search fills 20,000
+    pres, bounds = pv_presentation(3), SearchBounds(max_states=20_000)
     w = parse_word(GAMMA5, pres.alphabet)
     tracemalloc.start()
     try:
-        res = is_consequence(pres, w, SearchBounds(max_states=20_000))
+        res = is_consequence(pres, w, bounds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert res.status == UNKNOWN
     assert peak < 9 * 2 ** 20, "search peaked at %.1f MB" % (peak / 2 ** 20)
+    # a second question walks the kept stages and builds none
+    real, calls = nq._advance, []
+    monkeypatch.setattr(nq, "_advance", lambda *args: calls.append(args) or real(*args))
+    assert is_consequence(pres, w, bounds) == res
+    assert calls == []
 
 
 # three relators, no conjugators: the certificate needs about 10,400 states

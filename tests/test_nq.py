@@ -1,5 +1,6 @@
 """Nilpotent quotients: layer invariants, images, refutation fallback."""
 
+import copy
 import inspect
 import random
 import sys
@@ -21,11 +22,11 @@ from pvb3.fpres import (
     mapping_torus_presentation,
     pv_presentation,
 )
+from pvb3.grammar import parse_word
 from pvb3.grcohom import beer_rank
 from pvb3.intlinalg import cokernel_invariants, hermite_normal_form, smith_normal_form
 from pvb3.lie import pbw_coefficients
-from pvb3.nq import (CollectionBudget, PcSystem, lcs_ranks, nilpotent_quotient,
-                     quotient_tower)
+from pvb3.nq import CollectionBudget, PcSystem, nilpotent_quotient, quotient_tower
 from pvb3.word import Alphabet, GenMap, Word
 
 AB = Alphabet(("a", "b"))
@@ -64,18 +65,18 @@ def witt(n, d):
 def test_free_group_layers_match_witt_oracle():
     for n, depth in ((2, 4), (3, 3)):
         names = Alphabet(tuple("xyz"[:n]))
-        layers = lcs_ranks(Presentation(names, ()), depth)
+        layers = nilpotent_quotient(Presentation(names, ()), depth).layers
         assert layers == tuple((witt(n, d), ()) for d in range(1, depth + 1))
 
 
 def test_abelian_square_kills_everything_above_degree_one():
-    assert lcs_ranks(Presentation(AB, (a.comm(b),)), 3) == \
+    assert nilpotent_quotient(Presentation(AB, (a.comm(b),)), 3).layers == \
         ((2, ()), (0, ()), (0, ()))
 
 
 def test_heisenberg_layers():
     pres = Presentation(AB, (a.comm(b).comm(a), a.comm(b).comm(b)))
-    assert lcs_ranks(pres, 3) == ((2, ()), (1, ()), (0, ()))
+    assert nilpotent_quotient(pres, 3).layers == ((2, ()), (1, ()), (0, ()))
 
 
 def test_generator_eliminated_by_a_relator_still_counts():
@@ -83,14 +84,14 @@ def test_generator_eliminated_by_a_relator_still_counts():
     names = Alphabet(("x", "y", "z"))
     x, y, z = names.gens()
     pres = Presentation(names, (x * z.comm(y).inv(),))
-    assert lcs_ranks(pres, 3) == ((2, ()), (1, ()), (2, ()))
+    assert nilpotent_quotient(pres, 3).layers == ((2, ()), (1, ()), (2, ()))
 
 
 def test_klein_bottle_layers():
     names = Alphabet(("a", "t"))
     ka, kt = names.gens()
     pres = Presentation(names, (kt * ka * kt.inv() * ka,))
-    assert lcs_ranks(pres, 4) == ((1, (2,)), (0, (2,)), (0, (2,)), (0, (2,)))
+    assert nilpotent_quotient(pres, 4).layers == ((1, (2,)), (0, (2,)), (0, (2,)), (0, (2,)))
 
 
 def test_cyclic_two_layers_and_images():
@@ -114,7 +115,7 @@ def test_trivial_group_from_coprime_powers():
 
 
 def test_pv3_layers_are_torsion_free():
-    layers = lcs_ranks(pv_presentation(3), 3)
+    layers = nilpotent_quotient(pv_presentation(3), 3).layers
     assert layers == ((6, ()), (9, ()), (34, ()))
 
 
@@ -206,8 +207,17 @@ def test_unknown_when_bounds_exhausted_without_refutation():
 
 
 def test_collection_budget_is_enforced():
+    # each stage inherits the budget of the stage below it; the class-2
+    # stage fits in 50 steps and the class-3 stage does not
+    pres = pv_presentation(3)
+    nilpotent_quotient(pres, 1).system.budget = 50
     with pytest.raises(CollectionBudget):
-        nilpotent_quotient(pv_presentation(3), 3, budget=50)
+        nilpotent_quotient(pres, 3)
+    # the failed stage is not kept, and a later call builds it again
+    assert [q.class_ for q in pres._tower] == [1, 2]
+    for q in pres._tower:
+        q.system.budget = nq.DEFAULT_BUDGET
+    assert nilpotent_quotient(pres, 3).layers == ((6, ()), (9, ()), (34, ()))
 
 
 def test_torsion_of_order_three_and_more_collects():
@@ -284,14 +294,73 @@ def test_bucketed_overlaps_match_the_full_triple_walk(monkeypatch):
 
 def test_quotient_tower_matches_separate_builds():
     # one chain of stages gives every class exactly as a fresh build does,
-    # and later stages leave the quotients already yielded untouched
+    # and later stages leave the kept stages below them untouched
     names = Alphabet(("a", "t"))
     ka, kt = names.gens()
-    for pres in (pv_presentation(3), Presentation(names, (kt * ka * kt.inv() * ka,))):
+    for make in (lambda: pv_presentation(3),
+                 lambda: Presentation(names, (kt * ka * kt.inv() * ka,))):
+        pres = make()
+        low = list(quotient_tower(pres, 3))
+        before = copy.deepcopy(low)
         tower = list(quotient_tower(pres, 4))
         assert [q.class_ for q in tower] == [1, 2, 3, 4]
-        assert tower == [nilpotent_quotient(pres, c) for c in range(1, 5)]
+        assert all(q is k for q, k in zip(tower, low)) and low == before
+        assert tower == [nilpotent_quotient(make(), c) for c in range(1, 5)]
     assert list(quotient_tower(F2, 0)) == []
+
+
+def count_builds(monkeypatch):
+    """The class of each stage nq._advance builds, in order."""
+    real, built = nq._advance, []
+
+    def spy(system, pres, new_weight):
+        built.append(new_weight)
+        return real(system, pres, new_weight)
+
+    monkeypatch.setattr(nq, "_advance", spy)
+    return built
+
+
+def test_each_stage_is_built_once_per_presentation(monkeypatch):
+    built = count_builds(monkeypatch)
+    pres = pv_presentation(3)
+    q3 = nilpotent_quotient(pres, 3)
+    q4 = nilpotent_quotient(pres, 4)
+    assert built == [1, 2, 3, 4]
+    tower = list(quotient_tower(pres, 4))
+    assert tower[2] is q3 and tower[3] is q4
+    assert q4.layers[:3] == q3.layers
+    assert built == [1, 2, 3, 4]
+
+
+# weight-four commutators of pv4 that die in its class-3 quotient, not in class 4
+PV4_WEIGHT_FOUR = ("[[[l12, l13], l14], l21]", "[[[l12, l23], l34], l41]",
+                   "[[[l12, l13], l23], l14]")
+
+
+def test_refutations_on_one_presentation_share_its_tower(monkeypatch):
+    bounds = SearchBounds(max_states=1_000)
+    fresh = []
+    for text in PV4_WEIGHT_FOUR:
+        pres = pv_presentation(4)
+        fresh.append(is_consequence(pres, parse_word(text, pres.alphabet), bounds))
+    assert {res.detail for res in fresh} == {"nonzero in the class-4 quotient"}
+    built = count_builds(monkeypatch)
+    pres = pv_presentation(4)
+    shared = [is_consequence(pres, parse_word(text, pres.alphabet), bounds)
+              for text in PV4_WEIGHT_FOUR]
+    assert built == [1, 2, 3, 4]  # not 12 stages
+    assert shared == fresh
+
+
+def test_a_walk_that_stops_at_class_two_builds_two_stages(monkeypatch):
+    built = count_builds(monkeypatch)
+    pres = pv_presentation(3)
+    l12, _, l13 = pres.alphabet.gens()[:3]
+    res = is_consequence(pres, l12.comm(l13), SearchBounds(max_states=300))
+    assert res.detail == "nonzero in the class-2 quotient"
+    assert built == [1, 2]
+    assert [q.class_ for q in pres._tower] == [1, 2]
 
 
 def reference_negated_rest(row, col, index_of):
@@ -348,7 +417,7 @@ def small_presentations():
     x, y, z = xyz.gens()
     g = Alphabet(("a",)).gen("a")
     return [
-        F2,
+        Presentation(AB, ()),  # not F2, whose stages earlier tests have built
         Presentation(Alphabet(()), ()),
         Presentation(AB, (a.comm(b).comm(a), a.comm(b).comm(b))),
         Presentation(ka.alphabet, (kt * ka * kt.inv() * ka,)),
@@ -493,7 +562,7 @@ def test_vectors_expand_and_densify_in_generator_order():
 
 
 def test_pv4_class_four_layers_match_the_koszul_dual_series():
-    layers = lcs_ranks(pv_presentation(4), 4)
+    layers = nilpotent_quotient(pv_presentation(4), 4).layers
     assert layers == ((12, ()), (30, ()), (164, ()), (918, ()))
     # prod_k (1 - t^k)^-phi_k = 1 / sum_r (-1)^r beer_rank(4, r) t^r
     series = [1]
@@ -610,13 +679,24 @@ def test_collect_matches_the_splicing_reference_step_for_step():
 def test_tower_built_by_the_reference_collector_is_identical(monkeypatch):
     names = Alphabet(("a", "t"))
     ka, kt = names.gens()
-    presentations = (pv_presentation(3), Presentation(names, (kt * ka * kt.inv() * ka,)),
-                     Presentation(AB, (a ** 3,)))
-    fast = [list(quotient_tower(pres, 4)) for pres in presentations]
-    monkeypatch.setattr(PcSystem, "collect",
-                        lambda system, letters: reference_collect(system, letters)[0])
-    for pres, tower in zip(presentations, fast):
+
+    def presentations():
+        # fresh each time: the stages kept with a presentation are not rebuilt
+        return (pv_presentation(3), Presentation(names, (kt * ka * kt.inv() * ka,)),
+                Presentation(AB, (a ** 3,)))
+
+    fast = [list(quotient_tower(pres, 4)) for pres in presentations()]
+    calls = []
+
+    def reference(system, letters):
+        calls.append(system)
+        return reference_collect(system, letters)[0]
+
+    monkeypatch.setattr(PcSystem, "collect", reference)
+    for pres, tower in zip(presentations(), fast):
+        del calls[:]
         assert list(quotient_tower(pres, 4)) == tower
+        assert calls  # the reference collector built this tower
 
 
 def test_conjugate_cache_holds_only_pairs_a_commutator_changes():
