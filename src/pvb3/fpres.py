@@ -331,45 +331,37 @@ def _seams(rels: list[str], u: str, v: str) -> tuple[list, list, list]:
          chr(ord(r[-2]) ^ 1) if b and len(r) > 1 else None, r) for a, b, r in cuts if a + b]
 
 
-def _children(letters: str, max_prefix: int, rels: list[str], seams: dict,
-              lo: float = -1, hi: float = inf, long: list | None = None):
+def _children(letters: str, max_prefix: int, rels: list[str], seams: dict, hi: float = inf):
     """For each p up to max_prefix, the reduced letters[:p] + rel +
-    letters[p:] for all rels, in no fixed order, but only those longer than
-    lo and no longer than hi; seams caches _seams.  A list long keeps the
-    children that cancel at a seam for a second pass, so each is made once:
-    a pass from lo < 0 adds those longer than hi to it, and a pass from
-    lo >= 0 makes none, leaving them to the caller."""
-    n, fill = len(letters), long is not None and lo < 0
+    letters[p:] for all rels, in no fixed order, but only those no longer
+    than hi; seams caches _seams."""
+    n = len(letters)
     for p in range(min(n, max_prefix) + 1):
         head, tail = letters[:p], letters[p:]
         key = (head[-1:], tail[:1])
         plain, lens, seam = seams.get(key) or seams.setdefault(key, _seams(rels, *key))
-        yield [f"{head}{rel}{tail}" for rel in plain[bisect(lens, lo - n):bisect(lens, hi - n)]] + [
-            kid for a, mid, b, x, y, rel in (seam if long is None or fill else ())
-            # append gives None, so a kid it keeps is left out of the row
-            if lo < len(kid := f"{head[:p - a]}{mid}{tail[b:]}" if mid and x != head[-2:-1]
-                        and y != tail[1:2] else _join(_join(head, rel), tail)) <= hi
-            or fill and long.append(kid)]
+        yield [f"{head}{rel}{tail}" for rel in plain[:bisect(lens, hi - n)]] + [
+            kid for a, mid, b, x, y, rel in seam
+            if len(kid := f"{head[:p - a]}{mid}{tail[b:]}" if mid and x != head[-2:-1]
+                   and y != tail[1:2] else _join(_join(head, rel), tail)) <= hi]
 
 
 def is_consequence(pres: Presentation, w: Word,
                    bounds: SearchBounds = SearchBounds()) -> ConsequenceResult:
     """Decide whether w lies in the normal closure of the relators.
 
-    The search inserts conjugated relators level by level, each level in
-    (length, str) order, and builds a child longer than the cyclic core only
-    when its level reaches it or it could bring the search to a limit; a
-    success is returned only after the reconstructed certificate has been
-    re-verified by free reduction.
-    Once the search holds a tenth of ``max_states`` states it pauses for two
-    cheap deciders.  A descent, best-first in (length, str) order over the
+    A descent comes first: best-first in (length, str) order over the
     children shorter than their parent, within ``max_steps`` and a tenth of
-    ``max_states`` states of its own, verifies the products whose relator
-    blocks cancel one by one (Dehn's algorithm), and says so in the detail.
-    Else a nilpotent quotient up to ``refute_class``, read from the stages kept
-    with the presentation, in which the word survives refutes it; a word with a
-    certificate is never refuted.  Else the search resumes; if it does not
-    decide, the result is UNKNOWN.
+    ``max_states`` states, it verifies the products whose relator blocks
+    cancel one by one (Dehn's algorithm), and says so in the detail.
+    Else the search inserts conjugated relators level by level, each level
+    in (length, str) order.  Once it holds a tenth of ``max_states`` states
+    it pauses for a nilpotent quotient up to ``refute_class``, read from the
+    stages kept with the presentation, in which the word survives: that
+    refutes it, and a word with a certificate is never refuted.  Else the
+    search resumes; if it does not decide, the result is UNKNOWN.  A success
+    is returned only after the reconstructed certificate has been re-verified
+    by free reduction.
     """
     if w.alphabet != pres.alphabet:
         raise ValueError("word is not over the presentation alphabet")
@@ -387,51 +379,6 @@ def is_consequence(pres: Presentation, w: Word,
     core, outer = w.cyclic_reduction()
     rels, first, seams = pres._inserts
     start = _encode(core.letters)
-    # each state (see _encode) -> the state it was first reached from; the
-    # children longer than cap wait in held as (parent, level, count, the
-    # seam children made) in expansion order, and waiting sums the counts
-    came_from, held, cap, waiting = {start: None}, [], len(start), 0
-
-    def grow(parent, level, lo, hi, long):
-        """Put the new children of parent held in long or with lo < length <= hi
-        in level (see _children for long); return how many the range left out."""
-        kids, made = set(long), 0
-        for row in _children(parent, bounds.max_prefix, rels, seams, lo, hi, long):
-            kids.update(row)
-            made += len(row)
-            if "" in kids:
-                break
-        new = kids.difference(came_from)  # looks up each kid, not each key
-        came_from.update(dict.fromkeys(new, parent))
-        level += new
-        return (min(len(parent), bounds.max_prefix) + 1) * len(rels) - made
-
-    def build(upto):
-        nonlocal waiting
-        for parent, level, count, long in held[:upto]:
-            grow(parent, level, cap, inf, long)
-            waiting -= count
-        del held[:upto]
-
-    def frontier():
-        """(state, the level of its children) in the order (level, len, str)
-        for max_steps levels, each length sorted lazily.  A level's held
-        children are its longest states, built in expansion order when the
-        others run out, so each keeps the first parent it would have had."""
-        level = [start]
-        for _ in range(bounds.max_steps):
-            after, buckets = [], defaultdict(list)
-            while level or buckets or held and held[0][1] is level:
-                if level:  # the level's states at its start, or built since
-                    for key in level:
-                        buckets[len(key)].append(key)
-                    level.clear()
-                elif buckets:
-                    for letters in sorted(buckets.pop(min(buckets))):
-                        yield letters, after
-                else:
-                    build(sum(entry[1] is level for entry in held))
-            level = after
 
     def descend(limit):
         """The parent links of a descent that reaches the empty word within
@@ -440,7 +387,7 @@ def is_consequence(pres: Presentation, w: Word,
         while heap and len(links) < limit:
             n, parent, steps = heappop(heap)
             if steps < bounds.max_steps:
-                kids = {kid for row in _children(parent, bounds.max_prefix, rels, seams, -1, n - 1)
+                kids = {kid for row in _children(parent, bounds.max_prefix, rels, seams, n - 1)
                         for kid in row}.difference(links)
                 links.update(dict.fromkeys(kids, parent))
                 if "" in kids:
@@ -449,22 +396,37 @@ def is_consequence(pres: Presentation, w: Word,
                     heappush(heap, (len(kid), kid, steps + 1))
         return None
 
-    states, walked, detail = frontier(), False, ""
-    # one search, paused once at a tenth of its states for the descent and the
-    # tower walk: certificates within reach mostly need far fewer states
+    def frontier():
+        """(state, the level of its children) in the order (level, len, str)
+        for max_steps levels, each length sorted only when reached."""
+        level = [start]
+        for _ in range(bounds.max_steps):
+            after, buckets = [], defaultdict(list)
+            for key in level:
+                buckets[len(key)].append(key)
+            for n in sorted(buckets):
+                for letters in sorted(buckets.pop(n)):
+                    yield letters, after
+            level = after
+
+    links = descend(bounds.max_states // 10)
+    detail = "certificate found by descent" if links else ""
+    # each state (see _encode) -> the state it was first reached from; the
+    # level search runs only when the descent found no certificate, and
+    # pauses once at a tenth of its states for the tower walk: certificates
+    # within reach mostly need far fewer states
+    came_from, states, walked = links or {start: None}, frontier(), False
     for limit in (bounds.max_states // 10, bounds.max_states):
-        while "" not in came_from:
-            if held and len(came_from) + waiting >= limit:
-                build(len(held))
-                cap = inf  # from here on every child is built at once
-            if len(came_from) >= limit or (state := next(states, None)) is None:
-                break
-            if count := grow(*state, -1, cap, long := []):
-                held.append((*state, count, long))
-                waiting += count
-        if "" not in came_from and limit < bounds.max_states and (links := descend(limit)):
-            came_from, detail = links, "certificate found by descent at the checkpoint"
-            break
+        while "" not in came_from and len(came_from) < limit and (
+                state := next(states, None)) is not None:
+            (parent, level), kids = state, set()
+            for row in _children(parent, bounds.max_prefix, rels, seams):
+                kids.update(row)
+                if "" in kids:
+                    break
+            new = kids.difference(came_from)  # looks up each kid, not each key
+            came_from.update(dict.fromkeys(new, parent))
+            level += new
         if "" not in came_from and not walked:
             try:
                 # class 1 passes: the abelianisation check above already did

@@ -33,7 +33,7 @@ from bisect import bisect_right
 
 from .fpres import Presentation
 from .intlinalg import IntMatrix, _subtract, hermite_cokernel, hermite_normal_form
-from .word import Word
+from .word import Alphabet, Word
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -242,13 +242,13 @@ class PcSystem:
 
 @dataclass(frozen=True)
 class NilpotentQuotient:
-    presentation: Presentation
+    alphabet: Alphabet
     class_: int
     system: PcSystem
     layers: tuple[tuple[int, tuple[int, ...]], ...]
 
     def _normal_form(self, w: Word) -> dict[int, int]:
-        if w.alphabet != self.presentation.alphabet:
+        if w.alphabet != self.alphabet:
             raise ValueError("word is not over the presentation alphabet")
         return self.system.word_image(w)
 
@@ -354,7 +354,7 @@ def quotient_tower(pres: Presentation, class_: int):
             system, layers = (tower[-1].system, tower[-1].layers) if tower else (
                 PcSystem([], [], {}, {}, [{} for _ in range(pres.num_gens)]), ())
             system, layer = _advance(system, pres, c)
-            tower.append(NilpotentQuotient(pres, c, system, layers + (layer,)))
+            tower.append(NilpotentQuotient(pres.alphabet, c, system, layers + (layer,)))
         yield tower[c - 1]
 
 

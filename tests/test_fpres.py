@@ -508,7 +508,7 @@ def test_stable_letter_name_clash_is_rejected():
 # -- the int-encoded search against the Word-based one it replaced -----------
 
 
-DESCENT = "certificate found by descent at the checkpoint"
+DESCENT = "certificate found by descent"
 
 
 def oracle_insertions(pres, bounds, came_from, heap, limit, descent=False):
@@ -538,12 +538,12 @@ def oracle_insertions(pres, bounds, came_from, heap, limit, descent=False):
     return False
 
 
-def oracle_is_consequence(pres, w, bounds=SearchBounds(), checkpoint=True):
+def oracle_is_consequence(pres, w, bounds=SearchBounds(), descent=True):
     """The search as it was before it ran on int-encoded letters: a Word
     for every state, and one nilpotent quotient built per refutation class.
-    With the checkpoint, a level search that reaches a tenth of max_states
-    pauses for a descent of as many states; without it, the level search
-    runs alone, as it did before the descent."""
+    With the descent, a descent of a tenth of max_states states comes first,
+    and the level search runs only if it fails; without it, the level
+    search runs alone, as it did before the descent."""
     if w.alphabet != pres.alphabet:
         raise ValueError("word is not over the presentation alphabet")
     if w.is_identity:
@@ -552,7 +552,7 @@ def oracle_is_consequence(pres, w, bounds=SearchBounds(), checkpoint=True):
         return ConsequenceResult(REFUTED, None, "nonzero in the abelianisation")
     core, outer = w.cyclic_reduction()
     if not outer.is_identity:
-        inner = oracle_is_consequence(pres, core, bounds, checkpoint)
+        inner = oracle_is_consequence(pres, core, bounds, descent)
         if inner.status != VERIFIED:
             return inner
         shift = outer.inv()
@@ -562,16 +562,16 @@ def oracle_is_consequence(pres, w, bounds=SearchBounds(), checkpoint=True):
         assert verify_certificate(pres, w, certificate)
         return ConsequenceResult(VERIFIED, certificate, inner.detail)
 
-    start, detail = w.letters, ""
-    came_from, heap = {start: None}, [((0, len(start)), start, 0)]
-    tenth = bounds.max_states // 10 if checkpoint else bounds.max_states
-    found = oracle_insertions(pres, bounds, came_from, heap, tenth)
-    if not found and checkpoint:
-        links = {start: None}
-        if oracle_insertions(pres, bounds, links, [((len(start),), start, 0)], tenth, True):
-            came_from, found, detail = links, True, DESCENT
-        else:
-            found = oracle_insertions(pres, bounds, came_from, heap, bounds.max_states)
+    start, found, detail = w.letters, False, ""
+    if descent:
+        came_from = {start: None}
+        found = oracle_insertions(pres, bounds, came_from, [((len(start),), start, 0)],
+                                  bounds.max_states // 10, True)
+        detail = DESCENT if found else ""
+    if not found:
+        came_from = {start: None}
+        found = oracle_insertions(pres, bounds, came_from, [((0, len(start)), start, 0)],
+                                  bounds.max_states)
 
     if found:
         moves = []
@@ -642,13 +642,13 @@ def test_search_matches_word_based_oracle(question, bounds):
     pres, w = question
     res = is_consequence(pres, w, bounds)
     assert res == oracle_is_consequence(pres, w, bounds)
-    assert_descent_only_adds(res, oracle_is_consequence(pres, w, bounds, checkpoint=False))
+    assert_descent_only_adds(res, oracle_is_consequence(pres, w, bounds, descent=False))
 
 
 def assert_descent_only_adds(res, old):
     """A search result against the level-order oracle without the
-    checkpoint: equal, unless the descent found a certificate that the
-    oracle missed or found later, never for a word the oracle refutes."""
+    descent: equal, unless the descent found a certificate, never for a
+    word the oracle refutes."""
     if res.detail == DESCENT:
         assert res.status == VERIFIED and old.status != REFUTED
     else:
@@ -656,15 +656,20 @@ def assert_descent_only_adds(res, old):
 
 
 def test_descent_keeps_the_splitting_certificates():
-    # suite check 06: the relator images both ways, all certified by the
-    # level search before the checkpoint
+    # suite check 06: the relator images both ways; the descent certifies
+    # all but the images of pv3's relators 3 and 4 in pv3-new, whose cores
+    # have no shorter child, and the level search certifies those two
     f, g = pv3_new_generators()
     old, new = pv_presentation(3), pv3_new_presentation()
+    details = []
     for pres, images in ((new, map(f, old.relators)), (old, map(g, new.relators))):
         for w in images:
             res = is_consequence(pres, w)
-            assert res.status == VERIFIED and res.detail == ""
-            assert_descent_only_adds(res, oracle_is_consequence(pres, w, checkpoint=False))
+            assert res.status == VERIFIED
+            assert res == oracle_is_consequence(pres, w)
+            assert_descent_only_adds(res, oracle_is_consequence(pres, w, descent=False))
+            details.append(res.detail)
+    assert details == [DESCENT] * 3 + [""] * 2 + [DESCENT] * 7
 
 
 def test_descent_keeps_every_answer_on_seeded_products():
@@ -683,7 +688,7 @@ def test_descent_keeps_every_answer_on_seeded_products():
                         u = u * rng.choice(gens) ** rng.choice((1, -1))
                     w = w * pres.relators[rng.randrange(len(pres.relators))].conj(u)
                 res = is_consequence(pres, w, bounds)
-                old = oracle_is_consequence(pres, w, bounds, checkpoint=False)
+                old = oracle_is_consequence(pres, w, bounds, descent=False)
                 assert_descent_only_adds(res, old)
                 assert res.status == VERIFIED
                 gained += old.status == UNKNOWN
@@ -821,7 +826,8 @@ def test_an_unknown_search_stays_small_and_asks_again_without_building(monkeypat
     assert calls == []
 
 
-# three relators, no conjugators: the certificate needs about 10,400 states
+# three relators, no conjugators: the level search needs about 10,400
+# states for a certificate that the descent finds by expanding three
 LATE_PRES = pv_presentation(3)
 LATE_WORD = LATE_PRES.relators[2].inv() * LATE_PRES.relators[5] * LATE_PRES.relators[4]
 # a pv3 relator's image in pv3-new (suite check 06): no child of its
@@ -899,15 +905,13 @@ def test_children_are_the_reduced_insertions(relators, states, max_prefix, cap):
         state = _encode(letters)
         rows = list(_children(state, max_prefix, rels, seams))
         assert len(rows) == min(len(state), max_prefix) + 1
-        # with a cap, a row is the children no longer than it, or the rest
-        short = list(_children(state, max_prefix, rels, seams, -1, cap))
-        long = list(_children(state, max_prefix, rels, seams, cap))
+        # with a cap, a row is the children no longer than it
+        short = list(_children(state, max_prefix, rels, seams, cap))
         for p, row in enumerate(rows):
             want = sorted(_encode(free_reduce(letters[:p] + _decode(rel) + letters[p:]))
                           for rel in rels)
             assert sorted(row) == want
             assert sorted(short[p]) == [kid for kid in want if len(kid) <= cap]
-            assert sorted(long[p]) == [kid for kid in want if len(kid) > cap]
 
 
 def test_children_cancel_a_whole_relator_on_into_the_tail():
@@ -938,50 +942,129 @@ def test_search_cut_inside_a_level_matches_the_oracle():
                         (CLIMB_WORD, UNKNOWN), (CLIMB_WORD, VERIFIED)}
 
 
-def count_children(monkeypatch):
-    """A list whose one entry counts the children _children yields from now."""
-    real, built = fpres._children, [0]
+def spy_children(monkeypatch):
+    """A list that gets (state, whether the call passed hi) for each state
+    _children expands from now: the descent passes hi, the level search not."""
+    real, calls = fpres._children, []
 
-    def counting(*args):
-        for row in real(*args):
-            built[0] += len(row)
-            yield row
+    def spying(letters, *args):
+        calls.append((letters, len(args) == 4))
+        return real(letters, *args)
 
-    monkeypatch.setattr(fpres, "_children", counting)
-    return built
-
-
-def test_release_of_the_held_children_matches_the_oracle(monkeypatch):
-    # with its held children counted in, LATE_WORD's search could reach at
-    # most 11,337 states before its certificate: a checkpoint at 11,337
-    # builds every held child at once, one at 11,338 never needs to, and
-    # both find the oracle's certificate
-    built = count_children(monkeypatch)
-    for max_states, released in ((113_370, True), (113_379, True), (113_380, False)):
-        bounds = SearchBounds(max_states=max_states, refute_class=1)
-        built[0] = 0
-        res = is_consequence(LATE_PRES, LATE_WORD, bounds)
-        assert (built[0] > 10_000) == released
-        assert res.status == VERIFIED
-        assert res == oracle_is_consequence(LATE_PRES, LATE_WORD, bounds)
+    monkeypatch.setattr(fpres, "_children", spying)
+    return calls
 
 
-def test_three_relator_products_hold_their_long_children(monkeypatch):
-    # building every child of a product's first two levels takes over
-    # 11,000 children; holding back those longer than the core leaves
-    # hundreds, and the certificates stay the oracle's
-    built = count_children(monkeypatch)
-    rng = random.Random(23)
+def three_relator_products():
+    """Two products of three conjugated relators in each of pv3, pv3-new
+    and g3, the first unconjugated and the others by one generator each,
+    and LATE_WORD."""
+    rng, words = random.Random(23), [(LATE_PRES, LATE_WORD)]
     for pres in (pv_presentation(3), pv3_new_presentation(), g3_presentation()):
         for _ in range(2):
             w = pres.alphabet.identity()
             for u in (pres.alphabet.identity(), *rng.sample(pres.alphabet.gens(), 2)):
                 w = w * pres.relators[rng.randrange(len(pres.relators))].conj(u)
-            built[0] = 0
-            res = is_consequence(pres, w)
-            assert built[0] < 2_000
-            assert res.status == VERIFIED and len(res.certificate) == 3
-            assert res == oracle_is_consequence(pres, w)
+            words.append((pres, w))
+    return words
+
+
+def test_three_relator_products_descend_without_a_level_state(monkeypatch):
+    # the descent runs before the level search and certifies each product
+    # by deleting one relator block at a time: no state gets a level's
+    # children, so none of the thousands of children of the first two
+    # levels is built
+    calls = spy_children(monkeypatch)
+    for pres, w in three_relator_products():
+        calls.clear()
+        res = is_consequence(pres, w)
+        assert res.status == VERIFIED and res.detail == DESCENT and len(res.certificate) == 3
+        assert 0 < len(calls) <= len(res.certificate) + 1
+        assert all(descent for _, descent in calls)
+        assert res == oracle_is_consequence(pres, w)
+
+
+def test_late_and_refuted_words_match_the_oracle():
+    # LATE_WORD at the bounds that once decided how its long children were
+    # built, and [l32, l21], refuted after the level search reaches its
+    # checkpoint at a tenth of its states
+    for max_states in (113_370, 113_379, 113_380):
+        bounds = SearchBounds(max_states=max_states, refute_class=1)
+        res = is_consequence(LATE_PRES, LATE_WORD, bounds)
+        assert res.status == VERIFIED and res.detail == DESCENT
+        assert res == oracle_is_consequence(LATE_PRES, LATE_WORD, bounds)
+    l32, l21 = (LATE_PRES.alphabet.gen(name) for name in ("l32", "l21"))
+    for bounds in (SearchBounds(), SearchBounds(max_states=2_000, refute_class=2)):
+        res = is_consequence(LATE_PRES, l32.comm(l21), bounds)
+        assert res == ConsequenceResult(REFUTED, None, "nonzero in the class-2 quotient")
+    assert res == oracle_is_consequence(LATE_PRES, l32.comm(l21), bounds)
+
+
+def test_the_level_search_certifies_what_the_descent_leaves(monkeypatch):
+    # the images of pv3's relators 3 and 4 in pv3-new, and r2 times a
+    # conjugate of r2 there: the descent stops within a few states, and
+    # the level search finds the certificate past its first level (after
+    # 109, 97 and 2 expanded states)
+    f, _ = pv3_new_generators()
+    r = CLIMB_PRES.relators
+    u = parse_word("a2^-1 b1 a2", CLIMB_PRES.alphabet)
+    calls = spy_children(monkeypatch)
+    for w in (f(LATE_PRES.relators[3]), f(LATE_PRES.relators[4]), r[2] * u * r[2] * u.inv()):
+        calls.clear()
+        res = is_consequence(CLIMB_PRES, w)
+        assert res.status == VERIFIED and res.detail == ""
+        descended = [state for state, descent in calls if descent]
+        assert 0 < len(descended) <= 5
+        assert len(calls) - len(descended) > 1
+        assert res == oracle_is_consequence(CLIMB_PRES, w)
+
+
+def seeded_questions(rng, pres, count):
+    """count words over pres: products of 1-4 conjugated relators, freely
+    reduced, so that factors may cancel into each other; a commutator of
+    two short words times a relator; a word with zero exponent sums; and
+    a random word."""
+    gens, out = pres.alphabet.gens(), []
+
+    def word(lo, hi):
+        w = pres.alphabet.identity()
+        for _ in range(rng.randint(lo, hi)):
+            w = w * rng.choice(gens) ** rng.choice((1, -1))
+        return w
+
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            w = pres.alphabet.identity()
+            for _ in range(rng.randint(1, 4)):
+                r = pres.relators[rng.randrange(len(pres.relators))] ** rng.choice((1, -1))
+                w = w * r.conj(word(0, 3))
+        elif kind == 1:
+            w = word(1, 2).comm(word(1, 2)) * pres.relators[rng.randrange(len(pres.relators))]
+        elif kind == 2:
+            x = word(1, 4)
+            back = list(x.inv().letters)
+            rng.shuffle(back)
+            w = x * Word(pres.alphabet, tuple(back))
+        else:
+            w = word(1, 6)
+        out.append(w)
+    return out
+
+
+def test_descent_first_matches_the_level_search_on_seeded_questions():
+    # each status is the level-search-only oracle's wherever that decides;
+    # where it does not, the descent may verify but never refute
+    rng, bounds, statuses = random.Random(29), SearchBounds(max_states=1_000), set()
+    for pres in (pv_presentation(3), pv3_new_presentation(), g3_presentation()):
+        for w in seeded_questions(rng, pres, 104):
+            res = is_consequence(pres, w, bounds)
+            old = oracle_is_consequence(pres, w, bounds, descent=False)
+            assert res.status == old.status or old.status == UNKNOWN and res.status == VERIFIED
+            if res.status == VERIFIED:
+                assert verify_certificate(pres, w, res.certificate)
+            statuses.add((res.status, res.detail == DESCENT))
+    assert statuses >= {(VERIFIED, True), (VERIFIED, False), (REFUTED, False)}
 
 
 def test_certificate_through_a_state_longer_than_the_core():
@@ -1003,9 +1086,9 @@ def test_certificate_through_a_state_longer_than_the_core():
 
 
 def test_held_children_keep_their_first_parent():
-    # every child of the one-letter core is held back, and two parents held
-    # in one level reach a state of the certificate's path: the first of
-    # them in expansion order must stay its parent
+    # the descent makes no step from the one-letter core, and two parents
+    # in one level of the level search reach a state of the certificate's
+    # path: the first of them in expansion order must stay its parent
     pres = Presentation.from_text("gens: a b\nrel: b^-1 a^2\nrel: b^-1 a")
     x, y = pres.alphabet.gens()
     res = is_consequence(pres, y)
@@ -1064,7 +1147,7 @@ def test_long_states_keep_the_search_memory_small():
 def test_descent_verifies_four_conjugated_relators():
     # the level search does not reach this certificate's fourth level within
     # 50,000 states; deleting one relator block at a time lets its
-    # conjugator cancel, so the descent at the checkpoint finds it
+    # conjugator cancel, so the descent finds it
     pres = pv_presentation(3)
     r, conjugators = pres.relators, ("l12 l13 l23", "l21 l31^-1 l32", "l13^-1 l23 l12",
                                      "l32 l21 l31")
@@ -1075,48 +1158,7 @@ def test_descent_verifies_four_conjugated_relators():
     assert res.status == VERIFIED and res.detail == DESCENT
     assert len(res.certificate) == 4
     assert res == oracle_is_consequence(pres, w, bounds)
-    assert oracle_is_consequence(pres, w, bounds, checkpoint=False).status == UNKNOWN
-
-
-def test_held_parents_make_each_seam_child_once(monkeypatch):
-    # [l32, l21] is refuted at the checkpoint after holding back the long
-    # children of almost every parent; the release builds their long plain
-    # children and takes the seam children from the parent's first pass,
-    # so the level search joins at a seam exactly as often as building
-    # every parent's children once does, and the descent before the walk
-    # as often as building the shorter children of its parents once
-    pres = pv_presentation(3)
-    l32, l21 = (pres.alphabet.gen(name) for name in ("l32", "l21"))
-    parents, released, descended, joins = [], [], [], [0]
-    real_children, real_join = fpres._children, fpres._join
-
-    def children(letters, *args):  # args: max_prefix, rels, seams, lo, hi[, long]
-        if len(args) == 5:  # the descent passes no list long
-            descended.append(letters)
-        else:
-            (parents if args[3] < 0 else released).append(letters)
-        return real_children(letters, *args)
-
-    def join(u, v):
-        joins[0] += 1
-        return real_join(u, v)
-
-    monkeypatch.setattr(fpres, "_children", children)
-    monkeypatch.setattr(fpres, "_join", join)
-    res = is_consequence(pres, l32.comm(l21))
-    assert res == ConsequenceResult(REFUTED, None, "nonzero in the class-2 quotient")
-    assert len(set(parents)) == len(parents) > 150
-    assert len(set(released)) == len(released) > 150 and set(released) <= set(parents)
-    assert len(set(descended)) == len(descended) > 0
-    searched, joins[0] = joins[0], 0
-    rels, _, _ = pres._inserts
-    for parent in parents:
-        for _ in real_children(parent, SearchBounds().max_prefix, rels, {}):
-            pass
-    for parent in descended:
-        for _ in real_children(parent, SearchBounds().max_prefix, rels, {}, -1, len(parent) - 1):
-            pass
-    assert searched == joins[0]
+    assert oracle_is_consequence(pres, w, bounds, descent=False).status == UNKNOWN
 
 
 # -- the abelianisation check, one Hermite form per presentation -------------

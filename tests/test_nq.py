@@ -1,9 +1,11 @@
 """Nilpotent quotients: layer invariants, images, refutation fallback."""
 
 import copy
+import gc
 import inspect
 import random
 import sys
+import weakref
 from itertools import combinations
 
 import pytest
@@ -333,6 +335,20 @@ def test_each_stage_is_built_once_per_presentation(monkeypatch):
     assert built == [1, 2, 3, 4]
 
 
+def test_a_dropped_presentation_frees_its_stages_at_once():
+    # a stage keeps the alphabet, not the presentation that keeps the
+    # stage, so no reference cycle holds the tower until a collection
+    pres = pv_presentation(3)
+    stage = weakref.ref(nilpotent_quotient(pres, 4))
+    gc.disable()
+    try:
+        assert stage() is not None
+        del pres
+        assert stage() is None
+    finally:
+        gc.enable()
+
+
 # weight-four commutators of pv4 that die in its class-3 quotient, not in class 4
 PV4_WEIGHT_FOUR = ("[[[l12, l13], l14], l21]", "[[[l12, l23], l34], l41]",
                    "[[[l12, l13], l23], l14]")
@@ -646,10 +662,10 @@ def collection_samples():
     for q in quotients:
         system = q.system
         max_len = 4 if q.class_ == 4 and system.num > 50 else 8
-        gens = q.presentation.num_gens
+        gens = len(q.alphabet)
         words = []
         for _ in range(12):
-            w = Word(q.presentation.alphabet, tuple(
+            w = Word(q.alphabet, tuple(
                 (rng.randrange(gens), rng.choice((1, -1)))
                 for _ in range(rng.randint(1, max_len))))
             words.append([letter for g, s in w.letters for letter in (
