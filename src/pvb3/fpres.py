@@ -354,14 +354,16 @@ def is_consequence(pres: Presentation, w: Word,
     children shorter than their parent, within ``max_steps`` and a tenth of
     ``max_states`` states, it verifies the products whose relator blocks
     cancel one by one (Dehn's algorithm), and says so in the detail.
-    Else the search inserts conjugated relators level by level, each level
-    in (length, str) order.  Once it holds a tenth of ``max_states`` states
-    it pauses for a nilpotent quotient up to ``refute_class``, read from the
-    stages kept with the presentation, in which the word survives: that
-    refutes it, and a word with a certificate is never refuted.  Else the
-    search resumes; if it does not decide, the result is UNKNOWN.  A success
-    is returned only after the reconstructed certificate has been re-verified
-    by free reduction.
+    Else one walk of the nilpotent quotients up to ``refute_class``, read
+    from the stages kept with the presentation, looks for a quotient in
+    which the word survives: that refutes it, and a word with a
+    certificate is never refuted.  Only a word the walk cannot refute goes
+    to the level search, which inserts conjugated relators level by level,
+    each level in (length, str) order, up to ``max_states`` states; if it
+    does not decide, the result is UNKNOWN.  A collection budget stop in
+    the walk is raised only if the search finds no certificate.  A success
+    is returned only after the reconstructed certificate has been
+    re-verified by free reduction.
     """
     if w.alphabet != pres.alphabet:
         raise ValueError("word is not over the presentation alphabet")
@@ -409,37 +411,33 @@ def is_consequence(pres: Presentation, w: Word,
                     yield letters, after
             level = after
 
-    links = descend(bounds.max_states // 10)
-    detail = "certificate found by descent" if links else ""
+    links, stop = descend(bounds.max_states // 10), None
+    if not links:
+        try:
+            # class 1 passes: the abelianisation check above already did
+            for q in quotient_tower(pres, bounds.refute_class):
+                if not q.image_is_trivial(w):
+                    return ConsequenceResult(
+                        REFUTED, None, "nonzero in the class-%d quotient" % q.class_)
+        except CollectionBudget as err:
+            stop = err  # a walk repeated after the search would stop again
     # each state (see _encode) -> the state it was first reached from; the
-    # level search runs only when the descent found no certificate, and
-    # pauses once at a tenth of its states for the tower walk: certificates
-    # within reach mostly need far fewer states
-    came_from, states, walked = links or {start: None}, frontier(), False
-    for limit in (bounds.max_states // 10, bounds.max_states):
-        while "" not in came_from and len(came_from) < limit and (
-                state := next(states, None)) is not None:
-            (parent, level), kids = state, set()
-            for row in _children(parent, bounds.max_prefix, rels, seams):
-                kids.update(row)
-                if "" in kids:
-                    break
-            new = kids.difference(came_from)  # looks up each kid, not each key
-            came_from.update(dict.fromkeys(new, parent))
-            level += new
-        if "" not in came_from and not walked:
-            try:
-                # class 1 passes: the abelianisation check above already did
-                for q in quotient_tower(pres, bounds.refute_class):
-                    if not q.image_is_trivial(w):
-                        return ConsequenceResult(
-                            REFUTED, None, "nonzero in the class-%d quotient" % q.class_)
-                walked = True
-            except CollectionBudget:
-                if limit == bounds.max_states:
-                    raise  # else search on, and walk again when the search ends
+    # level search runs only when neither the descent nor the walk decided
+    came_from, states = links or {start: None}, frontier()
+    while "" not in came_from and len(came_from) < bounds.max_states and (
+            state := next(states, None)) is not None:
+        (parent, level), kids = state, set()
+        for row in _children(parent, bounds.max_prefix, rels, seams):
+            kids.update(row)
+            if "" in kids:
+                break
+        new = kids.difference(came_from)  # looks up each kid, not each key
+        came_from.update(dict.fromkeys(new, parent))
+        level += new
 
     if "" not in came_from:
+        if stop is not None:
+            raise stop
         return ConsequenceResult(UNKNOWN, None,
                                  "bounds exhausted without certificate or refutation")
     # each step is the first move, in (p, relator, sign) order, to the child; at p
@@ -453,7 +451,8 @@ def is_consequence(pres: Presentation, w: Word,
         certificate, key = (step, *certificate), parent
     if not verify_certificate(pres, w, certificate):
         raise AssertionError("search produced an invalid certificate")
-    return ConsequenceResult(VERIFIED, certificate, detail)
+    return ConsequenceResult(VERIFIED, certificate,
+                             "certificate found by descent" if links else "")
 
 
 def check_homomorphism_free(pres: Presentation, images: GenMap) -> list[tuple[str, bool]]:

@@ -122,9 +122,12 @@ def test_traced_splitting_questions_search_each_word_once():
     # the 12 relator images of the free-product splitting: 8 of them are
     # not cyclically reduced, and the search on their cyclic core must
     # not repeat the abelianisation check, whose 6x6 HNF is built once
-    # per presentation
+    # per presentation.  The descent leaves two pv3-new images to the walk
+    # of that presentation's class-4 tower, built here before tracing, so
+    # that the walk reads kept stages and no NQ elimination is counted
     old, new = pv_presentation(3), pv3_new_presentation()
     f, g = pv3_new_generators()
+    nq.nilpotent_quotient(new, 4)
     tracer = load_tracing().Tracer()
     try:
         tracer.install()

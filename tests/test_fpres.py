@@ -787,8 +787,9 @@ def test_search_memory_stays_small():
     assert peak < 15 * 2 ** 20, "search peaked at %.1f MB" % (peak / 2 ** 20)
 
 
-def test_refutation_ends_the_search_at_its_checkpoint():
-    # at the default bounds the search would fill 200,000 states first
+def test_refutation_comes_before_the_level_search():
+    # the walk refutes the commutator before the level search builds a
+    # state: at the default bounds that search would fill 200,000 states
     pres = pv_presentation(3)
     l12, _, l13 = pres.alphabet.gens()[:3]
     tracemalloc.start()
@@ -807,8 +808,8 @@ GAMMA5 = "[[[[l12, l23], l31], l13], l32]"
 
 
 def test_an_unknown_search_stays_small_and_asks_again_without_building(monkeypatch):
-    # GAMMA5 stays UNKNOWN: the class-4 tower walked at 2,000 states stays
-    # kept with the presentation while the search fills 20,000
+    # GAMMA5 stays UNKNOWN: the class-4 tower walked before the level
+    # search stays kept with the presentation while the search fills 20,000
     pres, bounds = pv_presentation(3), SearchBounds(max_states=20_000)
     w = parse_word(GAMMA5, pres.alphabet)
     tracemalloc.start()
@@ -831,8 +832,8 @@ def test_an_unknown_search_stays_small_and_asks_again_without_building(monkeypat
 LATE_PRES = pv_presentation(3)
 LATE_WORD = LATE_PRES.relators[2].inv() * LATE_PRES.relators[5] * LATE_PRES.relators[4]
 # a pv3 relator's image in pv3-new (suite check 06): no child of its
-# six-letter core is shorter, so the descent makes no step, and the level
-# search needs 10,268 states, past the checkpoint of these bounds at 2,000
+# six-letter core is shorter, so the descent makes no step, the walk that
+# follows cannot refute it, and the level search needs 10,268 states
 CLIMB_PRES = pv3_new_presentation()
 CLIMB_WORD = pv3_new_generators()[0](pv_presentation(3).relators[3])
 CLIMB_BOUNDS = SearchBounds(max_states=20_000)
@@ -852,7 +853,7 @@ def patch_tower(monkeypatch, failures):
     return calls
 
 
-def test_checkpoint_walk_leaves_a_late_certificate_unchanged(monkeypatch):
+def test_walk_leaves_a_late_certificate_unchanged(monkeypatch):
     calls = patch_tower(monkeypatch, failures=0)
     res = is_consequence(CLIMB_PRES, CLIMB_WORD, CLIMB_BOUNDS)
     assert calls == [(CLIMB_PRES, CLIMB_BOUNDS.refute_class)]
@@ -861,7 +862,7 @@ def test_checkpoint_walk_leaves_a_late_certificate_unchanged(monkeypatch):
     assert res == oracle_is_consequence(CLIMB_PRES, CLIMB_WORD, CLIMB_BOUNDS)
 
 
-def test_collection_budget_at_the_checkpoint_does_not_stop_a_certificate(monkeypatch):
+def test_collection_budget_in_the_walk_does_not_stop_a_certificate(monkeypatch):
     calls = patch_tower(monkeypatch, failures=10)
     res = is_consequence(CLIMB_PRES, CLIMB_WORD, CLIMB_BOUNDS)
     assert len(calls) == 1
@@ -870,19 +871,21 @@ def test_collection_budget_at_the_checkpoint_does_not_stop_a_certificate(monkeyp
     assert res == oracle_is_consequence(CLIMB_PRES, CLIMB_WORD, CLIMB_BOUNDS)
 
 
-def test_collection_budget_at_the_checkpoint_defers_the_walk(monkeypatch):
+def test_collection_budget_in_the_walk_is_raised_after_the_search(monkeypatch):
+    # a budget stop in the walk lets the level search run, and is raised
+    # when that finds no certificate; the walk is not repeated, since the
+    # same build and collection would stop again
     pres = pv_presentation(3)
     l12, _, l13 = pres.alphabet.gens()[:3]
     w, bounds = l12.comm(l13), SearchBounds(max_states=300)
-    calls = patch_tower(monkeypatch, failures=10)
+    calls = patch_tower(monkeypatch, failures=1)
+    children = spy_children(monkeypatch)
     with pytest.raises(CollectionBudget):
         is_consequence(pres, w, bounds)
-    assert len(calls) == 2  # at the checkpoint, then after the search
+    assert len(calls) == 1
+    assert any(not descent for _, descent in children)
     monkeypatch.undo()
-    calls = patch_tower(monkeypatch, failures=1)
     res = is_consequence(pres, w, bounds)
-    assert len(calls) == 2
-    monkeypatch.undo()
     assert res == ConsequenceResult(REFUTED, None, "nonzero in the class-2 quotient")
     assert res == oracle_is_consequence(pres, w, bounds)
 
@@ -974,20 +977,44 @@ def test_three_relator_products_descend_without_a_level_state(monkeypatch):
     # by deleting one relator block at a time: no state gets a level's
     # children, so none of the thousands of children of the first two
     # levels is built
-    calls = spy_children(monkeypatch)
+    calls, towers = spy_children(monkeypatch), patch_tower(monkeypatch, failures=0)
     for pres, w in three_relator_products():
         calls.clear()
         res = is_consequence(pres, w)
         assert res.status == VERIFIED and res.detail == DESCENT and len(res.certificate) == 3
         assert 0 < len(calls) <= len(res.certificate) + 1
         assert all(descent for _, descent in calls)
+        assert towers == []  # a descent certificate walks no quotient
         assert res == oracle_is_consequence(pres, w)
+
+
+# left-normed commutators of generators of weight 2, 3 and 4: each
+# survives in the quotient of its weight's class
+COMMUTATORS = ((pv_presentation(3), ("[l12, l13]", "[[l12, l13], l23]",
+                                     "[[[l12, l23], l31], l13]")),
+               (pv3_new_presentation(), ("[c1, c2]", "[[c1, c2], a1]", "[[[c1, c2], a1], b2]")),
+               (g3_presentation(), ("[a1, a2]", "[[a1, a2], c1]", "[[[a1, a2], c1], b1]")))
+
+
+def test_commutators_are_refuted_before_any_level_state(monkeypatch):
+    # one walk of the tower refutes each commutator before the level
+    # search builds a state; the oracle searches 2,000 states first
+    for pres, texts in COMMUTATORS:
+        for weight, text in enumerate(texts, 2):
+            w = parse_word(text, pres.alphabet)
+            calls, towers = spy_children(monkeypatch), patch_tower(monkeypatch, failures=0)
+            res = is_consequence(pres, w)
+            assert res == ConsequenceResult(
+                REFUTED, None, "nonzero in the class-%d quotient" % weight)
+            assert all(descent for _, descent in calls)
+            assert towers == [(pres, SearchBounds().refute_class)]
+            monkeypatch.undo()
+            assert res == oracle_is_consequence(pres, w, SearchBounds(max_states=2_000))
 
 
 def test_late_and_refuted_words_match_the_oracle():
     # LATE_WORD at the bounds that once decided how its long children were
-    # built, and [l32, l21], refuted after the level search reaches its
-    # checkpoint at a tenth of its states
+    # built, and [l32, l21], refuted by the walk before the level search
     for max_states in (113_370, 113_379, 113_380):
         bounds = SearchBounds(max_states=max_states, refute_class=1)
         res = is_consequence(LATE_PRES, LATE_WORD, bounds)
