@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+from .fpres import pv_presentation
 from .word import Alphabet, GenMap, Word
 
 
@@ -160,8 +161,6 @@ def pv_relators_in_cb(n: int = 3) -> list[tuple[str, bool]]:
     A True verdict means the relator's composite is the identity
     endomorphism, so the assignment extends to the presented group.
     """
-    from .fpres import pv_presentation
-
     pres = pv_presentation(n)
     images = tuple(epsilon(n, int(name[1]), int(name[2]))
                    for name in pres.alphabet.names)

@@ -28,14 +28,13 @@ free reduction before being returned.
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import permutations
-from math import inf
 
+from . import nq
 from .grammar import parse_presentation_text
 from .intlinalg import IntMatrix, _in_hermite_span, determinant, hermite_normal_form
 from .word import Alphabet, GenMap, Word, free_reduce, inverse
@@ -318,52 +317,52 @@ def _join(u: str, v: str) -> str:
     return u[:len(u) - i] + v[i:]
 
 
-def _seams(rels: list[str], u: str, v: str) -> tuple[list, list, list]:
+def _seams(rels: list[str], u: str, v: str) -> tuple[list, list]:
     """The rels that cancel against neither letter u nor v when inserted between
-    them ("" at an end), sorted by length, their lengths, and the others as
-    (a, rel[a:len(rel) - b], b, x, y, rel): a and b letters cancel, unless none
-    are left or x precedes u or y follows v."""
+    them ("" at an end), and the others as (a, rel[a:len(rel) - b], b, x, y,
+    rel): a and b letters cancel, unless none are left or x precedes u or y
+    follows v."""
     h, t = (chr(ord(c) ^ 1) if c else "" for c in (u, v))
     cuts = [(int(r[0] == h), int(r[-1] == t), r) for r in rels]
-    plain = sorted((r for a, b, r in cuts if not a + b), key=len)
-    return plain, [len(r) for r in plain], [
+    return [r for a, b, r in cuts if not a + b], [
         (a, r[a:len(r) - b], b, chr(ord(r[1]) ^ 1) if a and len(r) > 1 else None,
          chr(ord(r[-2]) ^ 1) if b and len(r) > 1 else None, r) for a, b, r in cuts if a + b]
 
 
-def _children(letters: str, max_prefix: int, rels: list[str], seams: dict, hi: float = inf):
+def _children(letters: str, max_prefix: int, rels: list[str], seams: dict,
+              shorter: bool = False):
     """For each p up to max_prefix, the reduced letters[:p] + rel +
-    letters[p:] for all rels, in no fixed order, but only those no longer
-    than hi; seams caches _seams."""
+    letters[p:] for all rels, in no fixed order; with shorter, only those
+    shorter than letters, so no rel that cancels at neither seam.  seams
+    caches _seams."""
     n = len(letters)
     for p in range(min(n, max_prefix) + 1):
         head, tail = letters[:p], letters[p:]
         key = (head[-1:], tail[:1])
-        plain, lens, seam = seams.get(key) or seams.setdefault(key, _seams(rels, *key))
-        yield [f"{head}{rel}{tail}" for rel in plain[:bisect(lens, hi - n)]] + [
+        plain, seam = seams.get(key) or seams.setdefault(key, _seams(rels, *key))
+        yield ([] if shorter else [f"{head}{rel}{tail}" for rel in plain]) + [
             kid for a, mid, b, x, y, rel in seam
             if len(kid := f"{head[:p - a]}{mid}{tail[b:]}" if mid and x != head[-2:-1]
-                   and y != tail[1:2] else _join(_join(head, rel), tail)) <= hi]
+                   and y != tail[1:2] else _join(_join(head, rel), tail)) < n or not shorter]
 
 
 def is_consequence(pres: Presentation, w: Word,
                    bounds: SearchBounds = SearchBounds()) -> ConsequenceResult:
-    """Decide whether w lies in the normal closure of the relators.
+    """Decide whether w lies in the normal closure of the relators:
+    VERIFIED with a certificate, REFUTED, or UNKNOWN when the bounds run out.
 
-    A descent comes first: best-first in (length, str) order over the
-    children shorter than their parent, within ``max_steps`` and a tenth of
-    ``max_states`` states, it verifies the products whose relator blocks
-    cancel one by one (Dehn's algorithm), and says so in the detail.
-    Else one walk of the nilpotent quotients up to ``refute_class``, read
-    from the stages kept with the presentation, looks for a quotient in
-    which the word survives: that refutes it, and a word with a
-    certificate is never refuted.  Only a word the walk cannot refute goes
-    to the level search, which inserts conjugated relators level by level,
-    each level in (length, str) order, up to ``max_states`` states; if it
-    does not decide, the result is UNKNOWN.  A collection budget stop in
-    the walk is raised only if the search finds no certificate.  A success
-    is returned only after the reconstructed certificate has been
-    re-verified by free reduction.
+    The abelianisation check comes first.  Then a descent, best-first in
+    (length, str) order over the children shorter than their parent,
+    within ``max_steps`` and a tenth of ``max_states`` states, verifies the
+    products whose relator blocks cancel one by one (Dehn's algorithm), and
+    says so in the detail.  Else one walk of the nilpotent quotients of
+    class 2 to ``refute_class``, kept with the presentation, looks for a
+    quotient in which the word survives: that refutes it.  A collection
+    budget stop ends the walk and is named in the detail of an UNKNOWN.
+    Only a word the walk does not refute goes to the level search, which
+    inserts conjugated relators level by level, each level in (length, str)
+    order, up to ``max_states`` states.  A certificate is returned only
+    after it has been re-verified by free reduction.
     """
     if w.alphabet != pres.alphabet:
         raise ValueError("word is not over the presentation alphabet")
@@ -371,8 +370,6 @@ def is_consequence(pres: Presentation, w: Word,
         return ConsequenceResult(VERIFIED, ())
 
     # cheap refutation first: the image in the abelianisation must vanish
-    from .nq import CollectionBudget, quotient_tower
-
     if not _in_hermite_span(*pres._abelian, list(w.exponent_vector())):
         return ConsequenceResult(REFUTED, None, "nonzero in the abelianisation")
 
@@ -387,10 +384,10 @@ def is_consequence(pres: Presentation, w: Word,
         limit states, else None; the heap holds (length, state, steps)."""
         links, heap = {start: None}, [(len(start), start, 0)]
         while heap and len(links) < limit:
-            n, parent, steps = heappop(heap)
+            _, parent, steps = heappop(heap)
             if steps < bounds.max_steps:
-                kids = {kid for row in _children(parent, bounds.max_prefix, rels, seams, n - 1)
-                        for kid in row}.difference(links)
+                rows = _children(parent, bounds.max_prefix, rels, seams, shorter=True)
+                kids = {kid for row in rows for kid in row}.difference(links)
                 links.update(dict.fromkeys(kids, parent))
                 if "" in kids:
                     return links
@@ -411,16 +408,17 @@ def is_consequence(pres: Presentation, w: Word,
                     yield letters, after
             level = after
 
-    links, stop = descend(bounds.max_states // 10), None
+    links, stop = descend(bounds.max_states // 10), ""
     if not links:
         try:
-            # class 1 passes: the abelianisation check above already did
-            for q in quotient_tower(pres, bounds.refute_class):
-                if not q.image_is_trivial(w):
+            # class 1 is only built, as the base of class 2: the
+            # abelianisation check above already decided it
+            for q in nq.quotient_tower(pres, bounds.refute_class):
+                if q.class_ > 1 and not q.image_is_trivial(w):
                     return ConsequenceResult(
                         REFUTED, None, "nonzero in the class-%d quotient" % q.class_)
-        except CollectionBudget as err:
-            stop = err  # a walk repeated after the search would stop again
+        except nq.CollectionBudget as err:
+            stop = "; the walk stopped: %s" % err
     # each state (see _encode) -> the state it was first reached from; the
     # level search runs only when neither the descent nor the walk decided
     came_from, states = links or {start: None}, frontier()
@@ -436,10 +434,8 @@ def is_consequence(pres: Presentation, w: Word,
         level += new
 
     if "" not in came_from:
-        if stop is not None:
-            raise stop
-        return ConsequenceResult(UNKNOWN, None,
-                                 "bounds exhausted without certificate or refutation")
+        return ConsequenceResult(
+            UNKNOWN, None, "bounds exhausted without certificate or refutation" + stop)
     # each step is the first move, in (p, relator, sign) order, to the child; at p
     # it can only insert parent[:p]^-1 key parent[p:]^-1, reduced (back is parent^-1)
     certificate, key, shift = (), "", inverse(outer.letters)

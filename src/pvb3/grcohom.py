@@ -45,9 +45,6 @@ class Exterior:
     def gen(self, name):
         return self.element({(self.names.index(name),): 1})
 
-    def gens(self):
-        return tuple(self.gen(n) for n in self.names)
-
     def basis(self, degree):
         """Index tuples of the standard monomial basis in one degree,
         empty in negative degrees."""

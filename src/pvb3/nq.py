@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from bisect import bisect_right
 
-from .fpres import Presentation
 from .intlinalg import IntMatrix, _subtract, hermite_cokernel, hermite_normal_form
 from .word import Alphabet, Word
 
@@ -261,7 +260,7 @@ class NilpotentQuotient:
         return not self._normal_form(w)
 
 
-def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
+def _advance(system: PcSystem, pres, new_weight: int) \
         -> tuple[PcSystem, tuple[int, tuple[int, ...]]]:
     base = system.num
 
@@ -280,7 +279,6 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
         powers={i: dict(v) for i, v in system.powers.items()},
         comms={pair: dict(v) for pair, v in system.comms.items()},
         images=[dict(v) for v in system.images],
-        definitions=set(system.definitions),
         budget=system.budget,
     )
     for m, tail in enumerate(tails):
@@ -346,8 +344,9 @@ def _advance(system: PcSystem, pres: Presentation, new_weight: int) \
     return new_system, layer
 
 
-def quotient_tower(pres: Presentation, class_: int):
-    """Yield the quotients of class 1 to class_ kept with pres, building any missing."""
+def quotient_tower(pres, class_: int):
+    """Yield the quotients of class 1 to class_ kept with pres, building any
+    missing; pres is read for its alphabet, relators, num_gens and _tower."""
     tower = pres._tower
     for c in range(1, class_ + 1):
         if c > len(tower):
@@ -358,7 +357,7 @@ def quotient_tower(pres: Presentation, class_: int):
         yield tower[c - 1]
 
 
-def nilpotent_quotient(pres: Presentation, class_: int) -> NilpotentQuotient:
+def nilpotent_quotient(pres, class_: int) -> NilpotentQuotient:
     """Polycyclic presentation of G/gamma_{class_+1} with layer invariants."""
     if class_ < 1:
         raise ValueError("class must be at least 1")

@@ -17,6 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .intlinalg import IntMatrix
+
 Letter = tuple[int, int]
 
 # In a str pattern \w is exactly str.isalnum() or "_", but no class is
@@ -218,6 +220,4 @@ class GenMap:
 
     def abelianisation_matrix(self):
         """Rows are exponent vectors of the generator images."""
-        from .intlinalg import IntMatrix
-
         return IntMatrix.from_rows([w.exponent_vector() for w in self.images])

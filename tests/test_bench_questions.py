@@ -36,15 +36,15 @@ def test_word_problem_batches_decide_every_question_correctly(monkeypatch):
 
 def test_word_problem_commutators_expand_no_level_state(monkeypatch):
     # comm2 and comm3 are refuted by the tower walk before the level
-    # search: every state expanded for them is the descent's, which
-    # passes the length bound hi
+    # search: every state expanded for them is the descent's, which asks
+    # for the shorter children only
     work = word_problem(monkeypatch)
     real, level = work.fpres._children, []
 
-    def spying(letters, *args):
-        if len(args) < 4:
+    def spying(letters, max_prefix, rels, seams, shorter=False):
+        if not shorter:
             level.append(letters)
-        return real(letters, *args)
+        return real(letters, max_prefix, rels, seams, shorter)
 
     monkeypatch.setattr(work.fpres, "_children", spying)
     kinds = []

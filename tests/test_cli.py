@@ -380,6 +380,17 @@ def test_nq_budget_stop_reports_unknown(monkeypatch, capsys):
     assert err == "unknown: collection exceeded 10 steps\n"
 
 
+def test_consequence_budget_stop_prints_unknown_on_stdout(capsys):
+    # a pv3 consequence whose class-4 image runs past the collection budget
+    word = ("l13^-1 l32 l12 l31^-1 l32^-1 l12^-1 l31 l13 l21 l32^-2 l23 l31 l13^-1 "
+            "l31 l13^-2 l31^-1 l12 l32 l31 l12^-1 l32^-1 l13^2 l31^-1 l13 l31^-1 "
+            "l23^-1 l32^2 l21^-1")
+    code, out, err = run(capsys, "consequence", "pv3", word)
+    assert (code, err) == (1, "")
+    assert out == ("UNKNOWN: bounds exhausted without certificate or refutation; "
+                   "the walk stopped: collection exceeded 10000000 steps\n")
+
+
 def test_nq_reads_presentation_files(tmp_path, capsys):
     path = tmp_path / "klein.pres"
     path.write_text("gens: a t\nrel: t a t^-1 a\n")

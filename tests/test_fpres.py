@@ -871,23 +871,76 @@ def test_collection_budget_in_the_walk_does_not_stop_a_certificate(monkeypatch):
     assert res == oracle_is_consequence(CLIMB_PRES, CLIMB_WORD, CLIMB_BOUNDS)
 
 
-def test_collection_budget_in_the_walk_is_raised_after_the_search(monkeypatch):
-    # a budget stop in the walk lets the level search run, and is raised
-    # when that finds no certificate; the walk is not repeated, since the
-    # same build and collection would stop again
+def test_collection_budget_in_the_walk_is_named_in_an_unknown(monkeypatch):
+    # a budget stop in the walk lets the level search run, and when that
+    # finds no certificate the answer is UNKNOWN with the stop in its
+    # detail; the walk is not repeated, since the same build and
+    # collection would stop again
     pres = pv_presentation(3)
     l12, _, l13 = pres.alphabet.gens()[:3]
     w, bounds = l12.comm(l13), SearchBounds(max_states=300)
     calls = patch_tower(monkeypatch, failures=1)
     children = spy_children(monkeypatch)
-    with pytest.raises(CollectionBudget):
-        is_consequence(pres, w, bounds)
+    res = is_consequence(pres, w, bounds)
+    assert res.status == UNKNOWN and res.certificate is None
+    assert res.detail.endswith("the walk stopped: collection exceeded 0 steps")
     assert len(calls) == 1
     assert any(not descent for _, descent in children)
     monkeypatch.undo()
     res = is_consequence(pres, w, bounds)
     assert res == ConsequenceResult(REFUTED, None, "nonzero in the class-2 quotient")
     assert res == oracle_is_consequence(pres, w, bounds)
+
+
+def test_a_budget_stop_leaves_the_other_relator_images_answered(monkeypatch):
+    # each relator image gets its own answer: the images of pv3's relators
+    # 3 and 4 in pv3-new reach the walk, stop there, and are UNKNOWN within
+    # 50 states, while the descent still certifies the other four
+    f, _ = pv3_new_generators()
+    calls = patch_tower(monkeypatch, failures=10)
+    out = check_homomorphism_presented(LATE_PRES, f, CLIMB_PRES, SearchBounds(max_states=50))
+    assert len(calls) == 2
+    assert [res.status for _, res in out] == [VERIFIED] * 3 + [UNKNOWN] * 2 + [VERIFIED]
+    assert all(res.detail.endswith("the walk stopped: collection exceeded 0 steps")
+               for _, res in out if res.status == UNKNOWN)
+
+
+# u^-1 r u w u^-1 r^-1 u w^-1 for pv3's relator 4: a consequence whose
+# image in the class-4 quotient takes more than the default collection
+# budget, and which neither the descent nor the level search certifies
+BUDGET_WORD = ("l13^-1 l32 l12 l31^-1 l32^-1 l12^-1 l31 l13 l21 l32^-2 l23 l31 l13^-1 "
+               "l31 l13^-2 l31^-1 l12 l32 l31 l12^-1 l32^-1 l13^2 l31^-1 l13 l31^-1 "
+               "l23^-1 l32^2 l21^-1")
+
+
+def test_a_budget_stop_in_the_walk_answers_unknown_at_default_bounds():
+    pres = pv_presentation(3)
+    r = pres.relators[4]
+    u = parse_word("l31 l13", pres.alphabet)
+    v = parse_word("l21 l32^-2 l23 l31 l13^-1 l31 l13^-1", pres.alphabet)
+    w = parse_word(BUDGET_WORD, pres.alphabet)
+    assert w == r.conj(u) * v * r.inv().conj(u) * v.inv()
+    assert is_consequence(pres, w) == ConsequenceResult(
+        UNKNOWN, None, "bounds exhausted without certificate or refutation; "
+        "the walk stopped: collection exceeded 10000000 steps")
+
+
+def test_the_walk_collects_no_word_in_class_1(monkeypatch):
+    # commutators of two and three generators, as in the benchmark's
+    # comm2 and comm3 questions: the abelianisation check decides class 1
+    rng, classes = random.Random(31), []
+    real = nq.NilpotentQuotient.image_is_trivial
+    for pres in (pv_presentation(3), pv3_new_presentation(), g3_presentation()):
+        gens, bounds = pres.alphabet.gens(), SearchBounds(max_states=2_000)
+        for weight in (2, 3) * 4:
+            x, *rest = rng.sample(gens, weight)
+            w = x.comm(rest[0]).comm(rest[1]) if rest[1:] else x.comm(rest[0])
+            monkeypatch.setattr(nq.NilpotentQuotient, "image_is_trivial",
+                                lambda q, w: classes.append(q.class_) or real(q, w))
+            res = is_consequence(pres, w, bounds)
+            monkeypatch.undo()
+            assert res == oracle_is_consequence(pres, w, bounds)
+    assert classes and min(classes) == 2
 
 
 # -- the search level by level, against the heap-ordered oracle ---------------
@@ -900,21 +953,21 @@ small_letters = st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))),
 @given(st.lists(small_letters, min_size=1, max_size=3),
        st.lists(st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), max_size=9),
                 min_size=1, max_size=4),
-       st.integers(0, 9), st.integers(0, 12))
-def test_children_are_the_reduced_insertions(relators, states, max_prefix, cap):
+       st.integers(0, 9))
+def test_children_are_the_reduced_insertions(relators, states, max_prefix):
     rels = [_encode(r) for r in map(free_reduce, relators) if r]
     seams = {}  # shared across the states, as across one search
     for letters in map(free_reduce, states):
         state = _encode(letters)
         rows = list(_children(state, max_prefix, rels, seams))
         assert len(rows) == min(len(state), max_prefix) + 1
-        # with a cap, a row is the children no longer than it
-        short = list(_children(state, max_prefix, rels, seams, cap))
+        # with shorter, a row is the children shorter than the state
+        short = list(_children(state, max_prefix, rels, seams, shorter=True))
         for p, row in enumerate(rows):
             want = sorted(_encode(free_reduce(letters[:p] + _decode(rel) + letters[p:]))
                           for rel in rels)
             assert sorted(row) == want
-            assert sorted(short[p]) == [kid for kid in want if len(kid) <= cap]
+            assert sorted(short[p]) == [kid for kid in want if len(kid) < len(state)]
 
 
 def test_children_cancel_a_whole_relator_on_into_the_tail():
@@ -946,13 +999,14 @@ def test_search_cut_inside_a_level_matches_the_oracle():
 
 
 def spy_children(monkeypatch):
-    """A list that gets (state, whether the call passed hi) for each state
-    _children expands from now: the descent passes hi, the level search not."""
+    """A list that gets (state, shorter) for each state _children expands
+    from now: the descent asks for the shorter children, the level search
+    for all of them."""
     real, calls = fpres._children, []
 
-    def spying(letters, *args):
-        calls.append((letters, len(args) == 4))
-        return real(letters, *args)
+    def spying(letters, max_prefix, rels, seams, shorter=False):
+        calls.append((letters, shorter))
+        return real(letters, max_prefix, rels, seams, shorter)
 
     monkeypatch.setattr(fpres, "_children", spying)
     return calls
@@ -1112,7 +1166,7 @@ def test_certificate_through_a_state_longer_than_the_core():
     assert max(lengths) > len(core.letters)
 
 
-def test_held_children_keep_their_first_parent():
+def test_a_state_reached_from_two_parents_keeps_the_first():
     # the descent makes no step from the one-letter core, and two parents
     # in one level of the level search reach a state of the certificate's
     # path: the first of them in expansion order must stay its parent

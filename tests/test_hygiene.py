@@ -87,6 +87,44 @@ def test_module_uses_every_import(path):
 
 
 
+def function_imports(source: str) -> list[str]:
+    """Import statements inside a function, at any depth."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out += ["line %d" % inner.lineno for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))]
+    return sorted(set(out), key=lambda line: int(line.split()[1]))
+
+
+def test_the_checker_sees_imports_inside_functions():
+    source = ("import os\n"
+              "def f():\n"
+              "    from . import word\n"
+              "    def g():\n"
+              "        import json\n"
+              "    return g\n"
+              "class K:\n"
+              "    def m(self):\n"
+              "        from .nq import quotient_tower\n")
+    assert function_imports(source) == ["line 3", "line 5", "line 9"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"],
+                         ids=lambda p: p.name)
+def test_only_the_cli_imports_inside_functions(path):
+    # every engine imports at its top; only the CLI defers its engines
+    assert function_imports(path.read_text()) == []
+
+
+def test_nq_imports_nothing_from_fpres():
+    # fpres imports nq, so the reverse import would be a cycle
+    tree = ast.parse((PACKAGE / "nq.py").read_text())
+    assert "fpres" not in {part for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                           for part in [*(node.module or "").split("."),
+                                        *(alias.name for alias in node.names)]}
+
+
 def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     """(qualified name, node) of every top-level function and class and of
     every non-dunder method of a top-level class."""
