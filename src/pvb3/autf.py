@@ -17,31 +17,30 @@ x_i to x_j^-1 x_i x_j and fixing the other generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .fpres import pv_presentation
+from .intlinalg import Value
 from .word import Alphabet, GenMap, Word
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    forward: GenMap
-    backward: GenMap
+class Automorphism(Value):
+    _fields = ("forward", "backward")
 
-    def __post_init__(self) -> None:
-        f, b = self.forward, self.backward
+    def __init__(self, forward: GenMap, backward: GenMap) -> None:
+        f, b = forward, backward
         if f.source != f.target or f.source != b.source or b.source != b.target:
             raise ValueError("automorphism must be an endomorphism of one alphabet")
         ident = GenMap.identity(f.source)
         if f.then(b) != ident or b.then(f) != ident:
             raise ValueError("forward and backward maps are not mutually inverse")
+        super().__init__(forward, backward)
 
     @classmethod
     def _unchecked(cls, forward: GenMap, backward: GenMap) -> "Automorphism":
-        """For maps known to be mutually inverse: skips the check in __post_init__."""
+        """For maps known to be mutually inverse: skips the check in __init__."""
         out = object.__new__(cls)
-        out.__dict__.update(forward=forward, backward=backward)
+        Value.__init__(out, forward, backward)
         return out
 
     @property

@@ -61,9 +61,12 @@ def _load_presentation(spec: str) -> Presentation:
 
 
 def _alphabet_from(args_gens: str | None, *texts: str) -> Alphabet:
-    """The listed names, or else the names the texts use in order."""
-    names = split_names(args_gens) if args_gens else tuple(dict.fromkeys(
-        text for source in texts for kind, text, _, _ in _tokenize(source) if kind == "NAME"))
+    """The listed names, which must not be none, or else the names the
+    texts use in order, which may be none."""
+    if args_gens is None:
+        return Alphabet(dict.fromkeys(text for source in texts
+                                      for kind, text, _, _ in _tokenize(source) if kind == "NAME"))
+    names = split_names(args_gens)
     if not names:
         raise ValueError("no generator names found")
     return Alphabet(names)
@@ -106,7 +109,7 @@ def _parse_steps(pres: Presentation, specs) -> tuple[CertificateStep, ...]:
 def _epsilon_product(generators, rank=None):
     """The generators as one word in the eij, each x_i |-> x_j^-1 x_i x_j on
     the free group of the given rank (default: the largest index)."""
-    from .autf import epsilon, word_automorphism
+    from .autf import Automorphism, epsilon, free_alphabet, word_automorphism
 
     text = " ".join(generators)
     alphabet = _alphabet_from(None, text)
@@ -116,7 +119,11 @@ def _epsilon_product(generators, rank=None):
         if not (len(name) == 3 and name[0] == "e" and name[1:].isdecimal()):
             raise ValueError("cannot read generator %r as eij" % name)
         pairs.append((int(name[1]), int(name[2])))
-    n = max(map(max, pairs)) if rank is None else rank
+    n = max(map(max, pairs), default=-1) if rank is None else rank
+    if n < 0:
+        raise ValueError("--rank must be at least 0, and is needed for a word in no eij")
+    if not pairs:
+        return Automorphism.identity(free_alphabet(n))
     return word_automorphism(w, [epsilon(n, i, j) for i, j in pairs])
 
 

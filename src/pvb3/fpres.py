@@ -29,26 +29,25 @@ free reduction before being returned.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import permutations
 
 from . import nq
 from .grammar import parse_presentation_text
-from .intlinalg import IntMatrix, _in_hermite_span, determinant, hermite_normal_form
+from .intlinalg import IntMatrix, Value, _in_hermite_span, determinant, hermite_normal_form
 from .word import Alphabet, GenMap, Word, free_reduce, inverse
 
 
-@dataclass(frozen=True)
-class Presentation:
-    alphabet: Alphabet
-    relators: tuple[Word, ...]
+class Presentation(Value):
+    _fields = ("alphabet", "relators")
 
-    def __post_init__(self) -> None:
-        for r in self.relators:
-            if r.alphabet != self.alphabet:
+    def __init__(self, alphabet: Alphabet, relators) -> None:
+        relators = tuple(relators)
+        for r in relators:
+            if r.alphabet != alphabet:
                 raise ValueError("relator %s is not over the presentation alphabet" % r)
+        super().__init__(alphabet, relators)
 
     @staticmethod
     def from_text(text: str) -> "Presentation":
@@ -255,28 +254,27 @@ REFUTED = "REFUTED"
 UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
-class SearchBounds:
-    max_steps: int = 12
-    max_prefix: int = 8
-    max_states: int = 200_000
-    refute_class: int = 4
+class SearchBounds(Value):
+    _fields = ("max_steps", "max_prefix", "max_states", "refute_class")
+
+    def __init__(self, max_steps: int = 12, max_prefix: int = 8, max_states: int = 200_000,
+                 refute_class: int = 4) -> None:
+        super().__init__(max_steps, max_prefix, max_states, refute_class)
 
 
-@dataclass(frozen=True)
-class CertificateStep:
-    """One factor u r^sign u^-1 of a consequence certificate."""
+class CertificateStep(Value):
+    """One factor u r^sign u^-1 of a consequence certificate: (conjugator
+    u, relator_index, sign)."""
 
-    conjugator: Word
-    relator_index: int
-    sign: int
+    _fields = ("conjugator", "relator_index", "sign")
 
 
-@dataclass(frozen=True)
-class ConsequenceResult:
-    status: str
-    certificate: tuple[CertificateStep, ...] | None = None
-    detail: str = ""
+class ConsequenceResult(Value):
+    _fields = ("status", "certificate", "detail")
+
+    def __init__(self, status: str, certificate: tuple[CertificateStep, ...] | None = None,
+                 detail: str = "") -> None:
+        super().__init__(status, certificate, detail)
 
     def __bool__(self) -> bool:
         return self.status == VERIFIED

@@ -14,13 +14,13 @@ relators in the standard generators: an initial form moves under a
 free-group map only through the map's abelianisation.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
 
 from .fpres import (G3_NAMES, Presentation, g3_presentation, pv3_new_generators,
                     pv3_new_presentation, pv_alphabet, pv_presentation)
-from .intlinalg import IntMatrix, SparseCombination, cokernel_invariants, kernel_basis, rank
+from .intlinalg import (IntMatrix, SparseCombination, Value, cokernel_invariants, kernel_basis,
+                        rank)
 
 
 class Exterior:
@@ -60,14 +60,13 @@ def _merge_sign(left, right):
     return tuple(sorted(left + right)), -1 if inversions % 2 else 1
 
 
-@dataclass(frozen=True, eq=False)
 class ExtElement(SparseCombination):
-    algebra: Exterior
-    terms: dict
+    _fields = ("algebra", "terms")
 
-    def __post_init__(self):
-        if not all(self.terms.values()):
+    def __init__(self, algebra, terms):
+        if not all(terms.values()):
             raise ValueError("exterior element with a zero coefficient")
+        super().__init__(algebra, terms)
 
     @property
     def _space(self):
@@ -88,12 +87,10 @@ class ExtElement(SparseCombination):
         return self.algebra.element(out)
 
 
-@dataclass(frozen=True)
-class ExteriorQuotient:
+class ExteriorQuotient(Value):
     """Quotient of an exterior algebra by an ideal of degree-two relations."""
 
-    algebra: Exterior
-    relations: tuple
+    _fields = ("algebra", "relations")
 
     def ideal_matrix(self, degree):
         """Span of relation * monomial inside one graded piece: one sparse

@@ -8,14 +8,15 @@ Smith factors and cokernels; only the determinant eliminates on its own.
 A matrix holds its rows as ``{column: nonzero entry}`` dicts, the format
 the Hermite form reads and returns, so no reader here makes a row dense.
 ``SparseCombination`` gives the same dict arithmetic to the exterior and
-Lie elements, whose keys are monomials instead of columns.
+Lie elements, whose keys are monomials instead of columns.  ``Value`` is
+the immutable base of the package's value types, this matrix among them.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from math import gcd
+from operator import attrgetter
 
 
 class NonSquareMatrixError(ValueError):
@@ -28,8 +29,85 @@ def _check_ints(values) -> None:
             raise TypeError("entries must be ints, got %r" % (x,))
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class Value:
+    """Immutable value: the fields named in order by ``_fields`` are set
+    once, when the value is made, and ``==``, ``hash`` and ``repr`` read them.
+
+    Assigning or deleting an attribute raises AttributeError, so fields
+    are set through ``object.__setattr__``, which keeps the attributes
+    inline and fast to read; ``functools.cached_property``, ``copy`` and
+    ``pickle`` write ``__dict__`` directly, so caches, copies and pickles
+    still work.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError("%s takes %d fields, got %d"
+                            % (type(self).__name__, len(self._fields), len(values)))
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __init_subclass__(cls) -> None:
+        # one C call fetches the fields for == and hash
+        if "_fields" in vars(cls):
+            cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if self is other:  # first: each Word product compares two alphabets
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+
+class SparseCombination(Value):
+    """Integer linear combination whose ``terms`` map keys to nonzero ints.
+
+    A subclass names the space its elements live in by ``_space``, which
+    equal elements share, and builds every result through ``_make(terms)``;
+    elements of different classes are never equal.
+    """
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._space == other._space
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self._space, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        _subtract(out, other.terms, -1)
+        return self._make(out)
+
+    def __neg__(self):
+        return self._make({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rmul__(self, c):
+        if not isinstance(c, int):
+            return NotImplemented
+        return self._make({k: c * v for k, v in self.terms.items()})
+
+
+class IntMatrix(Value):
     """Immutable integer matrix: a tuple of sparse rows and its width.
 
     Each row is a ``{column: nonzero int}`` dict, and a zero row is empty;
@@ -39,20 +117,20 @@ class IntMatrix:
     never mutated, neither here nor by any function that reads them.
     """
 
-    rows: tuple[dict[int, int], ...]
-    ncols: int
+    _fields = ("rows", "ncols")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(self.rows))
-        for row in self.rows:
+    def __init__(self, rows, ncols: int) -> None:
+        rows = tuple(rows)
+        for row in rows:
             if not isinstance(row, dict):
                 raise TypeError("rows must be {column: entry} dicts, got %r" % (row,))
             _check_ints(row)
             _check_ints(row.values())
-            if row and not 0 <= min(row) <= max(row) < self.ncols:
-                raise ValueError("column out of range 0..%d in %r" % (self.ncols - 1, row))
+            if row and not 0 <= min(row) <= max(row) < ncols:
+                raise ValueError("column out of range 0..%d in %r" % (ncols - 1, row))
             if 0 in row.values():
                 raise ValueError("sparse rows hold nonzero entries only, got %r" % (row,))
+        super().__init__(rows, ncols)
 
     @staticmethod
     def from_rows(rows, ncols: int | None = None) -> "IntMatrix":
@@ -200,38 +278,6 @@ def _subtract(r: dict[int, int], s: dict[int, int], q: int) -> None:
             r[j] = y
         else:
             del r[j]
-
-
-class SparseCombination:
-    """Integer linear combination whose ``terms`` map keys to nonzero ints.
-
-    A subclass names the space its elements live in by ``_space``, which
-    equal elements share, and builds every result through ``_make(terms)``;
-    elements of different classes are never equal.
-    """
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self._space == other._space
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self._space, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        _subtract(out, other.terms, -1)
-        return self._make(out)
-
-    def __neg__(self):
-        return self._make({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        if not isinstance(c, int):
-            return NotImplemented
-        return self._make({k: c * v for k, v in self.terms.items()})
 
 
 def in_row_lattice(mat: IntMatrix, vec) -> bool:

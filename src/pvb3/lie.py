@@ -18,13 +18,13 @@ plus the Poincare-Birkhoff-Witt series gives an independent check on
 the same dimensions.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
 
 from .fpres import g3_presentation
-from .intlinalg import IntMatrix, SparseCombination, cokernel_invariants, row_lattices_equal
+from .intlinalg import (IntMatrix, SparseCombination, Value, cokernel_invariants,
+                        row_lattices_equal)
 
 
 @lru_cache(maxsize=None)
@@ -50,12 +50,10 @@ def _lyndon_columns(ngens, degree):
     return {w: k for k, w in enumerate(lyndon_words(ngens, degree))}
 
 
-@dataclass(frozen=True, eq=False)
 class LieElement(SparseCombination):
     """Integer tensor polynomial, used for Lie computations."""
 
-    ngens: int
-    terms: dict
+    _fields = ("ngens", "terms")
 
     @staticmethod
     def make(ngens, terms):
@@ -97,20 +95,19 @@ def lie_gen(ngens, index):
     return LieElement.make(ngens, {(index,): 1})
 
 
-@dataclass(frozen=True)
-class GradedLieQuotient:
+class GradedLieQuotient(Value):
     """Free Lie ring on named generators modulo degree-two relations."""
 
-    names: tuple
-    relations: tuple
+    _fields = ("names", "relations")
 
-    def __post_init__(self):
-        for r in self.relations:
+    def __init__(self, names, relations):
+        for r in relations:
             if r.degrees() != (2,):
                 raise ValueError("relations must be homogeneous of degree 2")
             if r.terms != {k[::-1]: -c for k, c in r.terms.items()}:
                 raise ValueError("relations must be Lie elements, equal to "
                                  "minus their reversal")
+        super().__init__(names, relations)
 
     @property
     def ngens(self):

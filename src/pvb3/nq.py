@@ -28,11 +28,10 @@ at the same count as a collector that swaps one place at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from bisect import bisect_right
 
-from .intlinalg import IntMatrix, _subtract, hermite_cokernel, hermite_normal_form
-from .word import Alphabet, Word
+from .intlinalg import IntMatrix, Value, _subtract, hermite_cokernel, hermite_normal_form
+from .word import Word
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -41,8 +40,7 @@ class CollectionBudget(RuntimeError):
     """Raised when a single collection exceeds its step budget."""
 
 
-@dataclass
-class PcSystem:
+class PcSystem(Value):
     """Weighted polycyclic presentation of a nilpotent group.
 
     Generator i has ``weights[i]`` and ``orders[i]`` (0 means infinite
@@ -50,18 +48,21 @@ class PcSystem:
     ``comms[(j, i)]`` for j > i is the normal form of [b_j, b_i]; absent
     pairs commute.  ``images[k]`` expresses original generator k of the
     finitely presented group in the polycyclic generators.  Every normal
-    form is a ``{generator: nonzero exponent}`` dict.
+    form is a ``{generator: nonzero exponent}`` dict.  Unlike the other
+    values it is built up in place, so it is mutable and unhashable, and
+    its collection caches are not fields.
     """
 
-    weights: list[int]
-    orders: list[int]
-    powers: dict[int, dict[int, int]]
-    comms: dict[tuple[int, int], dict[int, int]]
-    images: list[dict[int, int]]
-    definitions: set = field(default_factory=set)
-    budget: int = DEFAULT_BUDGET
-    _conj_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _reach: list = field(default_factory=list, repr=False, compare=False)
+    _fields = ("weights", "orders", "powers", "comms", "images", "definitions", "budget")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, weights: list[int], orders: list[int], powers: dict[int, dict[int, int]],
+                 comms: dict[tuple[int, int], dict[int, int]], images: list[dict[int, int]],
+                 definitions: set | None = None, budget: int = DEFAULT_BUDGET) -> None:
+        super().__init__(weights, orders, powers, comms, images,
+                         set() if definitions is None else definitions, budget)
+        self._conj_cache = {}
+        self._reach = []
 
     @property
     def num(self) -> int:
@@ -239,12 +240,10 @@ class PcSystem:
             yield label, delta
 
 
-@dataclass(frozen=True)
-class NilpotentQuotient:
-    alphabet: Alphabet
-    class_: int
-    system: PcSystem
-    layers: tuple[tuple[int, tuple[int, ...]], ...]
+class NilpotentQuotient(Value):
+    """A tower's stage ``class_``: its PcSystem and each layer's (rank, torsion)."""
+
+    _fields = ("alphabet", "class_", "system", "layers")
 
     def _normal_form(self, w: Word) -> dict[int, int]:
         if w.alphabet != self.alphabet:

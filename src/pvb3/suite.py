@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 
 from .autf import (
     Automorphism,
@@ -50,7 +49,7 @@ from .grcohom import (
     pv3_ring_via_splitting,
     stability_rank,
 )
-from .intlinalg import IntMatrix, kernel_basis, rank, row_lattices_equal
+from .intlinalg import IntMatrix, Value, kernel_basis, rank, row_lattices_equal
 from .lie import (
     derivation_check,
     enveloping_invariants,
@@ -68,8 +67,7 @@ FLAGGED = "FLAGGED"
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SuiteOptions:
+class SuiteOptions(Value):
     """Knobs shared by the whole battery.
 
     ``class_`` is the nilpotency class used wherever the main group's
@@ -79,10 +77,11 @@ class SuiteOptions:
     ``timings`` adds wall-clock figures to the output.
     """
 
-    class_: int = 3
-    max_degree: int = 3
-    bounds: SearchBounds = SearchBounds()
-    timings: bool = False
+    _fields = ("class_", "max_degree", "bounds", "timings")
+
+    def __init__(self, class_: int = 3, max_degree: int = 3,
+                 bounds: SearchBounds = SearchBounds(), timings: bool = False) -> None:
+        super().__init__(class_, max_degree, bounds, timings)
 
     def as_dict(self) -> dict:
         return {
@@ -93,13 +92,8 @@ class SuiteOptions:
         }
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    anchor: str
-    status: str
-    details: str
-    wall_ms: float
+class CheckResult(Value):
+    _fields = ("check_id", "anchor", "status", "details", "wall_ms")
 
     def as_dict(self, timings: bool = False) -> dict:
         out = {"id": self.check_id, "anchor": self.anchor,
@@ -109,10 +103,8 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class Report:
-    options: SuiteOptions
-    checks: tuple[CheckResult, ...]
+class Report(Value):
+    _fields = ("options", "checks")
 
     @property
     def failures(self) -> tuple[CheckResult, ...]:

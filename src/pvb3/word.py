@@ -15,9 +15,7 @@ target alphabet and extends to the unique homomorphism of free groups.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, Value
 
 Letter = tuple[int, int]
 
@@ -32,20 +30,21 @@ def is_name(text: str) -> bool:
     return text[:1].isalpha() and _NAME_RUN.fullmatch(text) is not None
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Value):
     """Ordered, duplicate-free tuple of generator names."""
 
-    names: tuple[str, ...]
+    _fields = ("names",)
 
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate generator names: %r" % (self.names,))
-        for name in self.names:
+    def __init__(self, names) -> None:
+        names = tuple(names)
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate generator names: %r" % (names,))
+        for name in names:
             if not is_name(name):  # so that the grammar can read every generator
                 raise ValueError("generator name must be a letter followed by letters, "
                                  "digits or '_': %r" % name)
-        object.__setattr__(self, "_at", {name: i for i, name in enumerate(self.names)})
+        super().__init__(names)
+        object.__setattr__(self, "_at", {name: i for i, name in enumerate(names)})
 
     def __len__(self) -> int:
         return len(self.names)
@@ -85,12 +84,18 @@ def inverse(letters) -> tuple[Letter, ...]:
     return tuple((g, -s) for g, s in reversed(letters))
 
 
-@dataclass(frozen=True)
-class Word:
-    alphabet: Alphabet
-    letters: tuple[Letter, ...]
+class Word(Value):
+    _fields = ("alphabet", "letters")
+
+    def __init__(self, alphabet: Alphabet, letters: tuple[Letter, ...]) -> None:
+        # unrolled, as words are made in every inner loop
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Check the letters and reduce them freely: one call per word made,
+        which bench/tracing.py counts."""
         n = len(self.alphabet)
         for g, s in self.letters:
             if not 0 <= g < n:
@@ -170,24 +175,23 @@ class Word:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class GenMap:
+class GenMap(Value):
     """Homomorphism of free groups given on generators.
 
     ``images[i]`` is the image of generator i of ``source``; all images are
     words over ``target``.
     """
 
-    source: Alphabet
-    target: Alphabet
-    images: tuple[Word, ...]
+    _fields = ("source", "target", "images")
 
-    def __post_init__(self) -> None:
-        if len(self.images) != len(self.source):
-            raise ValueError("need %d images, got %d" % (len(self.source), len(self.images)))
-        for w in self.images:
-            if w.alphabet != self.target:
+    def __init__(self, source: Alphabet, target: Alphabet, images) -> None:
+        images = tuple(images)
+        if len(images) != len(source):
+            raise ValueError("need %d images, got %d" % (len(source), len(images)))
+        for w in images:
+            if w.alphabet != target:
                 raise ValueError("image %s is not over the target alphabet" % w)
+        super().__init__(source, target, images)
 
     @staticmethod
     def from_dict(source: Alphabet, target: Alphabet, images: dict) -> "GenMap":

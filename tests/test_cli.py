@@ -74,6 +74,31 @@ def test_empty_generator_list_exits_two(capsys, argv):
     assert "no generator names found" in err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("reduce", "1"), ["1"]),
+    (("subst", "x", "--assign", "x=1"), ["1"]),
+    (("check-hom", "g3", "--assign", "a1=1", "--assign", "b1=1", "--assign", "a2=1",
+      "--assign", "b2=1", "--assign", "c1=1"), ["relator %s: dies" % r for r in (
+          "a1^-1 b1^-1 a1 b1", "a2^-1 b2^-1 a2 b2", "c1^-1 b1 c1 a2^-1 b1^-1 a2",
+          "c1^-1 a1 c1 b2^-1 a1^-1 b2", "c1^-1 b2 c1 b2^-1 a1^-1 b2^-1 a1 b2",
+          "c1^-1 a2 c1 a2^-1 b1^-1 a2^-1 b1 a2")] + ["homomorphism"]),
+    (("aut", "compose", "1", "--rank", "2"), ["x1 -> x1", "x2 -> x2"]),
+    (("aut", "compose", "1", "--rank", "2", "--apply", "x2^-1"),
+     ["x1 -> x1", "x2 -> x2", "x2^-1 -> x2^-1"]),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_words_naming_no_generator_are_over_the_empty_alphabet(capsys, argv, expected):
+    # only an explicit empty --gens or --target-gens list is an error
+    code, out, err = run(capsys, *argv)
+    assert (code, out.splitlines(), err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("rank", [(), ("--rank", "-1")], ids=["no-rank", "negative"])
+def test_compose_of_no_eij_needs_a_rank(capsys, rank):
+    code, out, err = run(capsys, "aut", "compose", "1", *rank)
+    assert (code, out) == (2, "")
+    assert err == "error: --rank must be at least 0, and is needed for a word in no eij\n"
+
+
 def test_reduce_rejects_zero_exponent(capsys):
     code, _, err = run(capsys, "reduce", "a^0")
     assert code == 2
@@ -652,6 +677,21 @@ def test_package_import_skips_the_deferred_engines():
     loaded = set(done.stdout.split())
     assert "pvb3" in loaded
     assert not loaded & {"pvb3.autf", "pvb3.grcohom", "pvb3.lie", "pvb3.suite"}
+
+
+NEW_MODULES = ("import sys; bare = set(sys.modules); import {module}; "
+               "print(' '.join(sorted(set(sys.modules) - bare)))")
+
+
+@pytest.mark.parametrize("module", ["pvb3.cli", "pvb3.suite"])
+def test_no_command_loads_dataclasses_or_inspect(module):
+    # both cost each fresh process milliseconds at import; modules the bare
+    # interpreter already holds do not count
+    done = fresh_python("-c", NEW_MODULES.format(module=module))
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert module in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv", [

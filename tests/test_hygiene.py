@@ -71,6 +71,32 @@ def test_module_imports_only_the_package_and_the_standard_library(path):
     assert third_party_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules imported absolutely, at any depth."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_the_checker_sees_every_absolute_import():
+    source = ("import os.path, json as j\n"
+              "from . import word\n"
+              "def f():\n"
+              "    from dataclasses import dataclass\n")
+    assert imported_modules(source) == {"os", "json", "dataclasses"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_does_not_import_dataclasses(path):
+    # dataclasses loads inspect and ast, and execs each class's methods:
+    # value types derive from intlinalg.Value instead
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
 def test_pyproject_declares_no_runtime_dependencies():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
