@@ -23,18 +23,20 @@ from .intlinalg import (IntMatrix, SparseCombination, Value, cokernel_invariants
                         rank)
 
 
-class Exterior:
+class Exterior(Value):
     """Exterior algebra over the integers on a fixed ordered generator list.
 
     Elements are kept as dictionaries from strictly increasing index
     tuples to nonzero coefficients, so equality is literal.
     """
 
+    _fields = ("names",)
+
     def __init__(self, names):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator name")
-        self.names = names
+        super().__init__(names)
 
     def __len__(self):
         return len(self.names)

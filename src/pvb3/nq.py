@@ -10,7 +10,10 @@ trivial group: its tails are the images of the original generators and its
 constraints are the exponent vectors of the relators.  Definitions never
 receive tails, and the image relation of every eliminated original
 generator always does; both points are load-bearing, each failure mode
-having a small group that detects it.  Each stage eliminates its constraint
+having a small group that detects it.  Overlaps are collected both ways,
+but a full-weight triple with no relative order in its letters or their
+commutators is linear: the top layer's Jacobi identity, read off without
+collecting.  Each stage eliminates its constraint
 lattice once, by one Hermite normal form on sparse rows: each unit-pivot
 row replaces its tail by minus the rest of the row, and the other rows give
 the layer by their Smith factors and the torsion powers by their entries.
@@ -193,10 +196,25 @@ class PcSystem(Value):
 
     # -- consistency ---------------------------------------------------------
 
-    def _overlap_pairs(self, max_weight: int):
-        """(way1, way2) letter sequences whose collections must agree."""
-        n = self.num
-        w = self.weights
+    def consistency_discrepancies(self, max_weight: int):
+        """(label, way1 - way2) for each overlap whose two collections must agree.
+
+        A triple k > j > i of full weight is linear when no letter of it or
+        of u_ji, u_ki, u_kj has a relative order: collecting b_k b_j b_i
+        either way applies each lighter relation once, the full-weight
+        commutators it meets are central and heavier pairs commute, so the
+        discrepancy is the top layer's Jacobi identity.  An inverse letter of
+        a relative-order generator expands through its power relation, so
+        those triples, the lighter ones and the power overlaps collect.
+        """
+        n, w, orders, comms = self.num, self.weights, self.orders, self.comms
+        torsion = {j for j in range(n) if orders[j] >= 2}
+
+        def collected(way1, way2):
+            delta = self.collect(way1)
+            _subtract(delta, self.collect(way2), 1)
+            return delta
+
         # Weights never decrease along the index, so for i < j < k the
         # admissible k form a prefix, and once w[i] + 2 w[j] is too heavy
         # no later j has any.
@@ -204,40 +222,45 @@ class PcSystem(Value):
             for j in range(i + 1, n):
                 if w[i] + 2 * w[j] > max_weight:
                     break
-                u_ji = self.expand(self.comms.get((j, i), {}))
-                for k in range(j + 1, bisect_right(w, max_weight - w[i] - w[j])):
-                    u_kj = self.comms.get((k, j), {})
-                    way1 = [(k, 1), (i, 1), (j, 1)] + u_ji
-                    way2 = [(j, 1), (k, 1)] + self.expand(u_kj) + [(i, 1)]
-                    yield ("triple %d %d %d" % (k, j, i), way1, way2)
-        for j in range(n):
-            dj = self.orders[j]
-            if dj < 2:
-                continue
-            vj = self.powers[j]
+                u_ji = comms.get((j, i), {})
+                top = max_weight - w[i] - w[j]
+                for k in range(j + 1, bisect_right(w, top)):
+                    u_ki, u_kj = comms.get((k, i), {}), comms.get((k, j), {})
+                    label = "triple %d %d %d" % (k, j, i)
+                    if w[k] < top or torsion and not torsion.isdisjoint(
+                            (i, j, k, *u_ji, *u_ki, *u_kj)):
+                        yield label, collected([(k, 1), (i, 1), (j, 1)] + self.expand(u_ji),
+                                               [(j, 1), (k, 1)] + self.expand(u_kj) + [(i, 1)])
+                        continue
+                    # e [b_k, b_g] for each g^e in u_ji of weight w_i + w_j, e [b_g, b_j]
+                    # for each in u_ki of weight w_k + w_i and -e [b_g, b_i] for each
+                    # in u_kj of weight w_k + w_j; the last two g are above j and i
+                    delta = {}
+                    for g, e in u_ji.items():
+                        if w[g] == w[i] + w[j] and g != k:
+                            _subtract(delta, comms.get((max(k, g), min(k, g)), {}),
+                                      -e if k > g else e)
+                    for g, e in u_ki.items():
+                        if w[g] == top + w[i]:
+                            _subtract(delta, comms.get((g, j), {}), -e)
+                    for g, e in u_kj.items():
+                        if w[g] == top + w[j]:
+                            _subtract(delta, comms.get((g, i), {}), e)
+                    yield label, delta
+        for j in sorted(torsion):
+            dj, vj = orders[j], self.powers[j]
             for i in range(j):
-                if self.weights[i] + self.weights[j] > max_weight:
-                    continue
-                u_ji = self.expand(self.comms.get((j, i), {}))
-                yield ("power-left %d %d" % (j, i),
-                       self.expand(vj) + [(i, 1)],
-                       [(j, 1)] * (dj - 1) + [(i, 1), (j, 1)] + u_ji)
+                if w[i] + w[j] <= max_weight:
+                    u_ji = self.expand(comms.get((j, i), {}))
+                    yield ("power-left %d %d" % (j, i), collected(
+                        self.expand(vj) + [(i, 1)], [(j, 1)] * (dj - 1) + [(i, 1), (j, 1)] + u_ji))
             for k in range(j + 1, n):
-                if self.weights[j] + self.weights[k] > max_weight:
-                    continue
-                u_kj = self.expand(self.comms.get((k, j), {}))
-                yield ("power-right %d %d" % (k, j),
-                       [(k, 1)] + self.expand(vj),
-                       [(j, 1), (k, 1)] + u_kj + [(j, 1)] * (dj - 1))
-            yield ("power-self %d" % j,
-                   [(j, 1)] + self.expand(vj),
-                   self.expand(vj) + [(j, 1)])
-
-    def consistency_discrepancies(self, max_weight: int):
-        for label, way1, way2 in self._overlap_pairs(max_weight):
-            delta = self.collect(way1)
-            _subtract(delta, self.collect(way2), 1)
-            yield label, delta
+                if w[j] + w[k] <= max_weight:
+                    u_kj = self.expand(comms.get((k, j), {}))
+                    yield ("power-right %d %d" % (k, j), collected(
+                        [(k, 1)] + self.expand(vj), [(j, 1), (k, 1)] + u_kj + [(j, 1)] * (dj - 1)))
+            yield "power-self %d" % j, collected([(j, 1)] + self.expand(vj),
+                                                 self.expand(vj) + [(j, 1)])
 
 
 class NilpotentQuotient(Value):

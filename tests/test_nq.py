@@ -6,6 +6,7 @@ import inspect
 import random
 import sys
 import weakref
+from bisect import bisect_right
 from itertools import combinations
 
 import pytest
@@ -22,11 +23,12 @@ from pvb3.fpres import (
     g3_presentation,
     is_consequence,
     mapping_torus_presentation,
+    pv3_new_presentation,
     pv_presentation,
 )
 from pvb3.grammar import parse_word
 from pvb3.grcohom import beer_rank
-from pvb3.intlinalg import cokernel_invariants, hermite_normal_form, smith_normal_form
+from pvb3.intlinalg import _subtract, cokernel_invariants, hermite_normal_form, smith_normal_form
 from pvb3.lie import pbw_coefficients
 from pvb3.nq import CollectionBudget, PcSystem, nilpotent_quotient, quotient_tower
 from pvb3.word import Alphabet, GenMap, Word
@@ -151,8 +153,9 @@ def test_image_of_inverse_cancels(letters):
 
 def test_final_system_is_consistent():
     for pres, depth in ((pv_presentation(3), 3), (F2, 4)):
-        q = nilpotent_quotient(pres, depth)
-        assert not any(d for _, d in q.system.consistency_discrepancies(depth))
+        system = nilpotent_quotient(pres, depth).system
+        assert not any(d for _, d in system.consistency_discrepancies(depth))
+        assert not any(d for _, d in collected_discrepancies(system, depth))
 
 
 def test_lcs_ranks_property():
@@ -240,7 +243,7 @@ def test_class_must_be_positive():
 
 def reference_overlap_pairs(system, max_weight):
     """The full C(n, 3) triple walk filtered by weight, kept as the oracle
-    for the bucketed enumeration in PcSystem._overlap_pairs."""
+    for the bucketed enumeration of the overlaps."""
     n = system.num
     for i, j, k in combinations(range(n), 3):
         if system.weights[i] + system.weights[j] + system.weights[k] > max_weight:
@@ -250,7 +253,12 @@ def reference_overlap_pairs(system, max_weight):
         way1 = [(k, 1), (i, 1), (j, 1)] + system.expand(u_ji)
         way2 = [(j, 1), (k, 1)] + system.expand(u_kj) + [(i, 1)]
         yield ("triple %d %d %d" % (k, j, i), way1, way2)
-    for j in range(n):
+    yield from power_overlap_pairs(system, max_weight)
+
+
+def power_overlap_pairs(system, max_weight):
+    """The power-left, power-right and power-self overlaps, in index order."""
+    for j in range(system.num):
         dj = system.orders[j]
         if dj < 2:
             continue
@@ -262,7 +270,7 @@ def reference_overlap_pairs(system, max_weight):
             yield ("power-left %d %d" % (j, i),
                    system.expand(vj) + [(i, 1)],
                    [(j, 1)] * (dj - 1) + [(i, 1), (j, 1)] + u_ji)
-        for k in range(j + 1, n):
+        for k in range(j + 1, system.num):
             if system.weights[j] + system.weights[k] > max_weight:
                 continue
             u_kj = system.expand(system.comms.get((k, j), {}))
@@ -274,15 +282,42 @@ def reference_overlap_pairs(system, max_weight):
                system.expand(vj) + [(j, 1)])
 
 
+def bucketed_overlap_pairs(system, max_weight):
+    """Every overlap as the two letter sequences to collect, with the
+    triples enumerated by weight as PcSystem.consistency_discrepancies does."""
+    w = system.weights
+    for i in range(system.num):
+        for j in range(i + 1, system.num):
+            if w[i] + 2 * w[j] > max_weight:
+                break
+            u_ji = system.expand(system.comms.get((j, i), {}))
+            for k in range(j + 1, bisect_right(w, max_weight - w[i] - w[j])):
+                u_kj = system.comms.get((k, j), {})
+                way1 = [(k, 1), (i, 1), (j, 1)] + u_ji
+                way2 = [(j, 1), (k, 1)] + system.expand(u_kj) + [(i, 1)]
+                yield ("triple %d %d %d" % (k, j, i), way1, way2)
+    yield from power_overlap_pairs(system, max_weight)
+
+
+def collected_discrepancies(system, max_weight):
+    """Every overlap's discrepancy collected both ways: the oracle for the
+    full-weight triples that consistency_discrepancies reads off the
+    Jacobi identity instead."""
+    for label, way1, way2 in bucketed_overlap_pairs(system, max_weight):
+        delta = system.collect(way1)
+        _subtract(delta, system.collect(way2), 1)
+        yield label, delta
+
+
 def test_bucketed_overlaps_match_the_full_triple_walk(monkeypatch):
     working = []
-    bucketed = PcSystem._overlap_pairs
+    discrepancies = PcSystem.consistency_discrepancies
 
     def spy(system, max_weight):
         working.append((system, max_weight))
-        return bucketed(system, max_weight)
+        return discrepancies(system, max_weight)
 
-    monkeypatch.setattr(PcSystem, "_overlap_pairs", spy)
+    monkeypatch.setattr(PcSystem, "consistency_discrepancies", spy)
     names = Alphabet(("a", "t"))
     ka, kt = names.gens()
     nilpotent_quotient(pv_presentation(3), 4)
@@ -290,8 +325,85 @@ def test_bucketed_overlaps_match_the_full_triple_walk(monkeypatch):
     assert [w for _, w in working] == [1, 2, 3, 4, 1, 2, 3, 4]
     assert any(any(o >= 2 for o in system.orders) for system, _ in working)
     for system, max_weight in working:
-        assert list(bucketed(system, max_weight)) == \
-            list(reference_overlap_pairs(system, max_weight))
+        reference = list(reference_overlap_pairs(system, max_weight))
+        assert list(bucketed_overlap_pairs(system, max_weight)) == reference
+        assert [label for label, _ in discrepancies(system, max_weight)] == \
+            [label for label, _, _ in reference]
+
+
+def fresh(pres):
+    """An equal presentation with no kept stages: the named ones are cached."""
+    return Presentation.from_text(str(pres))
+
+
+def build_with(monkeypatch, discrepancies, make, depth):
+    """The class-1 to class-depth stages of a fresh make(), built with
+    ``discrepancies`` as the consistency test, and each stage's overlaps."""
+    overlaps = []
+
+    def spy(system, max_weight):
+        overlaps.append(list(discrepancies(system, max_weight)))
+        return iter(overlaps[-1])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PcSystem, "consistency_discrepancies", spy)
+        return list(quotient_tower(make(), depth)), overlaps
+
+
+def assert_matches_the_collecting_oracle(monkeypatch, make, depth):
+    fast, fast_overlaps = build_with(monkeypatch, PcSystem.consistency_discrepancies, make, depth)
+    slow, slow_overlaps = build_with(monkeypatch, collected_discrepancies, make, depth)
+    # each overlap, decided by either route, has the collected discrepancy,
+    # and every stage has the same pc presentation and layers
+    assert fast_overlaps == slow_overlaps
+    assert fast == slow
+
+
+@pytest.mark.parametrize("make, depth", [
+    (lambda: pv_presentation(3), 5),
+    (pv3_new_presentation, 5),
+    (g3_presentation, 6),  # relative orders from class 5 on: both routes
+    (lambda: pv_presentation(4), 3),
+], ids=["pv3", "pv3-new", "g3", "pv4"])
+def test_jacobi_discrepancies_match_the_collecting_oracle(monkeypatch, make, depth):
+    assert_matches_the_collecting_oracle(monkeypatch, lambda: fresh(make()), depth)
+
+
+def overlaps_read_off(monkeypatch, pres, depth):
+    """(overlaps decided without collecting, overlaps) of each stage built."""
+    calls, counts = [0], []
+    collect, discrepancies = PcSystem.collect, PcSystem.consistency_discrepancies
+
+    def counting_collect(system, letters):
+        calls[0] += 1
+        return collect(system, letters)
+
+    def spy(system, max_weight):
+        read_off = total = 0
+        before = calls[0]
+        for item in discrepancies(system, max_weight):
+            read_off += calls[0] == before
+            total += 1
+            yield item
+            before = calls[0]
+        counts.append((read_off, total))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PcSystem, "collect", counting_collect)
+        patch.setattr(PcSystem, "consistency_discrepancies", spy)
+        list(quotient_tower(pres, depth))
+    return counts
+
+
+def test_full_weight_triples_are_read_off_the_jacobi_identity(monkeypatch):
+    # a change that sends full-weight triples back to collection moves these;
+    # the lighter triples and g3's relative orders from class 5 on collect
+    assert overlaps_read_off(monkeypatch, fresh(pv_presentation(3)), 5) == \
+        [(0, 0), (0, 0), (20, 20), (135, 155), (726, 881)]
+    assert overlaps_read_off(monkeypatch, fresh(pv_presentation(4)), 3) == \
+        [(0, 0), (0, 0), (220, 220)]
+    assert overlaps_read_off(monkeypatch, fresh(g3_presentation()), 6) == \
+        [(0, 0), (0, 0), (10, 10), (40, 50), (130, 180), (347, 600)]
 
 
 def test_quotient_tower_matches_separate_builds():
@@ -455,6 +567,15 @@ def two_generator_presentations():
     return st.lists(relator, max_size=3).map(lambda rels: Presentation(AB, tuple(rels)))
 
 
+@given(two_generator_presentations())
+@settings(max_examples=40, deadline=None)
+def test_jacobi_discrepancies_match_the_collecting_oracle_on_samples(pres):
+    # many of these have relative orders from class 1 on
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_matches_the_collecting_oracle(
+            monkeypatch, lambda: Presentation(pres.alphabet, pres.relators), 5)
+
+
 def assert_class_one_matches_reference(pres):
     system, layer = reference_stage_one(pres, nq.DEFAULT_BUDGET)
     (q,) = quotient_tower(pres, 1)
@@ -530,10 +651,11 @@ def assert_sparse_vector(vec, num):
 
 
 def assert_normal_forms_are_sparse(monkeypatch, pres, depth):
-    """Every stored power, commutator and image, and every normal form that
-    collection returns, is a dict of nonzero int exponents at generators of
-    its system.  Returns how many normal forms it checked."""
-    checked = []
+    """Every stored power, commutator and image, every normal form that
+    collection returns and every consistency discrepancy is a dict of
+    nonzero int exponents at generators of its system.  Returns how many
+    normal forms it checked and how many discrepancies."""
+    checked, discrepancies = [], []
     for name in ("collect", "word_image"):
         def spy(system, arg, original=getattr(PcSystem, name)):
             vec = original(system, arg)
@@ -542,21 +664,31 @@ def assert_normal_forms_are_sparse(monkeypatch, pres, depth):
             return vec
 
         monkeypatch.setattr(PcSystem, name, spy)
+
+    def overlaps(system, max_weight, original=PcSystem.consistency_discrepancies):
+        for label, delta in original(system, max_weight):
+            assert_sparse_vector(delta, system.num)
+            discrepancies.append(delta)
+            yield label, delta
+
+    monkeypatch.setattr(PcSystem, "consistency_discrepancies", overlaps)
     for q in quotient_tower(pres, depth):
         system = q.system
         for vec in [*system.powers.values(), *system.comms.values(), *system.images]:
             assert_sparse_vector(vec, system.num)
         # a stored commutator is never trivial: absent pairs commute
         assert all(system.comms.values())
-    return len(checked)
+    return len(checked), len(discrepancies)
 
 
 def test_normal_forms_are_sparse(monkeypatch):
     counts = [assert_normal_forms_are_sparse(monkeypatch, pres, depth)
               for pres, depth in [(pres, 4) for pres in small_presentations()] + [
                   (pv_presentation(3), 4), (g3_presentation(), 3)]]
-    # only the presentation without generators collects nothing
-    assert [count > 0 for count in counts].count(False) == 1
+    # only the presentation without generators and the free group of rank 2,
+    # whose one triple through class 4 is of full weight, collect nothing
+    assert [collected > 0 for collected, _ in counts].count(False) == 2
+    assert counts[0] == (0, 1) and counts[1] == (0, 0)
 
 
 @given(two_generator_presentations())

@@ -56,6 +56,7 @@ BUILDERS = {
     "ConsequenceResult": (lambda: ConsequenceResult(
         VERIFIED, (CertificateStep(_word(), 0, 1),), "found"), True, "status"),
     "Automorphism": (lambda: epsilon(3, 1, 2), True, "forward"),
+    "Exterior": (lambda: Exterior(("x", "y", "z")), True, "names"),
     "ExtElement": (lambda: WEDGE.gen("x") * WEDGE.gen("z") + 2 * WEDGE.gen("y"), True, "terms"),
     "ExteriorQuotient": (_wedge_quotient, True, "relations"),
     "LieElement": (lambda: lie_gen(3, 0).bracket(lie_gen(3, 2)), True, "terms"),
@@ -66,14 +67,6 @@ BUILDERS = {
                True, "checks"),
 }
 NAMES = sorted(BUILDERS)
-
-
-def _same(left, right):
-    # an ExteriorQuotient's algebra compares by identity, so a copy is
-    # compared through the algebra's names
-    if isinstance(left, ExteriorQuotient):
-        return left.algebra.names == right.algebra.names and left.relations == right.relations
-    return left == right
 
 
 def test_every_value_type_is_covered():
@@ -109,8 +102,8 @@ def test_fields_of_immutable_values_cannot_be_assigned(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_copies_and_pickles_come_back_equal(name):
     value = BUILDERS[name][0]()
-    assert _same(copy.deepcopy(value), value)
-    assert _same(pickle.loads(pickle.dumps(value)), value)
+    assert copy.deepcopy(value) == value
+    assert pickle.loads(pickle.dumps(value)) == value
 
 
 def test_the_pc_system_stays_mutable_and_its_equality_ignores_the_caches():
@@ -156,3 +149,13 @@ def test_iterable_fields_are_kept_as_tuples():
     hash(GenMap(listed, listed, [b, a]))
     assert Presentation(listed, [a.comm(b)]) == Presentation(ab, (a.comm(b),))
     hash(Presentation(listed, [a.comm(b)]))
+
+
+def test_quotients_over_separately_built_exterior_algebras_are_equal():
+    # an Exterior is a value over its names, so equal algebras need not be one object
+    algebra = Exterior(iter(("x", "y", "z")))
+    x, y, z = (algebra.gen(n) for n in algebra.names)
+    assert algebra == WEDGE and algebra is not WEDGE and hash(algebra) == hash(WEDGE)
+    assert ExteriorQuotient(algebra, (x * y, y * z)) == _wedge_quotient()
+    with pytest.raises(ValueError, match="duplicate generator name"):
+        Exterior(("x", "y", "x"))
