@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .fpres import pv_presentation
+from .fpres import pv3_new_generators, pv_presentation
 from .intlinalg import Value
 from .word import Alphabet, GenMap, Word
 
@@ -182,43 +182,27 @@ def hnn_identities() -> list[tuple[str, bool]]:
     """Identities exhibiting the basis-conjugating group on three letters
     as an HNN extension.
 
-    The products a1 = e13 e23, b1 = e13 e12, a2 = e32 e31, b2 = e21 e31,
-    g1 = e13 e31 and the stable letter g2 = e13 generate; the first block
-    below rewrites each eij in terms of them.  The second and third blocks
+    The change of generators ``pv3_new_generators``, pushed through
+    lij |-> eij, gives a1, b1, a2, b2, c1 and the stable letter c2 as
+    products of the eij (its map g), and the first block below rewrites
+    each eij in terms of them (its map f).  The second and third blocks
     show that the base-subgroup generators act by conjugation (x |-> w^-1 x w
     for the stated w), and the last block shows that conjugation by the
     stable letter carries the one family of subgroup generators onto the
     other.
     """
-    e = lambda i, j: epsilon(3, i, j)
+    f, g = pv3_new_generators()
+    eij = [epsilon(3, int(name[1]), int(name[2])) for name in f.source.names]
+    new = [word_automorphism(w, eij) for w in g.images]
+    act = lambda w: word_automorphism(w, new)
     x1, x2, x3 = free_alphabet(3).gens()
-    a1 = e(1, 3) * e(2, 3)
-    b1 = e(1, 3) * e(1, 2)
-    a2 = e(3, 2) * e(3, 1)
-    b2 = e(2, 1) * e(3, 1)
-    g1 = e(1, 3) * e(3, 1)
-    g2 = e(1, 3)
-    out = [
-        ("e13 = g2", e(1, 3).forward == g2.forward),
-        ("e31 = g2^-1 g1", e(3, 1).forward == (g2.inv() * g1).forward),
-        ("e12 = g2^-1 b1", e(1, 2).forward == (g2.inv() * b1).forward),
-        ("e21 = b2 g1^-1 g2", e(2, 1).forward == (b2 * g1.inv() * g2).forward),
-        ("e23 = g2^-1 a1", e(2, 3).forward == (g2.inv() * a1).forward),
-        ("e32 = a2 g1^-1 g2", e(3, 2).forward == (a2 * g1.inv() * g2).forward),
-    ]
-    out += [
-        ("a1 is conjugation by x3", a1.is_inner_by(x3)),
-        ("a2 g1^-1 b1 is conjugation by x2", (a2 * g1.inv() * b1).is_inner_by(x2)),
-        ("b2 is conjugation by x1", b2.is_inner_by(x1)),
-        ("b1 a2 g1^-1 is conjugation by x2", (b1 * a2 * g1.inv()).is_inner_by(x2)),
-        ("g1 b2 g1^-1 is conjugation by x3 x1 x3^-1",
-         (g1 * b2 * g1.inv()).is_inner_by(x3 * x1 * x3.inv())),
-    ]
-    out += [
-        ("g2^-1 a1 g2 = a1", (g2.inv() * a1 * g2).forward == a1.forward),
-        ("g2^-1 b1 a2 g1^-1 g2 = a2 g1^-1 b1",
-         (g2.inv() * b1 * a2 * g1.inv() * g2).forward == (a2 * g1.inv() * b1).forward),
-        ("g2^-1 g1 b2 g1^-1 g2 = b2",
-         (g2.inv() * g1 * b2 * g1.inv() * g2).forward == b2.forward),
-    ]
+    a1, b1, a2, b2, c1, c2 = g.source.gens()
+    out = [("e%s = %s" % (name[1:], w), act(w).forward == e.forward)
+           for name, w, e in zip(f.source.names, f.images, eij)]
+    out += [("%s is conjugation by %s" % (w, x), act(w).is_inner_by(x)) for w, x in (
+        (a1, x3), (a2 * c1.inv() * b1, x2), (b2, x1), (b1 * a2 * c1.inv(), x2),
+        (c1 * b2 * c1.inv(), x3 * x1 * x3.inv()))]
+    out += [("%s = %s" % (w.conj(c2), v), act(w.conj(c2)).forward == act(v).forward)
+            for w, v in ((a1, a1), (b1 * a2 * c1.inv(), a2 * c1.inv() * b1),
+                         (c1 * b2 * c1.inv(), b2))]
     return out

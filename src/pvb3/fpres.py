@@ -10,7 +10,8 @@ The distinguished presentations:
 ``g3_presentation()``
     The group generated by a1, b1, a2, b2, c1 in which the two pairs
     (a1, b1), (a2, b2) commute internally and c1 conjugates each of
-    b1, a1, b2, a2 the same way a specific word in the other pair does.
+    b1, a1, b2, a2 the same way a specific word in the other pair does;
+    ``g3_pairs`` lists both kinds of pair.
 
 ``pv3_new_presentation()``
     The same relators with one extra free generator c2; this is the free
@@ -138,12 +139,17 @@ def pv_presentation(n: int) -> Presentation:
 G3_NAMES = ("a1", "b1", "a2", "b2", "c1")
 
 
+def g3_pairs(alphabet: Alphabet) -> tuple[tuple, tuple]:
+    """g3's commuting pairs (y, z), with relators [y, z], and conjugation pairs
+    (y, w), with relators c1^-1 y c1 w^-1 y^-1 w, over an alphabet with its names."""
+    a1, b1, a2, b2 = (alphabet.gen(n) for n in G3_NAMES[:4])
+    return ((a1, b1), (a2, b2)), ((b1, a2), (a1, b2), (b2, a1 * b2), (a2, b1 * a2))
+
+
 def _conjugation_relators(alphabet: Alphabet) -> tuple[Word, ...]:
-    a1, b1, a2, b2, c1 = (alphabet.gen(n) for n in G3_NAMES)
-    pairs = ((b1, a2), (a1, b2), (b2, a1 * b2), (a2, b1 * a2))
-    # c1^-1 y c1 = w^-1 y w for each pair (y, w)
-    conj = tuple(c1.inv() * y * c1 * w.inv() * y.inv() * w for y, w in pairs)
-    return (a1.comm(b1), a2.comm(b2)) + conj
+    (commuting, conjugating), c1 = g3_pairs(alphabet), alphabet.gen("c1")
+    return tuple(y.comm(z) for y, z in commuting) + tuple(
+        c1.inv() * y * c1 * w.inv() * y.inv() * w for y, w in conjugating)
 
 
 def g3_presentation() -> Presentation:
@@ -186,9 +192,9 @@ def q3_presentation(bound: int = 3) -> Presentation:
     """Quotient with all c1-power conjugates of the two commutators killed,
     truncated to |k| <= bound."""
     alphabet = Alphabet(G3_NAMES)
-    a1, b1, a2, b2, c1 = alphabet.gens()
-    return Presentation(alphabet, tuple(base.conj(c1 ** k)
-                                        for base in (a1.comm(b1), a2.comm(b2))
+    c1 = alphabet.gen("c1")
+    return Presentation(alphabet, tuple(y.comm(z).conj(c1 ** k)
+                                        for y, z in g3_pairs(alphabet)[0]
                                         for k in range(-bound, bound + 1)))
 
 

@@ -6,21 +6,23 @@ initial form of its relators, the kernel of the cup product on H^1
 (Fenn and Sjerve, Canad. J. Math. 39, 1987; Matei and Suciu, 2000).
 The group splits as a free product of a five-generator factor and an
 infinite cyclic factor.  The factor receives a map from a wedge of two
-tori and four genus-two surfaces that identifies first and second
-cohomology, so its cup products are symplectic pairings on the wedge
+tori and four genus-two surfaces (``wedge_map``) that identifies first and
+second cohomology, so its cup products are symplectic pairings on the wedge
 summands: a second route to its relations.  The full group's second
 route runs through the splitting, by rewriting the free product's
 relators in the standard generators: an initial form moves under a
 free-group map only through the map's abelianisation.
 """
 
+from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial
 
-from .fpres import (G3_NAMES, Presentation, g3_presentation, pv3_new_generators,
+from .fpres import (G3_NAMES, Presentation, g3_pairs, g3_presentation, pv3_new_generators,
                     pv3_new_presentation, pv_alphabet, pv_presentation)
 from .intlinalg import (IntMatrix, SparseCombination, Value, cokernel_invariants, kernel_basis,
                         rank)
+from .word import Alphabet, GenMap
 
 
 class Exterior(Value):
@@ -122,16 +124,17 @@ WEDGE_BLOCKS = (
 
 WEDGE_BASIS = tuple(name for block in WEDGE_BLOCKS for name in block)
 
-# first-homology image of each wedge class, in the five-generator basis
-WEDGE_HOMOLOGY_IMAGES = {
-    "x1": {"a1": 1}, "x2": {"b1": 1}, "x3": {"a2": 1}, "x4": {"b2": 1},
-    "y11": {"b1": 1}, "z11": {"c1": 1}, "y12": {"a2": 1}, "z12": {"b1": 1},
-    "y21": {"a1": 1}, "z21": {"c1": 1}, "y22": {"b2": 1}, "z22": {"a1": 1},
-    "y31": {"b2": 1}, "z31": {"c1": 1}, "y32": {"a1": 1, "b2": 1},
-    "z32": {"b2": 1},
-    "y41": {"a2": 1}, "z41": {"c1": 1}, "y42": {"a2": 1, "b1": 1},
-    "z42": {"a2": 1},
-}
+
+def wedge_map():
+    """The map from the wedge's fundamental group, one relator per block
+    ([x1, x2] per torus, [y1, z1][y2, z2] per surface), onto the factor:
+    each torus onto a commuting pair of ``g3_pairs``, each surface onto
+    (y, c1, w, y) for a conjugation pair (y, w), so that its relator goes
+    to c1^-1 y c1 w^-1 y^-1 w conjugated by y."""
+    target = Alphabet(G3_NAMES)
+    (commuting, conjugating), c1 = g3_pairs(target), target.gen("c1")
+    return GenMap(Alphabet(WEDGE_BASIS), target, [x for pair in commuting for x in pair] + [
+        x for y, w in conjugating for x in (y, c1, w, y)])
 
 
 def surface_cup(u, v):
@@ -149,10 +152,16 @@ def surface_cup(u, v):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _wedge_homology():
+    """The rows of the wedge map's abelianisation, built once."""
+    return wedge_map().abelianisation_matrix().rows
+
+
 def dual_restriction(name):
-    """Pull the dual of one generator of the five-generator factor back to the wedge."""
-    return {w: WEDGE_HOMOLOGY_IMAGES[w][name] for w in WEDGE_BASIS
-            if name in WEDGE_HOMOLOGY_IMAGES[w]}
+    """A generator's dual pulled back to the wedge: its column of ``_wedge_homology``."""
+    k = G3_NAMES.index(name)
+    return {w: row[k] for w, row in zip(WEDGE_BASIS, _wedge_homology()) if k in row}
 
 
 def g3_cup(u, v):

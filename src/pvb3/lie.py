@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .fpres import g3_presentation
+from .fpres import g3_pairs, g3_presentation
 from .intlinalg import (IntMatrix, SparseCombination, Value, cokernel_invariants,
                         row_lattices_equal)
 
@@ -177,8 +177,9 @@ def derivation_check():
     """Confirm the weight-one conjugation rule is coherent on the
     four-generator subring of the quadratic presentation of g3.
 
-    The rule d sends each of a1, b1, a2, b2 to the bracket that the
-    defining relations assign to its bracket with c1.  Applying d to
+    The rule d sends y to [w, y] for each conjugation pair (y, w) of
+    ``g3_pairs``, w read in degree one: the bracket that the defining
+    relation c1^-1 y c1 = w^-1 y w assigns to [c1, y].  Applying d to
     the two commuting-pair relations, [a1, b1] and [a2, b2], the initial
     forms of the first two relators, must give elements of the degree-3
     component of the full relation ideal; that is what makes the
@@ -188,11 +189,10 @@ def derivation_check():
     genuinely needed here: the two commuting-pair relations alone span
     an ideal that does not contain these images.
     """
-    quotient = lie_quotient(g3_presentation())
-    n = quotient.ngens
-    a1, b1, a2, b2 = (lie_gen(n, k) for k in range(4))
-    images = {0: b2.bracket(a1), 1: a2.bracket(b1),
-              2: b1.bracket(a2), 3: a1.bracket(b2)}
+    quotient = lie_quotient(pres := g3_presentation())
+    linear = lambda w: LieElement.make(pres.num_gens, {
+        (g,): e for g, e in enumerate(w.exponent_vector())})
+    images = {y.letters[0][0]: linear(w).bracket(linear(y)) for y, w in g3_pairs(pres.alphabet)[1]}
     ideal = quotient.ideal_matrix(3)
     derived = tuple(apply_derivation(r, images).lyndon_coefficients(3)
                     for r in quotient.relations[:2])

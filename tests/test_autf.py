@@ -18,6 +18,7 @@ from pvb3.autf import (
     pv_relators_in_cb,
     word_automorphism,
 )
+from pvb3.fpres import pv3_new_generators
 from pvb3.grammar import parse_word
 from pvb3.word import Alphabet, GenMap, Word
 
@@ -154,6 +155,18 @@ def test_hnn_identities_all_hold():
     assert len(rels) == 14
     failures = [label for label, ok in rels if not ok]
     assert failures == []
+
+
+def test_hnn_identities_read_the_change_of_generators():
+    # the first block rewrites each eij as f's image of lij, in lij order,
+    # and every block names the generators of pv3-new
+    f, _ = pv3_new_generators()
+    labels = [label for label, _ in hnn_identities()]
+    assert labels[:6] == ["e%s = %s" % (name[1:], f(x))
+                          for name, x in zip(f.source.names, f.source.gens())]
+    assert labels[2:4] == ["e13 = c2", "e31 = c2^-1 c1"]
+    assert labels[-2] == "c2^-1 b1 a2 c1^-1 c2 = a2 c1^-1 b1"
+    assert not {"g1", "g2"} & set(" ".join(labels).split())
 
 
 def test_pv_relators_die_under_the_conjugating_assignment():

@@ -252,6 +252,19 @@ def test_consequence_explicit_certificate(capsys):
     assert "verifies" in out
 
 
+def test_consequence_certificate_that_does_not_reduce_exits_one(capsys):
+    assert run(capsys, "consequence", "g3", "a1", "--step", "a1:0:1") == \
+        (1, "certificate does not reduce to a1\n", "")
+
+
+@pytest.mark.parametrize("step, message", [
+    ("a1:0", "certificate step must be 'CONJ : INDEX : SIGN', got 'a1:0'"),
+    ("1:0:2", "sign must be +1 or -1, got '2'")])
+def test_consequence_malformed_step_exits_two(capsys, step, message):
+    assert run(capsys, "consequence", "g3", "1", "--step", step) == \
+        (2, "", "error: %s\n" % message)
+
+
 def test_consequence_bad_step_exits_two(capsys):
     code, _, err = run(capsys, "consequence", "g3", "1", "--step", "a1:99:1")
     assert code == 2
@@ -477,6 +490,11 @@ def test_cohomology_negative_max_degree_exits_two(capsys, flavour):
     assert "--max-degree must be at least 0, got -1" in err
 
 
+def test_cohomology_g3_prints_the_factor_ranks(capsys):
+    assert run(capsys, "cohomology", "g3") == (0, "".join(
+        "degree %d: rank %d\n" % pair for pair in enumerate((1, 5, 6, 0))), "")
+
+
 def test_cohomology_beer_row(capsys):
     code, out, _ = run(capsys, "cohomology", "beer", "-n", "4")
     assert code == 0
@@ -527,6 +545,12 @@ def test_lie_factor_only_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lie", "dims", "--factor-only"])
     assert exc.value.code == 2
+
+
+def test_lie_env_prints_the_enveloping_ranks(capsys):
+    # 5^2 - 6 in degree 2, and the series of the Lie ranks (5, 4, 10) in degree 3
+    assert run(capsys, "lie", "env", "g3", "--max-degree", "3") == \
+        (0, "degree 1: rank 5\ndegree 2: rank 19\ndegree 3: rank 65\n", "")
 
 
 def test_lie_pbw_consistent(capsys):

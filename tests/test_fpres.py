@@ -24,6 +24,7 @@ from pvb3.fpres import (
     check_homomorphism_free,
     STABLE_LETTER,
     check_homomorphism_presented,
+    g3_pairs,
     g3_presentation,
     is_consequence,
     mapping_torus_presentation,
@@ -167,6 +168,21 @@ def test_q3_families():
         assert pres.relators[3 + k] == c1 ** -k * a1.comm(b1) * c1 ** k
         assert pres.relators[10 + k] == c1 ** -k * a2.comm(b2) * c1 ** k
     assert q3_presentation(0).relators == (a1.comm(b1), a2.comm(b2))
+
+
+def test_g3_relators_are_built_from_its_pairs():
+    # frozen text: both pair lists feed g3, pv3-new and q3
+    assert str(g3_presentation()) == "\n".join((
+        "gens: a1 b1 a2 b2 c1",
+        "rel: a1^-1 b1^-1 a1 b1",
+        "rel: a2^-1 b2^-1 a2 b2",
+        "rel: c1^-1 b1 c1 a2^-1 b1^-1 a2",
+        "rel: c1^-1 a1 c1 b2^-1 a1^-1 b2",
+        "rel: c1^-1 b2 c1 b2^-1 a1^-1 b2^-1 a1 b2",
+        "rel: c1^-1 a2 c1 a2^-1 b1^-1 a2^-1 b1 a2"))
+    commuting, conjugating = g3_pairs(g3_presentation().alphabet)
+    assert ["%s, %s" % pair for pair in commuting + conjugating] == \
+        ["a1, b1", "a2, b2", "b1, a2", "a1, b2", "b2, a1 b2", "a2, b1 a2"]
 
 
 def test_conjugate_relator_forms():

@@ -2,7 +2,9 @@
 
 The package derives every ring relation from the relators' initial
 forms; the relations stated by hand in ``stated_g3_relations`` and
-``stated_pv3_relations`` are the oracle for those.  The package carries
+``stated_pv3_relations`` are the oracle for those.  It derives the wedge
+model from g3's commuting and conjugation pairs; the first-homology images
+typed by hand in ``WEDGE_HOMOLOGY_IMAGES`` are the oracle for that.  The package carries
 rings across a change of generators on the group side, by rewriting the
 relators; ``substitute`` and ``degree_one_pullback`` carry them on the
 cohomology side instead, and are the oracle for that.
@@ -15,14 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvb3.autf import Automorphism
-from pvb3.fpres import (Presentation, g3_presentation, pv3_new_generators, pv3_new_presentation,
-                        pv_presentation)
+from pvb3.fpres import (VERIFIED, Presentation, check_homomorphism_presented, g3_presentation,
+                        pv3_new_generators, pv3_new_presentation, pv_presentation)
 from pvb3.grcohom import (
     G3_NAMES,
     PV3_DUALS,
     WEDGE_BASIS,
     WEDGE_BLOCKS,
-    WEDGE_HOMOLOGY_IMAGES,
     ExtElement,
     Exterior,
     ExteriorQuotient,
@@ -38,11 +39,23 @@ from pvb3.grcohom import (
     presentation_ring,
     stability_rank,
     surface_cup,
+    wedge_map,
 )
 from pvb3.intlinalg import IntMatrix, cokernel_invariants, kernel_basis, rank, row_lattices_equal
-from pvb3.word import GenMap
+from pvb3.word import Alphabet, GenMap
 
 NEW_DUALS = G3_NAMES + ("c2",)
+
+# first-homology image of each wedge class, in the five-generator basis
+WEDGE_HOMOLOGY_IMAGES = {
+    "x1": {"a1": 1}, "x2": {"b1": 1}, "x3": {"a2": 1}, "x4": {"b2": 1},
+    "y11": {"b1": 1}, "z11": {"c1": 1}, "y12": {"a2": 1}, "z12": {"b1": 1},
+    "y21": {"a1": 1}, "z21": {"c1": 1}, "y22": {"b2": 1}, "z22": {"a1": 1},
+    "y31": {"b2": 1}, "z31": {"c1": 1}, "y32": {"a1": 1, "b2": 1},
+    "z32": {"b2": 1},
+    "y41": {"a2": 1}, "z41": {"c1": 1}, "y42": {"a2": 1, "b1": 1},
+    "z42": {"a2": 1},
+}
 
 # duals of the five group generators, restricted to the wedge
 RESTRICTION_TABLE = {
@@ -221,8 +234,40 @@ def test_dual_restriction_golden_values():
 
 def test_restriction_is_transpose_of_homology_images():
     for wname in WEDGE_BASIS:
-        for gname, coeff in WEDGE_HOMOLOGY_IMAGES[wname].items():
-            assert dual_restriction(gname).get(wname, 0) == coeff
+        for gname in G3_NAMES:
+            assert dual_restriction(gname).get(wname, 0) == \
+                WEDGE_HOMOLOGY_IMAGES[wname].get(gname, 0), (wname, gname)
+
+
+def test_wedge_map_abelianises_to_the_homology_images():
+    f = wedge_map()
+    assert f.source.names == WEDGE_BASIS and f.target == g3_presentation().alphabet
+    rows = f.abelianisation_matrix().rows
+    assert len(rows) == len(WEDGE_BASIS)
+    for wname, row in zip(WEDGE_BASIS, rows):
+        assert {G3_NAMES[k]: c for k, c in row.items()} == WEDGE_HOMOLOGY_IMAGES[wname], wname
+
+
+def wedge_presentation():
+    """The wedge's fundamental group: one product of commutators per block."""
+    alphabet = Alphabet(WEDGE_BASIS)
+    relators = []
+    for block in WEDGE_BLOCKS:
+        r = alphabet.identity()
+        for y, z in zip(block[::2], block[1::2]):
+            r = r * alphabet.gen(y).comm(alphabet.gen(z))
+        relators.append(r)
+    return Presentation(alphabet, relators)
+
+
+def test_wedge_map_is_a_homomorphism_block_by_block():
+    # block k goes to g3's relator k conjugated: a one-step certificate
+    results = check_homomorphism_presented(wedge_presentation(), wedge_map(), g3_presentation())
+    assert len(results) == len(WEDGE_BLOCKS) == 6
+    for k, (_, res) in enumerate(results):
+        assert res.status == VERIFIED, (k, res)
+        (step,) = res.certificate
+        assert (step.relator_index, step.sign) == (k, 1)
 
 
 def test_cup_products_of_generator_duals():

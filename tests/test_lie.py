@@ -6,6 +6,8 @@ triangular solve into the Lyndon bracket basis (``is_lyndon``,
 is the oracle those rows are compared against.  The package derives
 every relation from the relators' initial forms; the six relations
 stated by hand in ``stated_pv3_lie_quotient`` are the oracle for those.
+It reads the conjugation rule of ``derivation_check`` off g3's pairs; the
+four brackets typed in ``typed_conjugation_rule`` are the oracle for that.
 """
 
 from functools import lru_cache
@@ -22,6 +24,7 @@ from pvb3.fpres import (
     pv_presentation,
     q3_presentation,
 )
+from pvb3 import lie
 from pvb3.lie import (
     GradedLieQuotient,
     LieElement,
@@ -434,8 +437,27 @@ def test_pbw_consistency_links_the_two_oracles():
     assert not pbw_consistency((6, 10, 34), u)
 
 
+def typed_conjugation_rule(n):
+    """The rule d on a1, b1, a2, b2 (generators 0..3 of n), typed by hand:
+    the bracket that g3's conjugation relations assign to [c1, y]."""
+    a1, b1, a2, b2 = (lie_gen(n, k) for k in range(4))
+    return {0: b2.bracket(a1), 1: a2.bracket(b1), 2: b1.bracket(a2), 3: a1.bracket(b2)}
+
+
 def test_derivation_check_passes():
     assert derivation_check()
+
+
+def test_derivation_check_reads_the_typed_rule_off_the_pairs(monkeypatch):
+    seen = []
+
+    def spy(element, images):
+        seen.append(images)
+        return apply_derivation(element, images)
+
+    monkeypatch.setattr(lie, "apply_derivation", spy)
+    assert derivation_check()
+    assert seen == [typed_conjugation_rule(5)] * 2
 
 
 def test_conjugation_rule_requires_conjugation_relations():
@@ -444,8 +466,7 @@ def test_conjugation_rule_requires_conjugation_relations():
     # derivation; only the full relation set does
     n = 4
     a1, b1, a2, b2 = (lie_gen(n, k) for k in range(4))
-    images = {0: b2.bracket(a1), 1: a2.bracket(b1),
-              2: b1.bracket(a2), 3: a1.bracket(b2)}
+    images = typed_conjugation_rule(n)
     rel = (a1.bracket(b1), a2.bracket(b2))
     small = GradedLieQuotient(("a1", "b1", "a2", "b2"), rel)
     ideal = small.ideal_matrix(3)

@@ -860,15 +860,23 @@ def test_conjugate_cache_holds_only_pairs_a_commutator_changes():
         assert all((j, i) in system.comms for j, _, i, _ in system._conj_cache)
 
 
+def _carry_line(code):
+    """The line of ``code`` that counts each carry, read from the source
+    once, when this module loads: a later edit of the file cannot move it."""
+    lines, first = inspect.getsourcelines(code)
+    return first + next(k for k, line in enumerate(lines) if "steps += p - q" in line)
+
+
+CARRY_LINE = _carry_line(PcSystem.collect.__code__)
+
+
 def watch_carries(system, letters, see):
     """``system.collect(letters)``, handing ``see`` the collector's locals at
     the line that counts each carry, after the carried letter y has moved to w[q]."""
     code = PcSystem.collect.__code__
-    lines, first = inspect.getsourcelines(code)
-    mark = first + next(k for k, line in enumerate(lines) if "steps += p - q" in line)
 
     def at_line(frame, event, arg):
-        if event == "line" and frame.f_lineno == mark:
+        if event == "line" and frame.f_lineno == CARRY_LINE:
             see(frame.f_locals)
         return at_line
 
