@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .fpres import pv3_new_generators, pv_presentation
+from .fpres import pv3_new_generators, pv3_new_presentation, pv_presentation
 from .intlinalg import Value
 from .word import Alphabet, GenMap, Word
 
@@ -184,21 +184,20 @@ def hnn_identities() -> list[tuple[str, bool]]:
 
     The change of generators ``pv3_new_generators``, pushed through
     lij |-> eij, gives a1, b1, a2, b2, c1 and the stable letter c2 as
-    products of the eij (its map g), and the first block below rewrites
-    each eij in terms of them (its map f).  The second and third blocks
-    show that the base-subgroup generators act by conjugation (x |-> w^-1 x w
-    for the stated w), and the last block shows that conjugation by the
-    stable letter carries the one family of subgroup generators onto the
-    other.
+    products of the eij (its map g), and the first block below kills each
+    relator of pv3-new on them, so that g induces a homomorphism from
+    pv3-new to the basis-conjugating group.  The second block shows that
+    the base-subgroup generators act by conjugation (x |-> w^-1 x w for the
+    stated w), and the third that conjugation by the stable letter carries
+    the one family of subgroup generators onto the other.
     """
-    f, g = pv3_new_generators()
-    eij = [epsilon(3, int(name[1]), int(name[2])) for name in f.source.names]
+    _, g = pv3_new_generators()
+    eij = [epsilon(3, int(name[1]), int(name[2])) for name in g.target.names]
     new = [word_automorphism(w, eij) for w in g.images]
     act = lambda w: word_automorphism(w, new)
     x1, x2, x3 = free_alphabet(3).gens()
     a1, b1, a2, b2, c1, c2 = g.source.gens()
-    out = [("e%s = %s" % (name[1:], w), act(w).forward == e.forward)
-           for name, w, e in zip(f.source.names, f.images, eij)]
+    out = [("%s = 1" % r, act(r).is_identity()) for r in pv3_new_presentation().relators]
     out += [("%s is conjugation by %s" % (w, x), act(w).is_inner_by(x)) for w, x in (
         (a1, x3), (a2 * c1.inv() * b1, x2), (b2, x1), (b1 * a2 * c1.inv(), x2),
         (c1 * b2 * c1.inv(), x3 * x1 * x3.inv()))]

@@ -80,8 +80,6 @@ class ExtElement(SparseCombination):
         return self.algebra.element(terms)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return other * self
         out = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():

@@ -13,20 +13,21 @@ generator always does; both points are load-bearing, each failure mode
 having a small group that detects it.  Overlaps are collected both ways,
 but a full-weight triple with no relative order in its letters or their
 commutators is linear: the top layer's Jacobi identity, read off without
-collecting.  Each stage eliminates its constraint
-lattice once, by one Hermite normal form on sparse rows: each unit-pivot
-row replaces its tail by minus the rest of the row, and the other rows give
-the layer by their Smith factors and the torsion powers by their entries.
-Finished stages are kept with the presentation, each built once when reached.
+collecting.  Each stage eliminates its constraint lattice once, by one
+Hermite normal form on sparse rows: each unit-pivot row replaces its tail
+by minus the rest of the row, and the other rows give the layer by their
+Smith factors and the torsion powers by their entries.  A stage is made in
+one constructor call and never changed; the stages are kept with the
+presentation, each built once when reached.
 
 Normal forms are exponent vectors over the polycyclic generators, held as
 ``{generator: nonzero exponent}`` dicts, the row format of ``IntMatrix``,
 and computed by collecting unit letters, leftmost violation first.  Letters
 of a pair with no ``comms`` entry commute, so a carried letter moves left in
 one move, jumping by bisection over the sorted prefix past every letter above
-its last commutator partner.  Steps still count one swap per place, so a
-step budget makes a runaway input raise :class:`CollectionBudget`, not loop,
-at the same count as a collector that swaps one place at a time.
+its last commutator partner.  Steps count one swap per place, so the step
+budget ``DEFAULT_BUDGET`` makes a runaway input raise ``CollectionBudget``,
+not loop, at the same count as a collector that swaps one place at a time.
 """
 
 from __future__ import annotations
@@ -51,21 +52,21 @@ class PcSystem(Value):
     ``comms[(j, i)]`` for j > i is the normal form of [b_j, b_i]; absent
     pairs commute.  ``images[k]`` expresses original generator k of the
     finitely presented group in the polycyclic generators.  Every normal
-    form is a ``{generator: nonzero exponent}`` dict.  Unlike the other
-    values it is built up in place, so it is mutable and unhashable, and
-    its collection caches are not fields.
+    form is a ``{generator: nonzero exponent}`` dict, and nothing changes
+    once the value is made; the collection caches are not fields.
     """
 
-    _fields = ("weights", "orders", "powers", "comms", "images", "definitions", "budget")
-    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+    _fields = ("weights", "orders", "powers", "comms", "images", "definitions")
 
     def __init__(self, weights: list[int], orders: list[int], powers: dict[int, dict[int, int]],
                  comms: dict[tuple[int, int], dict[int, int]], images: list[dict[int, int]],
-                 definitions: set | None = None, budget: int = DEFAULT_BUDGET) -> None:
-        super().__init__(weights, orders, powers, comms, images,
-                         set() if definitions is None else definitions, budget)
-        self._conj_cache = {}
-        self._reach = []
+                 definitions: frozenset = frozenset()) -> None:
+        super().__init__(weights, orders, powers, comms, images, definitions)
+        reach = list(range(len(weights)))
+        for j, i in comms:
+            reach[i] = max(reach[i], j)
+        object.__setattr__(self, "_reach", reach)
+        object.__setattr__(self, "_conj_cache", {})
 
     @property
     def num(self) -> int:
@@ -116,11 +117,7 @@ class PcSystem(Value):
         """Normal form of a product of unit letters, as an exponent vector."""
         end = (self.num, 0)  # above every generator, so never swapped or cancelled
         w = list(letters) + [end]
-        orders, comms, budget, reach = self.orders, self.comms, self.budget, self._reach
-        if not reach:  # built here, as _advance adds tail keys after construction
-            reach.extend(range(self.num))
-            for j, i in comms:
-                reach[i] = max(reach[i], j)
+        orders, comms, budget, reach = self.orders, self.comms, DEFAULT_BUDGET, self._reach
         steps = 0
         p = 0
         while w[p] is not end:
@@ -295,22 +292,20 @@ def _advance(system: PcSystem, pres, new_weight: int) \
 
     s = len(tails)
 
-    work = PcSystem(
-        weights=system.weights + [new_weight] * s,
-        orders=system.orders + [0] * s,
-        powers={i: dict(v) for i, v in system.powers.items()},
-        comms={pair: dict(v) for pair, v in system.comms.items()},
-        images=[dict(v) for v in system.images],
-        budget=system.budget,
-    )
+    # the stage with every tail in place: tail m is generator base + m
+    powers = {i: dict(v) for i, v in system.powers.items()}
+    comms = {pair: dict(v) for pair, v in system.comms.items()}
+    images = [dict(v) for v in system.images]
     for m, tail in enumerate(tails):
         if tail[0] == "comm":
-            vec = work.comms.setdefault(tail[1:], {})
+            vec = comms.setdefault(tail[1:], {})
         elif tail[0] == "pow":
-            vec = work.powers[tail[1]]
+            vec = powers[tail[1]]
         else:
-            vec = work.images[tail[1]]
+            vec = images[tail[1]]
         vec[base + m] = 1
+    work = PcSystem(system.weights + [new_weight] * s, system.orders + [0] * s,
+                    powers, comms, images)
 
     # each constraint, on the tails alone: tail m is column m
     constraint_rows = []
@@ -348,22 +343,17 @@ def _advance(system: PcSystem, pres, new_weight: int) \
                 _subtract(out, image[g - base], -e)
         return out
 
-    new_system = PcSystem(
+    # a surviving tail's pivot above 1 is its relative order, its row its power
+    return PcSystem(
         weights=system.weights + [new_weight] * len(survivors),
-        orders=system.orders + [0] * len(survivors),
-        powers={i: rebuilt(v) for i, v in work.powers.items()},
+        orders=system.orders + [row_at[m][m] if m in row_at else 0 for m in survivors],
+        powers={**{i: rebuilt(v) for i, v in work.powers.items()},
+                **{index[m]: negated_rest(m) for m in survivors if m in row_at}},
         comms={pair: vec for pair, vec in
                ((pair, rebuilt(v)) for pair, v in work.comms.items()) if vec},
         images=[rebuilt(v) for v in work.images],
-        definitions=set(system.definitions),
-        budget=system.budget,
-    )
-    for m, idx in index.items():
-        if m in row_at:
-            new_system.orders[idx] = row_at[m][m]
-            new_system.powers[idx] = negated_rest(m)
-        new_system.definitions.add(tails[m])
-    return new_system, layer
+        definitions=system.definitions.union(tails[m] for m in survivors),
+    ), layer
 
 
 def quotient_tower(pres, class_: int):

@@ -277,6 +277,14 @@ def _check_free_product(options: SuiteOptions):
                   "images carry consequence certificates" % verified)
 
 
+def _worked_automorphism() -> Automorphism:
+    """a |-> a^2 b, b |-> a b, the monodromy of checks 07 and 09."""
+    ab = Alphabet(("a", "b"))
+    a, b = ab.gens()
+    return Automorphism(GenMap.from_dict(ab, ab, {"a": a ** 2 * b, "b": a * b}),
+                        GenMap.from_dict(ab, ab, {"a": a * b.inv(), "b": b * a.inv() * b}))
+
+
 def _check_nq_engine(options: SuiteOptions):
     if options.class_ < 2:
         return UNKNOWN, "skipped: the engine oracles need quotients of class 2 and up"
@@ -293,9 +301,7 @@ def _check_nq_engine(options: SuiteOptions):
         if (layers := nilpotent_quotient(pres, len(want)).layers) != want:
             return FAIL, "%s: layers %s" % (label, layers)
 
-    fw = GenMap.from_dict(ab, ab, {"a": a ** 2 * b, "b": a * b})
-    bw = GenMap.from_dict(ab, ab, {"a": a * b.inv(), "b": b * a.inv() * b})
-    phi = Automorphism(fw, bw)
+    phi = _worked_automorphism()
     pres = mapping_torus_presentation(phi)
     wa, wb, wt = pres.alphabet.gens()
     if torus_normal_form(phi, wt * wb * wt.inv()) != (a * b, 0):
@@ -346,9 +352,9 @@ def _check_lie(options: SuiteOptions):
 
 
 def _check_criterion(options: SuiteOptions):
-    ab = Alphabet(("a", "b"))
+    phi = _worked_automorphism().forward
+    ab = phi.source
     a, b = ab.gens()
-    phi = GenMap.from_dict(ab, ab, {"a": a ** 2 * b, "b": a * b})
     verdict = residual_nilpotence_criterion(phi)
     if verdict != ("CRITERION_APPLIES", -1):
         return FAIL, "worked example gave %s, expected (CRITERION_APPLIES, -1)" % (

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvb3 import autf
 from pvb3.autf import (
     Automorphism,
     composition_order_report,
@@ -18,12 +19,13 @@ from pvb3.autf import (
     pv_relators_in_cb,
     word_automorphism,
 )
-from pvb3.fpres import pv3_new_generators
+from pvb3.fpres import pv3_new_presentation
 from pvb3.grammar import parse_word
 from pvb3.word import Alphabet, GenMap, Word
 
 F3 = free_alphabet(3)
 x1, x2, x3 = F3.gens()
+AB = Alphabet(("a", "b"))
 
 
 @st.composite
@@ -51,10 +53,24 @@ def test_epsilon_rejects_bad_indices():
 
 
 def test_automorphism_requires_mutually_inverse_maps():
-    from pvb3.word import GenMap
     bad = GenMap(F3, F3, (x1 * x2, x2, x3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="forward and backward maps are not mutually inverse"):
         Automorphism(bad, bad)
+
+
+def test_automorphism_requires_one_alphabet():
+    y1, y2 = free_alphabet(2).gens()
+    ident, to_f2 = GenMap.identity(F3), GenMap(F3, y1.alphabet, (y1, y2, y1))
+    for forward, backward in ((ident, to_f2), (to_f2, ident), (ident, GenMap.identity(AB))):
+        with pytest.raises(ValueError, match="must be an endomorphism of one alphabet"):
+            Automorphism(forward, backward)
+
+
+def test_word_automorphism_needs_one_image_per_letter():
+    with pytest.raises(ValueError, match="need 2 automorphisms, got 1"):
+        word_automorphism(AB.gen("a"), [epsilon(3, 1, 2)])
+    with pytest.raises(ValueError, match="empty alphabet"):
+        word_automorphism(Alphabet(()).identity(), [])
 
 
 def test_products_and_inverses_stay_mutually_inverse():
@@ -158,15 +174,24 @@ def test_hnn_identities_all_hold():
 
 
 def test_hnn_identities_read_the_change_of_generators():
-    # the first block rewrites each eij as f's image of lij, in lij order,
-    # and every block names the generators of pv3-new
-    f, _ = pv3_new_generators()
+    # the first block kills each relator of pv3-new, in its order, and
+    # every block names the generators of pv3-new
     labels = [label for label, _ in hnn_identities()]
-    assert labels[:6] == ["e%s = %s" % (name[1:], f(x))
-                          for name, x in zip(f.source.names, f.source.gens())]
-    assert labels[2:4] == ["e13 = c2", "e31 = c2^-1 c1"]
+    assert labels[:6] == ["%s = 1" % r for r in pv3_new_presentation().relators]
+    assert labels[2] == "c1^-1 b1 c1 a2^-1 b1^-1 a2 = 1"
     assert labels[-2] == "c2^-1 b1 a2 c1^-1 c2 = a2 c1^-1 b1"
     assert not {"g1", "g2"} & set(" ".join(labels).split())
+
+
+def test_a_wrong_eij_breaks_the_relator_block(monkeypatch):
+    # with e13 standing in for e12, the third and sixth relators of pv3-new
+    # no longer die; a block comparing each eij with its rewriting through
+    # f would still hold, since g(f(lij)) = lij freely
+    real = autf.epsilon
+    monkeypatch.setattr(autf, "epsilon",
+                        lambda n, i, j: real(n, 1, 3) if (i, j) == (1, 2) else real(n, i, j))
+    verdicts = [ok for _, ok in hnn_identities()[:6]]
+    assert verdicts == [True, True, False, True, True, False]
 
 
 def test_pv_relators_die_under_the_conjugating_assignment():

@@ -533,6 +533,16 @@ def test_lie_reads_presentation_files(tmp_path, capsys):
     assert [l.split("rank ")[1] for l in out.splitlines()] == ["4", "4", "12"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("gens: a b\nrel: [a, b]\n  [b, a]\n", "line 3, col 1: expected a gens: or rel: line"),
+    ("# empty\ngens: # none\nrel: a\n", "line 2, col 1: gens: line names no generators"),
+], ids=["stray-line", "no-generators"])
+def test_presentation_file_lines_are_checked(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.pres"
+    path.write_text(text)
+    assert run(capsys, "nq", str(path)) == (2, "", "error: %s\n" % message)
+
+
 def test_lie_rejects_a_relator_with_a_nonzero_exponent_sum(tmp_path, capsys):
     path = tmp_path / "klein.pres"
     path.write_text("gens: a t\nrel: t a t^-1 a\n")

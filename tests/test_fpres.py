@@ -288,6 +288,26 @@ def test_consequence_search_reaches_conjugated_targets():
     assert verify_certificate(new_pres, w, res.certificate)
 
 
+def test_presentation_inputs_must_match_their_alphabets():
+    pres = Presentation(AB, (a.comm(b),))
+    c = Alphabet(("c",)).gen("c")
+    to_c = GenMap.from_dict(AB, c.alphabet, {"a": c, "b": c})
+    for call, message in (
+            (lambda: Presentation(AB, (a, c)),
+             "relator c is not over the presentation alphabet"),
+            (lambda: pv_presentation(1), "need at least two strands"),
+            (lambda: residual_nilpotence_criterion(to_c), "need an endomorphism"),
+            (lambda: is_consequence(pres, c), "word is not over the presentation alphabet"),
+            (lambda: check_homomorphism_free(pres, GenMap.identity(c.alphabet)),
+             "substitution source does not match the presentation"),
+            (lambda: check_homomorphism_presented(pres, GenMap.identity(c.alphabet), pres),
+             "substitution source does not match the presentation"),
+            (lambda: check_homomorphism_presented(pres, to_c, pres),
+             "substitution target does not match the target presentation")):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            call()
+
+
 def test_check_homomorphism_free():
     pres = Presentation(AB, (a.comm(b),))
     z = Alphabet(("x",))

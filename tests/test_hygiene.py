@@ -233,3 +233,45 @@ def test_every_package_name_has_a_caller():
     bench = {p.stem: p.read_text() for p in (ROOT / "bench").glob("*.py")}
     tracing = {"tracing": bench.pop("tracing")}
     assert uncalled(package, bench, tracing) == []
+
+
+def attribute_hooks(source: str) -> list[str]:
+    """Classes, at any depth, that define or assign ``__setattr__`` or ``__delattr__``."""
+    hooks = {"__setattr__", "__delattr__"}
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {item.name}
+            elif isinstance(item, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            else:
+                continue
+            out += ["%s.%s" % (node.name, name) for name in sorted(names & hooks)]
+    return out
+
+
+def test_the_checker_sees_attribute_hooks():
+    source = ("class A:\n"
+              "    def __setattr__(self, name, value): pass\n"
+              "class B:\n"
+              "    __setattr__, __delattr__, __hash__ = object.__setattr__, None, None\n"
+              "class C:\n"
+              "    __delattr__: object = None\n"
+              "    def __init__(self):\n"
+              "        object.__setattr__(self, 'x', 1)\n"
+              "def f():\n"
+              "    class D:\n"
+              "        __setattr__ = object.__setattr__\n")
+    assert attribute_hooks(source) == ["A.__setattr__", "B.__delattr__", "B.__setattr__",
+                                       "C.__delattr__", "D.__setattr__"]
+
+
+def test_only_value_hooks_attribute_assignment():
+    # every value type is immutable through intlinalg.Value alone
+    found = {"%s: %s" % (p.name, hook) for p in PACKAGE.glob("*.py")
+             for hook in attribute_hooks(p.read_text())}
+    assert found == {"intlinalg.py: Value.__setattr__", "intlinalg.py: Value.__delattr__"}

@@ -426,6 +426,17 @@ def test_pbw_series_values():
     assert pbw_coefficients((6, 9, 34), 3) == (1, 6, 30, 144)
     # one generator of each degree behaves like a polynomial algebra
     assert pbw_coefficients((3,), 3) == (1, 3, 6, 10)
+    # a degree of rank zero contributes the factor 1:
+    # (1 - t)^-2 (1 - t^3)^-1 = (1 + 2t + 3t^2 + 4t^3 + ...)(1 + t^3 + ...)
+    assert pbw_coefficients((2, 0, 1), 3) == (1, 2, 3, 5)
+    assert pbw_coefficients((0, 0), 2) == (1, 0, 0)
+
+
+def test_lie_gen_index_is_checked():
+    assert lie_gen(2, 1).terms == {(1,): 1}
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match="generator index out of range"):
+            lie_gen(2, index)
 
 
 def test_pbw_consistency_links_the_two_oracles():

@@ -211,17 +211,16 @@ def test_unknown_when_bounds_exhausted_without_refutation():
     assert res.status == UNKNOWN
 
 
-def test_collection_budget_is_enforced():
-    # each stage inherits the budget of the stage below it; the class-2
-    # stage fits in 50 steps and the class-3 stage does not
+def test_collection_budget_is_enforced(monkeypatch):
+    # every collection reads the one budget; the class-2 stage fits in 50
+    # steps and the class-3 stage does not
     pres = pv_presentation(3)
-    nilpotent_quotient(pres, 1).system.budget = 50
+    monkeypatch.setattr(nq, "DEFAULT_BUDGET", 50)
     with pytest.raises(CollectionBudget):
         nilpotent_quotient(pres, 3)
     # the failed stage is not kept, and a later call builds it again
     assert [q.class_ for q in pres._tower] == [1, 2]
-    for q in pres._tower:
-        q.system.budget = nq.DEFAULT_BUDGET
+    monkeypatch.undo()
     assert nilpotent_quotient(pres, 3).layers == ((6, ()), (9, ()), (34, ()))
 
 
@@ -503,7 +502,7 @@ def reference_negated_rest(row, col, index_of):
     return out
 
 
-def reference_stage_one(pres, budget):
+def reference_stage_one(pres):
     """The former separate class-1 construction, kept as the oracle for
     building class 1 as the first tail stage over the trivial group."""
     n = pres.num_gens
@@ -535,7 +534,7 @@ def reference_stage_one(pres, budget):
             images.append({index_of[k]: 1})
             definitions.add(("img", k))
 
-    system = PcSystem(weights, orders, powers, {}, images, definitions, budget)
+    system = PcSystem(weights, orders, powers, {}, images, frozenset(definitions))
     return system, cokernel_invariants(matrix)
 
 
@@ -577,7 +576,7 @@ def test_jacobi_discrepancies_match_the_collecting_oracle_on_samples(pres):
 
 
 def assert_class_one_matches_reference(pres):
-    system, layer = reference_stage_one(pres, nq.DEFAULT_BUDGET)
+    system, layer = reference_stage_one(pres)
     (q,) = quotient_tower(pres, 1)
     assert q.system == system
     assert q.layers == (layer,)
@@ -780,6 +779,18 @@ def reference_collect(system, letters):
     return vec, steps
 
 
+def assert_exact_budget(system, letters, vec, steps, collect=None):
+    """``collect(letters)``, by default ``system.collect(letters)``, gives
+    ``vec`` within a budget of ``steps``, and ``system.collect`` stops at
+    one step fewer."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nq, "DEFAULT_BUDGET", steps)
+        assert (collect or system.collect)(letters) == vec
+        patch.setattr(nq, "DEFAULT_BUDGET", steps - 1)
+        with pytest.raises(CollectionBudget):
+            system.collect(letters)
+
+
 def collection_samples():
     """(quotient, seeded random letter lists) over pv3 at classes 2-4, g3,
     <a, b | a^n> for n = 2..5 and the twisted circle bundle at class 4.
@@ -814,13 +825,7 @@ def test_collect_matches_the_splicing_reference_step_for_step():
         system = q.system
         torsion += any(o >= 2 for o in system.orders)
         for letters in filter(None, words):
-            vec, steps = reference_collect(system, letters)
-            system.budget = steps
-            assert system.collect(letters) == vec
-            system.budget = steps - 1
-            with pytest.raises(CollectionBudget):
-                system.collect(letters)
-        system.budget = nq.DEFAULT_BUDGET
+            assert_exact_budget(system, letters, *reference_collect(system, letters))
     assert torsion == 5
 
 
@@ -940,12 +945,7 @@ def test_carried_letters_match_the_splicing_reference_step_for_step():
             words.append([top] * (n - 1) + [(1, 1), top])
         for k, letters in enumerate(words):
             vec, steps = reference_collect(system, letters)
-            system.budget = steps
-            assert system.collect(letters) == vec
-            system.budget = steps - 1
-            with pytest.raises(CollectionBudget):
-                system.collect(letters)
-            system.budget = nq.DEFAULT_BUDGET
+            assert_exact_budget(system, letters, vec, steps)
             if k < 5 and steps < 2000:
                 ends |= carry_ends(system, letters)
     assert ends == {"to 0", "blocked", "below", "same", "cancel",
@@ -966,11 +966,7 @@ def test_long_carries_keep_the_step_count():
     system = list(quotient_tower(pres, 4))[-1].system
     letters = [letter for g, s in w.letters for letter in (
         system.expand(system.images[g]) if s == 1 else system.expand_inv(system.images[g]))]
-    system.budget = 587_424
-    assert system.collect(letters) == {}
-    system.budget = 587_423
-    with pytest.raises(CollectionBudget):
-        system.collect(letters)
+    assert_exact_budget(system, letters, {}, 587_424)
 
 
 def brute_reach(system):
@@ -979,10 +975,13 @@ def brute_reach(system):
 
 
 def test_reach_is_the_last_commutator_partner_of_each_generator():
-    system = list(quotient_tower(pv_presentation(3), 4))[-1].system
-    assert system._reach == []  # built by the first collection
+    # a fresh value equal to a kept stage, so that nothing has collected in it
+    stage = list(quotient_tower(pv_presentation(3), 4))[-1].system
+    system = PcSystem(*(getattr(stage, name) for name in PcSystem._fields))
+    assert system == stage and not system._conj_cache
+    assert system._reach == brute_reach(system)  # built with the value
     system.collect([(1, 1), (0, 1)])
-    assert system._reach == brute_reach(system)
+    assert system._conj_cache and system._reach == brute_reach(system)
     assert any(r > g for g, r in enumerate(system._reach))
     assert any(r == g for g, r in enumerate(system._reach))
 
@@ -995,16 +994,16 @@ def image_letters(system, w):
 def quick_images(system, make_word, count, budget=200_000):
     """Images of ``count`` words from ``make_word()`` that collect within
     ``budget`` steps, so that the oracle stays quick."""
-    system.budget = budget
     out = []
-    while len(out) < count:
-        letters = image_letters(system, make_word())
-        try:
-            system.collect(letters)
-        except CollectionBudget:
-            continue
-        out.append(letters)
-    system.budget = nq.DEFAULT_BUDGET
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nq, "DEFAULT_BUDGET", budget)
+        while len(out) < count:
+            letters = image_letters(system, make_word())
+            try:
+                system.collect(letters)
+            except CollectionBudget:
+                continue
+            out.append(letters)
     return out
 
 
@@ -1075,11 +1074,7 @@ def test_carry_jumps_match_the_splicing_reference_step_for_step():
 
         for letters in words:
             vec, steps = reference_collect(system, letters)
-            system.budget = steps
-            assert watch_carries(system, letters, see) == vec
-            system.budget = steps - 1
-            with pytest.raises(CollectionBudget):
-                system.collect(letters)
-            system.budget = nq.DEFAULT_BUDGET
+            assert_exact_budget(system, letters, vec, steps,
+                                lambda letters: watch_carries(system, letters, see))
     assert all(crossed[family][0] >= 10 for family in ("pv3", "g3", "torsion"))
     assert crossed["torsion"][1] >= 5

@@ -1,7 +1,6 @@
 """The value types' contract: equal values are ``==`` and hash alike,
-fields of the immutable types cannot be assigned, and copies and pickles
-come back equal.  ``PcSystem`` is the one mutable type, and its equality
-ignores its collection caches."""
+fields cannot be assigned, and copies and pickles come back equal.
+``PcSystem``'s equality ignores its collection caches."""
 
 import copy
 import pickle
@@ -20,7 +19,7 @@ from pvb3.fpres import (
 from pvb3.grcohom import Exterior, ExteriorQuotient
 from pvb3.intlinalg import IntMatrix
 from pvb3.lie import lie_gen, lie_quotient
-from pvb3.nq import PcSystem, nilpotent_quotient
+from pvb3.nq import NilpotentQuotient, PcSystem, nilpotent_quotient
 from pvb3.suite import PASS, CheckResult, Report, SuiteOptions
 from pvb3.word import Alphabet, GenMap, Word
 
@@ -41,14 +40,14 @@ def _wedge_quotient():
     return ExteriorQuotient(WEDGE, (x * y, y * z))
 
 
-# name -> (build a fresh value, hashable, a field to assign or None if mutable)
+# name -> (build a fresh value, hashable, a field to assign)
 BUILDERS = {
     "IntMatrix": (lambda: IntMatrix([{0: 1}, {1: -2}], 3), False, "ncols"),
     "Alphabet": (lambda: Alphabet(("a", "b")), True, "names"),
     "Word": (_word, True, "letters"),
     "GenMap": (lambda: GenMap.identity(Alphabet(("a", "b"))), True, "images"),
     "PcSystem": (lambda: PcSystem([1, 1, 2], [0, 0, 0], {}, {(1, 0): {2: 1}},
-                                  [{0: 1}, {1: 1}]), False, None),
+                                  [{0: 1}, {1: 1}]), False, "comms"),
     "NilpotentQuotient": (lambda: nilpotent_quotient(_pv3(), 2), False, "class_"),
     "Presentation": (_pv3, True, "relators"),
     "SearchBounds": (lambda: SearchBounds(max_steps=3, max_states=500), True, "max_steps"),
@@ -87,7 +86,7 @@ def test_equal_values_are_equal_and_hash_alike(name):
             hash(first)
 
 
-@pytest.mark.parametrize("name", [n for n in NAMES if BUILDERS[n][2]])
+@pytest.mark.parametrize("name", NAMES)
 def test_fields_of_immutable_values_cannot_be_assigned(name):
     build, _, field = BUILDERS[name]
     value = build()
@@ -106,15 +105,18 @@ def test_copies_and_pickles_come_back_equal(name):
     assert pickle.loads(pickle.dumps(value)) == value
 
 
-def test_the_pc_system_stays_mutable_and_its_equality_ignores_the_caches():
+def test_pc_system_equality_ignores_the_caches():
     build = BUILDERS["PcSystem"][0]
     system, other = build(), build()
     system.collect([(1, 1), (0, 1)])
-    assert system._conj_cache or system._reach
+    assert system._conj_cache and not other._conj_cache
     assert system == other and repr(system) == repr(other)
     assert "_conj_cache" not in repr(system) and "_reach" not in repr(system)
-    other.budget = 5
-    assert other.budget == 5 and system != other
+
+
+def test_a_value_takes_each_field_once():
+    with pytest.raises(TypeError, match="^NilpotentQuotient takes 4 fields, got 2$"):
+        NilpotentQuotient(Alphabet(("a",)), 1)
 
 
 def test_defaults_and_keyword_construction():

@@ -1,5 +1,7 @@
 """Free reduction, word arithmetic, substitution homomorphisms."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,29 @@ def test_alphabet_accepts_every_grammar_name():
     alphabet = Alphabet(("a_1", "é2", "x12", "Z"))
     for name in alphabet.names:
         assert parse_word(name, alphabet) == alphabet.gen(name)
+
+
+@pytest.mark.parametrize("letters, message", [
+    (((0, 1), (2, 1)), "letter index 2 out of range"),
+    (((-1, 1),), "letter index -1 out of range"),
+    (((1, 2),), "letter sign must be +1 or -1, got 2"),
+    (((0, 0),), "letter sign must be +1 or -1, got 0"),
+], ids=["index-above", "index-negative", "sign-2", "sign-0"])
+def test_word_rejects_letters_outside_its_alphabet(letters, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        W(letters)
+
+
+def test_genmap_rejects_images_and_words_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="need 2 images, got 1"):
+        GenMap(AB, AB, (a,))
+    with pytest.raises(ValueError, match="image c is not over the target alphabet"):
+        GenMap(AB, AB, (a, ABC.gen("c")))
+    f = GenMap.identity(AB)
+    with pytest.raises(ValueError, match="word c is not over the source alphabet"):
+        f(ABC.gen("c"))
+    with pytest.raises(ValueError, match="composition mismatch"):
+        f.then(GenMap.identity(ABC))
 
 
 def test_words_over_different_alphabets_do_not_mix():
