@@ -5,8 +5,8 @@ Words are whitespace- or ``*``-separated atoms ``name`` and ``name^k``
 u^-1 v^-1 u v, parentheses for grouping, and ``1`` for the identity.
 Presentation files hold one ``gens:`` line followed by ``rel:`` lines;
 ``#`` starts a comment.  Wherever a command expects a presentation,
-one of the built-in names pv3, pv4, g3, pv3-new or q3 may stand in
-for a file path.  The generator arguments of ``aut compose`` and
+one of the built-in names pv3, pv4, g3 or pv3-new may stand in for a
+file path.  The generator arguments of ``aut compose`` and
 ``aut inner`` together form one such word in the names ``eij``.
 
 Exit status is 0 when everything requested holds, 1 when a comparison
@@ -38,7 +38,6 @@ from .fpres import (
     pv3_new_generators,
     pv3_new_presentation,
     pv_presentation,
-    q3_presentation,
     verify_certificate,
 )
 from .grammar import _tokenize, parse_word, split_names
@@ -50,7 +49,6 @@ BUILTIN_PRESENTATIONS = {
     "pv4": lambda: pv_presentation(4),
     "g3": g3_presentation,
     "pv3-new": pv3_new_presentation,
-    "q3": q3_presentation,
 }
 
 
@@ -282,8 +280,7 @@ def cmd_aut(args) -> int:
                              + mccool_same_target_commutators(n)
                              + mccool_triple_relations(n)
                              + pv_relators_in_cb(n), "holds", "FAILS")
-        report = composition_order_report(n)
-        print("composition order pinned: %s" % report["pinned"])
+        print("composition order pinned: %s" % composition_order_report()["pinned"])
         return 0 if ok else 1
     # hnn
     return 0 if _print_verdicts(hnn_identities(), "holds", "FAILS") else 1
@@ -340,19 +337,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_lie(args) -> int:
-    from .lie import (
-        derivation_check,
-        enveloping_invariants,
-        lie_quotient,
-        pbw_coefficients,
-    )
+    from .lie import enveloping_invariants, lie_quotient, pbw_coefficients
 
-    if args.action == "derivation":
-        if args.presentation is not None:
-            raise ValueError("lie derivation takes no presentation")
-        holds = derivation_check()
-        print("conjugation rule %s the relation ideal" % ("lands in" if holds else "left"))
-        return 0 if holds else 1
     top = args.max_degree
     if top < 1:
         raise ValueError("--max-degree must be at least 1, got %d" % top)
@@ -482,10 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lie", help="the graded Lie ring of a presentation's "
                                    "quadratic relations")
-    p.add_argument("action", choices=("dims", "env", "pbw", "derivation"))
+    p.add_argument("action", choices=("dims", "env", "pbw"))
     p.add_argument("presentation", nargs="?",
-                   help="file path or built-in name (default pv3); "
-                        "derivation takes none")
+                   help="file path or built-in name (default pv3)")
     p.add_argument("--max-degree", type=int, default=3)
     p.set_defaults(handler=cmd_lie)
 

@@ -22,6 +22,10 @@ The distinguished presentations:
     a/b/c alphabet.  Both composites are identities on the nose in the free
     groups; that the relators match up is a consequence check.
 
+``semidirect_presentation()``
+    g3 over its own alphabet as the semidirect product of F(a1, a2, c1) by
+    F(b1, b2), which act by the automorphisms of ``g3_actions``.
+
 Consequence checking is certificate-based: a word is exhibited as a product
 of conjugated relators, and certificates found by search are re-verified by
 free reduction before being returned.
@@ -146,6 +150,15 @@ def g3_pairs(alphabet: Alphabet) -> tuple[tuple, tuple]:
     return ((a1, b1), (a2, b2)), ((b1, a2), (a1, b2), (b2, a1 * b2), (a2, b1 * a2))
 
 
+def g3_actions(alphabet: Alphabet) -> tuple[tuple, tuple]:
+    """The automorphisms phi_1 and phi_2 of F(a1, a2, c1) by which b1 and b2
+    act in g3, as pairs (b, ((x, phi(x)) for x = a1, a2, c1)) over an
+    alphabet with g3's names."""
+    a1, b1, a2, b2, c1 = (alphabet.gen(n) for n in G3_NAMES)
+    return ((b1, ((a1, a1), (a2, a2 * c1.inv() * a2 * c1 * a2.inv()), (c1, a2 * c1 * a2.inv()))),
+            (b2, ((a1, c1.inv() * a1 * c1), (a2, a2), (c1, c1.inv() * a1 * c1 * a1.inv() * c1))))
+
+
 def _conjugation_relators(alphabet: Alphabet) -> tuple[Word, ...]:
     (commuting, conjugating), c1 = g3_pairs(alphabet), alphabet.gen("c1")
     return tuple(y.comm(z) for y, z in commuting) + tuple(
@@ -155,6 +168,14 @@ def _conjugation_relators(alphabet: Alphabet) -> tuple[Word, ...]:
 def g3_presentation() -> Presentation:
     alphabet = Alphabet(G3_NAMES)
     return Presentation(alphabet, _conjugation_relators(alphabet))
+
+
+def semidirect_presentation() -> Presentation:
+    """g3 as the semidirect product of F(a1, a2, c1) by F(b1, b2): the
+    relators b^-1 x b phi(x)^-1 of ``g3_actions``, in its order."""
+    alphabet = Alphabet(G3_NAMES)
+    return Presentation(alphabet, tuple(x.conj(b) * y.inv() for b, images in g3_actions(alphabet)
+                                        for x, y in images))
 
 
 def pv3_new_presentation() -> Presentation:
@@ -186,16 +207,6 @@ def pv3_new_generators() -> tuple[GenMap, GenMap]:
         "c2": l["l13"],
     })
     return f, g
-
-
-def q3_presentation(bound: int = 3) -> Presentation:
-    """Quotient with all c1-power conjugates of the two commutators killed,
-    truncated to |k| <= bound."""
-    alphabet = Alphabet(G3_NAMES)
-    c1 = alphabet.gen("c1")
-    return Presentation(alphabet, tuple(y.comm(z).conj(c1 ** k)
-                                        for y, z in g3_pairs(alphabet)[0]
-                                        for k in range(-bound, bound + 1)))
 
 
 STABLE_LETTER = "t"

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .fpres import g3_pairs, g3_presentation
+from .fpres import g3_presentation, semidirect_presentation
 from .intlinalg import (IntMatrix, SparseCombination, Value, cokernel_invariants,
                         row_lattices_equal)
 
@@ -173,38 +173,30 @@ def lie_quotient(pres):
         LieElement.make(pres.num_gens, form) for form in pres.initial_forms() if form))
 
 
-def derivation_check():
-    """Confirm the weight-one conjugation rule is coherent on the
-    four-generator subring of the quadratic presentation of g3.
+def semidirect_check():
+    """Confirm that g3's Lie ring is the semidirect product of L(a1, a2, c1)
+    by L(b1, b2), free abelian of rank W(3, k) + W(2, k) in every degree k
+    (W the Witt rank).
 
-    The rule d sends y to [w, y] for each conjugation pair (y, w) of
-    ``g3_pairs``, w read in degree one: the bracket that the defining
-    relation c1^-1 y c1 = w^-1 y w assigns to [c1, y].  Applying d to
-    the two commuting-pair relations, [a1, b1] and [a2, b2], the initial
-    forms of the first two relators, must give elements of the degree-3
-    component of the full relation ideal; that is what makes the
-    subring a Lie ideal on which c1 acts through d.  Membership is
-    checked exactly over the integers: adding the images to the ideal's
-    rows leaves their lattice unchanged.  The conjugation relations are
-    genuinely needed here: the two commuting-pair relations alone span
-    an ideal that does not contain these images.
+    Each initial form of ``semidirect_presentation`` must be +-[b, x] plus
+    terms in a1, a2 and c1 only, one form for each b in {b1, b2} and x in
+    {a1, a2, c1}.  The relations then read [b, x] = delta_b(x) with
+    delta_b(x) in L_2(a1, a2, c1).  A linear map from {a1, a2, c1} to
+    L(a1, a2, c1) extends to a unique derivation, and L(b1, b2) is free, so
+    these relations present the semidirect product.  The degree-2 ideals of
+    that presentation and of g3's must span the same lattice; both ideals
+    are generated in degree 2, so they then agree in every degree, and
+    ``lie_quotient(g3_presentation())`` is that ring.
     """
-    quotient = lie_quotient(pres := g3_presentation())
-    linear = lambda w: LieElement.make(pres.num_gens, {
-        (g,): e for g, e in enumerate(w.exponent_vector())})
-    images = {y.letters[0][0]: linear(w).bracket(linear(y)) for y, w in g3_pairs(pres.alphabet)[1]}
-    ideal = quotient.ideal_matrix(3)
-    derived = tuple(apply_derivation(r, images).lyndon_coefficients(3)
-                    for r in quotient.relations[:2])
-    return row_lattices_equal(ideal, IntMatrix(ideal.rows + derived, ideal.ncols))
-
-
-def apply_derivation(element, images):
-    """Extend generator images by the Leibniz rule over tensor terms."""
-    total = LieElement.make(element.ngens, {})
-    for word, c in element.terms.items():
-        for pos, letter in enumerate(word):
-            for k, v in images[letter].terms.items():
-                key = word[:pos] + k + word[pos + 1:]
-                total = total + LieElement.make(element.ngens, {key: c * v})
-    return total
+    quotient = lie_quotient(pres := semidirect_presentation())
+    fibre = {pres.alphabet.index(name) for name in ("a1", "a2", "c1")}
+    pairs = []
+    for relation in quotient.relations:
+        # a Lie element's terms come in pairs (i, j), (j, i)
+        acting = [(k, c) for k, c in relation.terms.items() if not fibre.issuperset(k)]
+        if len(acting) != 2:
+            return False
+        pairs += [k for k, c in acting if k[1] in fibre and abs(c) == 1]
+    base = set(range(pres.num_gens)) - fibre
+    return sorted(pairs) == sorted(product(base, fibre)) and row_lattices_equal(
+        quotient.ideal_matrix(2), lie_quotient(g3_presentation()).ideal_matrix(2))

@@ -42,12 +42,7 @@ from pvb3.grcohom import (
     stability_rank,
 )
 from pvb3.intlinalg import IntMatrix, kernel_basis, rank, row_lattices_equal
-from pvb3.lie import (
-    derivation_check,
-    enveloping_invariants,
-    lie_quotient,
-    pbw_consistency,
-)
+from pvb3.lie import enveloping_invariants, lie_quotient, pbw_consistency, semidirect_check
 from pvb3.nq import nilpotent_quotient
 from pvb3.suite import _GOLDEN_CUPS, _GOLDEN_DUALS
 from pvb3.word import Alphabet, GenMap
@@ -170,7 +165,7 @@ def test_08_graded_lie_matches_lower_central_ranks():
         env = enveloping_invariants(quotient.ngens, quotient.relations, 3)
         assert all(t == () for _, t in env)
         assert pbw_consistency(lie_dims, (1,) + tuple(r for r, _ in env))
-        assert derivation_check()
+        assert semidirect_check()
 
 
 def _permuted(phi, sigma):

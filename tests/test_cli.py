@@ -5,6 +5,7 @@ exit status; nothing here re-derives mathematics, the goal is that the
 plumbing between the parser and the library stays sound.
 """
 
+import importlib
 import json
 import os
 import re
@@ -578,12 +579,20 @@ def test_lie_max_degree_below_one_exits_two(capsys, action, degree):
     assert "--max-degree must be at least 1, got %s" % degree in err
 
 
+def test_q3_is_not_a_built_in_name(capsys, tmp_path, monkeypatch):
+    # not a built-in name, so it is read as a file path, and there is none
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "nq", "q3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "'q3'" in err
+
+
 def test_lie_derivation(capsys):
-    code, out, _ = run(capsys, "lie", "derivation")
-    assert code == 0
-    assert "lands in the relation ideal" in out
-    assert run(capsys, "lie", "derivation", "g3") == \
-        (2, "", "error: lie derivation takes no presentation\n")
+    # dims, env and pbw are the only actions
+    with pytest.raises(SystemExit) as exc:
+        main(["lie", "derivation"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'derivation'" in capsys.readouterr().err
 
 
 def test_suite_default_all_pass(capsys):
@@ -763,6 +772,18 @@ def test_readme_library_example_runs():
     assert namespace["res"].status == "VERIFIED"
     exports = re.search(r"The package root exports (.*?)\. The other", text, re.S).group(1)
     assert sorted(re.findall(r"`(\w+)`", exports)) == sorted(pvb3.__all__)
+
+
+def test_readme_module_references_resolve():
+    # a backticked module.name, with or without the pvb3. prefix, must name
+    # an attribute of that module, so a deletion takes its mention with it
+    modules = {p.stem for p in Path(pvb3.__file__).parent.glob("*.py")}
+    references = [(module, name) for module, name in
+                  re.findall(r"`(?:pvb3\.)?(\w+)\.(\w+)`", README.read_text())
+                  if module in modules]
+    assert len(references) >= 9
+    assert [".".join(ref) for ref in references
+            if not hasattr(importlib.import_module("pvb3." + ref[0]), ref[1])] == []
 
 
 def test_readme_commands_are_accepted(capsys):

@@ -24,6 +24,7 @@ from pvb3.fpres import (
     check_homomorphism_free,
     STABLE_LETTER,
     check_homomorphism_presented,
+    g3_actions,
     g3_pairs,
     g3_presentation,
     is_consequence,
@@ -32,8 +33,8 @@ from pvb3.fpres import (
     pv3_new_presentation,
     pv_alphabet,
     pv_presentation,
-    q3_presentation,
     residual_nilpotence_criterion,
+    semidirect_presentation,
     torus_normal_form,
     verify_certificate,
     _children,
@@ -125,7 +126,7 @@ def load_oracles():
 
 @pytest.mark.parametrize("pres", [
     pv_presentation(3), pv_presentation(4), g3_presentation(), pv3_new_presentation(),
-    q3_presentation()], ids=["pv3", "pv4", "g3", "pv3-new", "q3"])
+    semidirect_presentation()], ids=["pv3", "pv4", "g3", "pv3-new", "semidirect"])
 def test_initial_forms_are_the_degree_two_magnus_terms(pres):
     magnus = load_oracles().magnus
     forms = pres.initial_forms()
@@ -158,20 +159,8 @@ def test_presentation_text_round_trip():
     assert again == pres
 
 
-def test_q3_families():
-    pres = q3_presentation(3)
-    assert pres.alphabet.names == ("a1", "b1", "a2", "b2", "c1")
-    a1, b1, a2, b2, c1 = pres.alphabet.gens()
-    assert len(pres.relators) == 14
-    # [a1, b1] then [a2, b2], each conjugated by c1^k for k = -3..3
-    for k in range(-3, 4):
-        assert pres.relators[3 + k] == c1 ** -k * a1.comm(b1) * c1 ** k
-        assert pres.relators[10 + k] == c1 ** -k * a2.comm(b2) * c1 ** k
-    assert q3_presentation(0).relators == (a1.comm(b1), a2.comm(b2))
-
-
 def test_g3_relators_are_built_from_its_pairs():
-    # frozen text: both pair lists feed g3, pv3-new and q3
+    # frozen text: both pair lists feed g3 and pv3-new
     assert str(g3_presentation()) == "\n".join((
         "gens: a1 b1 a2 b2 c1",
         "rel: a1^-1 b1^-1 a1 b1",
@@ -183,6 +172,21 @@ def test_g3_relators_are_built_from_its_pairs():
     commuting, conjugating = g3_pairs(g3_presentation().alphabet)
     assert ["%s, %s" % pair for pair in commuting + conjugating] == \
         ["a1, b1", "a2, b2", "b1, a2", "a1, b2", "b2, a1 b2", "a2, b1 a2"]
+
+
+def test_semidirect_relators_are_built_from_the_actions():
+    # frozen text: b^-1 x b phi(x)^-1 for (b1; a1, a2, c1), then (b2; a1, a2, c1)
+    assert str(semidirect_presentation()) == "\n".join((
+        "gens: a1 b1 a2 b2 c1",
+        "rel: b1^-1 a1 b1 a1^-1",
+        "rel: b1^-1 a2 b1 a2 c1^-1 a2^-1 c1 a2^-1",
+        "rel: b1^-1 c1 b1 a2 c1^-1 a2^-1",
+        "rel: b2^-1 a1 b2 c1^-1 a1^-1 c1",
+        "rel: b2^-1 a2 b2 a2^-1",
+        "rel: b2^-1 c1 b2 c1^-1 a1 c1^-1 a1^-1 c1"))
+    # both actions are trivial on H_1: each image is x times commutators
+    for _, images in g3_actions(semidirect_presentation().alphabet):
+        assert all(x.exponent_vector() == y.exponent_vector() for x, y in images)
 
 
 def test_conjugate_relator_forms():

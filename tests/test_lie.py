@@ -6,8 +6,9 @@ triangular solve into the Lyndon bracket basis (``is_lyndon``,
 is the oracle those rows are compared against.  The package derives
 every relation from the relators' initial forms; the six relations
 stated by hand in ``stated_pv3_lie_quotient`` are the oracle for those.
-It reads the conjugation rule of ``derivation_check`` off g3's pairs; the
-four brackets typed in ``typed_conjugation_rule`` are the oracle for that.
+``semidirect_check`` reads g3's Lie ring off its semidirect form; the
+sums of Witt ranks that form gives in every degree are the oracle for
+that.
 """
 
 from functools import lru_cache
@@ -22,22 +23,21 @@ from pvb3.fpres import (
     g3_presentation,
     pv3_new_presentation,
     pv_presentation,
-    q3_presentation,
+    semidirect_presentation,
 )
 from pvb3 import lie
 from pvb3.lie import (
     GradedLieQuotient,
     LieElement,
-    apply_derivation,
-    derivation_check,
     enveloping_invariants,
     lie_gen,
     lie_quotient,
     lyndon_words,
     pbw_coefficients,
     pbw_consistency,
+    semidirect_check,
 )
-from pvb3.intlinalg import IntMatrix, cokernel_invariants, in_row_lattice, row_lattices_equal
+from pvb3.intlinalg import IntMatrix, cokernel_invariants, row_lattices_equal
 from pvb3.nq import nilpotent_quotient
 from pvb3.word import Alphabet
 
@@ -289,7 +289,14 @@ def test_quotients_drop_zero_initial_forms():
     heisenberg = lie_quotient(Presentation(ab, (a.comm(b).comm(a), a.comm(b).comm(b))))
     assert heisenberg.relations == ()
     assert lie_dims(heisenberg, 3) == (2, 1, 2)
-    assert lie_quotient(q3_presentation()).invariants(2) == (8, ())
+    # dependent relators: each c1-power conjugate of [a1, b1] or [a2, b2]
+    # has the same initial form as the commutator itself
+    g3 = Alphabet(("a1", "b1", "a2", "b2", "c1"))
+    a1, b1, a2, b2, c1 = g3.gens()
+    conjugates = tuple(y.comm(z).conj(c1 ** k) for y, z in ((a1, b1), (a2, b2))
+                       for k in range(-3, 4))
+    assert len(conjugates) == 14
+    assert lie_quotient(Presentation(g3, conjugates)).invariants(2) == (8, ())
 
 
 def test_pv4_lie_ranks_equal_the_lower_central_ranks():
@@ -448,50 +455,51 @@ def test_pbw_consistency_links_the_two_oracles():
     assert not pbw_consistency((6, 10, 34), u)
 
 
-def typed_conjugation_rule(n):
-    """The rule d on a1, b1, a2, b2 (generators 0..3 of n), typed by hand:
-    the bracket that g3's conjugation relations assign to [c1, y]."""
-    a1, b1, a2, b2 = (lie_gen(n, k) for k in range(4))
-    return {0: b2.bracket(a1), 1: a2.bracket(b1), 2: b1.bracket(a2), 3: a1.bracket(b2)}
+def semidirect_rank(degree):
+    """Rank of the semidirect product of L(a1, a2, c1) by L(b1, b2) in one
+    degree."""
+    return witt_rank(3, degree) + witt_rank(2, degree)
 
 
-def test_derivation_check_passes():
-    assert derivation_check()
+def test_g3_lie_ranks_are_the_semidirect_ranks():
+    quotient = lie_quotient(g3_presentation())
+    for degree in range(1, 7):
+        assert quotient.invariants(degree) == (semidirect_rank(degree), ())
 
 
-def test_derivation_check_reads_the_typed_rule_off_the_pairs(monkeypatch):
-    seen = []
-
-    def spy(element, images):
-        seen.append(images)
-        return apply_derivation(element, images)
-
-    monkeypatch.setattr(lie, "apply_derivation", spy)
-    assert derivation_check()
-    assert seen == [typed_conjugation_rule(5)] * 2
+def test_g3_lower_central_ranks_are_the_semidirect_ranks():
+    layers = nilpotent_quotient(g3_presentation(), 5).layers
+    assert layers == tuple((semidirect_rank(k), ()) for k in range(1, 6))
+    assert [free for free, _ in layers] == [5, 4, 10, 21, 54]
 
 
-def test_conjugation_rule_requires_conjugation_relations():
-    # the two commuting-pair relations alone do not absorb the images,
-    # so the four-generator free-product quotient admits no such
-    # derivation; only the full relation set does
-    n = 4
-    a1, b1, a2, b2 = (lie_gen(n, k) for k in range(4))
-    images = typed_conjugation_rule(n)
-    rel = (a1.bracket(b1), a2.bracket(b2))
-    small = GradedLieQuotient(("a1", "b1", "a2", "b2"), rel)
-    ideal = small.ideal_matrix(3)
-    image = apply_derivation(rel[0], images).lyndon_coefficients(3)
-    assert not in_row_lattice(ideal, [image.get(k, 0) for k in range(ideal.ncols)])
+def test_semidirect_check_passes():
+    assert semidirect_check()
 
 
-@given(small_tensors(4, 1), small_tensors(4, 1))
-@settings(max_examples=30, deadline=None)
-def test_apply_derivation_satisfies_leibniz(x, y):
-    n = 4
-    images = {k: lie_gen(n, k).bracket(lie_gen(n, (k + 1) % n))
-              for k in range(n)}
-    left = apply_derivation(x.bracket(y), images)
-    right = apply_derivation(x, images).bracket(y) \
-        + x.bracket(apply_derivation(y, images))
-    assert left == right
+def replaced(relators, index, relator):
+    return relators[:index] + (relator,) + relators[index + 1:]
+
+
+P = semidirect_presentation()
+B1, C1 = P.alphabet.gen("b1"), P.alphabet.gen("c1")
+
+
+@pytest.mark.parametrize("relators, g3_lattice", [
+    # delta_2(a1) gains 2 [b1, a1]
+    (replaced(P.relators, 3, P.relators[3] * P.relators[0] ** 2), True),
+    # (b2, c1) missing: five relators
+    (P.relators[:5], False),
+    # (b2, a2) twice
+    (P.relators + (P.relators[4],), True),
+    # phi_1(c1) = c1: of the right shape
+    (replaced(P.relators, 2, C1.conj(B1) * C1.inv()), False),
+], ids=["b1-in-delta", "pair-missing", "pair-repeated", "lattice"])
+def test_semidirect_check_fails_off_the_semidirect_form(monkeypatch, relators, g3_lattice):
+    # g3_lattice: whether the degree-2 lattice is still g3's, so that only the
+    # form of the relations can fail the check
+    pres = Presentation(P.alphabet, relators)
+    assert row_lattices_equal(lie_quotient(pres).ideal_matrix(2),
+                              lie_quotient(g3_presentation()).ideal_matrix(2)) == g3_lattice
+    monkeypatch.setattr(lie, "semidirect_presentation", lambda: pres)
+    assert not semidirect_check()

@@ -116,8 +116,8 @@ CASES = [
      "group ranks (1, 1, 1) differ from Lie dimensions (6, 9, 34)"),
     ("08", "pbw_consistency", lambda real: lambda lie, env: False,
      "enveloping dimensions (1, 6, 30, 144) break the series identity"),
-    ("08", "derivation_check", lambda real: lambda: False,
-     "the weight-one conjugation rule left the relation ideal"),
+    ("08", "semidirect_check", lambda real: lambda: False,
+     "g3's quadratic relations do not present the semidirect product"),
     ("09", "residual_nilpotence_criterion", on_call(1, ("INCONCLUSIVE", 0)),
      "worked example gave ('INCONCLUSIVE', 0), expected (CRITERION_APPLIES, -1)"),
     ("09", "residual_nilpotence_criterion", on_call(2, ("CRITERION_APPLIES", 1)),
