@@ -346,7 +346,7 @@ def cmd_lie(args) -> int:
     if args.action == "dims":
         _print_layers(map(quotient.invariants, range(1, top + 1)), 1)
         return 0
-    env = enveloping_invariants(quotient.ngens, quotient.relations, top)
+    env = enveloping_invariants(quotient, top)
     if args.action == "env":
         _print_layers(env, 1)
         return 0

@@ -4,6 +4,8 @@ A ring is the exterior algebra on the duals of a presentation's
 generators modulo the degree-two classes that pair to zero with every
 initial form of its relators, the kernel of the cup product on H^1
 (Fenn and Sjerve, Canad. J. Math. 39, 1987; Matei and Suciu, 2000).
+An element is a ``{strictly increasing index tuple: nonzero int}`` dict,
+each tuple a monomial in the generator duals.
 The group splits as a free product of a five-generator factor and an
 infinite cyclic factor.  The factor receives a map from a wedge of two
 tori and four genus-two surfaces (``wedge_map``) that identifies first and
@@ -20,88 +22,42 @@ from math import comb, factorial
 
 from .fpres import (G3_NAMES, Presentation, g3_pairs, g3_presentation, pv3_new_generators,
                     pv3_new_presentation, pv_alphabet, pv_presentation)
-from .intlinalg import (IntMatrix, SparseCombination, Value, cokernel_invariants, kernel_basis,
-                        rank)
+from .intlinalg import IntMatrix, Value, cokernel_invariants, kernel_basis, rank
 from .word import Alphabet, GenMap
 
 
-class Exterior(Value):
-    """Exterior algebra over the integers on a fixed ordered generator list.
-
-    Elements are kept as dictionaries from strictly increasing index
-    tuples to nonzero coefficients, so equality is literal.
-    """
-
-    _fields = ("names",)
-
-    def __init__(self, names):
-        names = tuple(names)
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate generator name")
-        super().__init__(names)
-
-    def __len__(self):
-        return len(self.names)
-
-    def element(self, terms):
-        return ExtElement(self, {k: c for k, c in terms.items() if c})
-
-    def gen(self, name):
-        return self.element({(self.names.index(name),): 1})
-
-    def basis(self, degree):
-        """Index tuples of the standard monomial basis in one degree,
-        empty in negative degrees."""
-        return tuple(combinations(range(len(self.names)), degree)) if degree >= 0 else ()
+def _monomials(ngens, degree):
+    """The standard monomials of one degree, empty in negative degrees."""
+    return combinations(range(ngens), degree) if degree >= 0 else ()
 
 
-def _merge_sign(left, right):
-    # wedge of two increasing tuples: None on repetition, else sorted
-    # tuple with the sign of the interleaving permutation
-    if set(left) & set(right):
-        return None, 0
-    inversions = sum(1 for x in right for y in left if y > x)
-    return tuple(sorted(left + right)), -1 if inversions % 2 else 1
-
-
-class ExtElement(SparseCombination):
-    _fields = ("algebra", "terms")
-
-    def __init__(self, algebra, terms):
-        if not all(terms.values()):
-            raise ValueError("exterior element with a zero coefficient")
-        super().__init__(algebra, terms)
-
-    @property
-    def _space(self):
-        return self.algebra.names
-
-    def _make(self, terms):
-        return self.algebra.element(terms)
-
-    def __mul__(self, other):
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key, sign = _merge_sign(k1, k2)
-                if key is not None:
-                    out[key] = out.get(key, 0) + sign * c1 * c2
-        return self.algebra.element(out)
+def _wedge(u, v):
+    """Product of two exterior elements."""
+    out = {}
+    for k1, c1 in u.items():
+        for k2, c2 in v.items():
+            if set(k1).isdisjoint(k2):
+                # the sign of the permutation that sorts k1 + k2
+                inversions = sum(y > x for x in k2 for y in k1)
+                key = tuple(sorted(k1 + k2))
+                out[key] = out.get(key, 0) + (-c1 * c2 if inversions % 2 else c1 * c2)
+    return {k: c for k, c in out.items() if c}
 
 
 class ExteriorQuotient(Value):
-    """Quotient of an exterior algebra by an ideal of degree-two relations."""
+    """Exterior algebra on named generators modulo degree-two relations."""
 
-    _fields = ("algebra", "relations")
+    _fields = ("names", "relations")
 
     def ideal_matrix(self, degree):
         """Span of relation * monomial inside one graded piece: one sparse
-        row per pair, keyed by each product monomial's position in
-        ``algebra.basis(degree)``.  Below degree 2 there are no rows."""
-        columns = {key: k for k, key in enumerate(self.algebra.basis(degree))}
-        monomials = [self.algebra.element({key: 1}) for key in self.algebra.basis(degree - 2)]
-        return IntMatrix(({columns[key]: c for key, c in (r * m).terms.items()}
-                          for r in self.relations for m in monomials), len(columns))
+        row per pair, keyed by each product monomial's position among the
+        monomials of the degree.  Below degree 2 there are no rows."""
+        n = len(self.names)
+        columns = {key: k for k, key in enumerate(_monomials(n, degree))}
+        return IntMatrix(({columns[key]: c for key, c in _wedge(r, {m: 1}).items()}
+                          for r in self.relations for m in _monomials(n, degree - 2)),
+                         len(columns))
 
     def invariants(self, degree):
         """(free rank, torsion) of the graded piece of the quotient."""
@@ -178,12 +134,11 @@ def presentation_ring(pres):
     the kernel of the pairing of degree-two classes with the initial forms
     of the relators.  Above degree 2 this is the cohomology ring only
     where that ring is known to be quadratic."""
-    E = Exterior(pres.alphabet.names)
-    pairs = E.basis(2)
+    pairs = tuple(_monomials(pres.num_gens, 2))
     forms = IntMatrix(({k: form[pair] for k, pair in enumerate(pairs) if pair in form}
                        for form in pres.initial_forms()), len(pairs))
-    return ExteriorQuotient(E, tuple(E.element(dict(zip(pairs, row)))
-                                     for row in kernel_basis(forms)))
+    return ExteriorQuotient(pres.alphabet.names, tuple(
+        {pair: c for pair, c in zip(pairs, row) if c} for row in kernel_basis(forms)))
 
 
 def g3_ring():
@@ -201,15 +156,13 @@ def free_factor_dual():
     column of the change of generators' abelianisation."""
     f, _ = pv3_new_generators()
     c2 = f.target.index("c2")
-    column = {(s,): row.get(c2, 0) for s, row in enumerate(f.abelianisation_matrix().rows)}
-    return Exterior(PV3_DUALS).element(column)
+    return {(s,): row[c2] for s, row in enumerate(f.abelianisation_matrix().rows) if c2 in row}
 
 
 def pv3_stability_relations():
     """The free-factor dual multiplied against every generator."""
-    E = Exterior(PV3_DUALS)
     sigma = free_factor_dual()
-    return tuple(sigma * E.gen(n) for n in PV3_DUALS)
+    return tuple(_wedge(sigma, {(k,): 1}) for k in range(len(PV3_DUALS)))
 
 
 def pv3_ring():
@@ -233,4 +186,4 @@ def beer_rank(n, r):
 
 def stability_rank():
     """Rank of the span of the free-factor relations alone."""
-    return rank(ExteriorQuotient(Exterior(PV3_DUALS), pv3_stability_relations()).ideal_matrix(2))
+    return rank(ExteriorQuotient(PV3_DUALS, pv3_stability_relations()).ideal_matrix(2))

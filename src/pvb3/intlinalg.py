@@ -6,10 +6,10 @@ no floating point is used anywhere.  One sparse elimination, the Hermite
 normal form, is behind ranks, lattice membership and comparison, kernels,
 Smith factors and cokernels; only the determinant eliminates on its own.
 A matrix holds its rows as ``{column: nonzero entry}`` dicts, the format
-the Hermite form reads and returns, so no reader here makes a row dense.
-``SparseCombination`` gives the same dict arithmetic to the exterior and
-Lie elements, whose keys are monomials instead of columns.  ``Value`` is
-the immutable base of the package's value types, this matrix among them.
+the Hermite form reads and returns, so no reader here makes a row dense;
+the exterior and Lie elements are dicts too, keyed by monomials instead
+of columns.  ``Value`` is the immutable base of the package's value
+types, this matrix among them.
 """
 
 from __future__ import annotations
@@ -73,38 +73,6 @@ class Value:
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
             "%s=%r" % (name, getattr(self, name)) for name in self._fields))
-
-
-class SparseCombination(Value):
-    """Integer linear combination whose ``terms`` map keys to nonzero ints.
-
-    A subclass names the space its elements live in by ``_space``, which
-    equal elements share, and builds every result through ``_make(terms)``;
-    elements of different classes are never equal.
-    """
-
-    def __eq__(self, other):
-        return (type(other) is type(self) and self._space == other._space
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self._space, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        _subtract(out, other.terms, -1)
-        return self._make(out)
-
-    def __neg__(self):
-        return self._make({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rmul__(self, c):
-        if not isinstance(c, int):
-            return NotImplemented
-        return self._make({k: c * v for k, v in self.terms.items()})
 
 
 class IntMatrix(Value):

@@ -1,7 +1,8 @@
 """Graded Lie rings presented by degree-two relations.
 
-Elements live in the tensor algebra, where the free Lie ring sits with
-the Lyndon-word basis.  The standard bracketing of a Lyndon word w
+An element is a tensor polynomial, a ``{word: nonzero int}`` dict with
+each word an index tuple; the free Lie ring sits in the tensor algebra
+with the Lyndon-word basis.  The standard bracketing of a Lyndon word w
 expands as w plus lexicographically larger words (Chen-Fox-Lyndon), so
 the coefficients of a Lie element at the Lyndon words are its Lyndon
 coordinates times a unitriangular integer matrix.  That change of basis
@@ -12,7 +13,7 @@ Quotients by degree-two relations are handled layer by layer: the ideal
 component in each degree is spanned by iterated brackets of generators
 against the relations, and invariants come from integer linear algebra.
 A presentation's relations are the initial forms of its relators
-(``Presentation.initial_forms``).
+(``Presentation.initial_forms``), dicts of this format already.
 An enveloping-algebra route (tensor algebra modulo the two-sided ideal)
 plus the Poincare-Birkhoff-Witt series gives an independent check on
 the same dimensions.
@@ -23,8 +24,7 @@ from itertools import product
 from math import comb
 
 from .fpres import g3_presentation, semidirect_presentation
-from .intlinalg import (IntMatrix, SparseCombination, Value, cokernel_invariants,
-                        row_lattices_equal)
+from .intlinalg import IntMatrix, Value, cokernel_invariants, row_lattices_equal
 
 
 @lru_cache(maxsize=None)
@@ -50,49 +50,13 @@ def _lyndon_columns(ngens, degree):
     return {w: k for k, w in enumerate(lyndon_words(ngens, degree))}
 
 
-class LieElement(SparseCombination):
-    """Integer tensor polynomial, used for Lie computations."""
-
-    _fields = ("ngens", "terms")
-
-    @staticmethod
-    def make(ngens, terms):
-        return LieElement(ngens, {k: c for k, c in terms.items() if c})
-
-    @property
-    def _space(self):
-        return self.ngens
-
-    def _make(self, terms):
-        return LieElement.make(self.ngens, terms)
-
-    def bracket(self, other):
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
-                out[k2 + k1] = out.get(k2 + k1, 0) - c1 * c2
-        return LieElement.make(self.ngens, out)
-
-    def degree_component(self, degree):
-        return LieElement.make(
-            self.ngens, {k: c for k, c in self.terms.items() if len(k) == degree})
-
-    def degrees(self):
-        return tuple(sorted({len(k) for k in self.terms}))
-
-    def lyndon_coefficients(self, degree):
-        """Nonzero coefficients at the Lyndon words of one degree, as
-        ``{position in lyndon_words: coefficient}``; on Lie elements they
-        determine the element."""
-        columns = _lyndon_columns(self.ngens, degree)
-        return {columns[word]: c for word, c in self.terms.items() if word in columns}
-
-
-def lie_gen(ngens, index):
-    if not 0 <= index < ngens:
-        raise ValueError("generator index out of range")
-    return LieElement.make(ngens, {(index,): 1})
+def _bracket(i, e):
+    """[x_i, e] for a tensor polynomial e."""
+    out = {}
+    for k, c in e.items():
+        out[(i,) + k] = out.get((i,) + k, 0) + c
+        out[k + (i,)] = out.get(k + (i,), 0) - c
+    return {k: c for k, c in out.items() if c}
 
 
 class GradedLieQuotient(Value):
@@ -102,9 +66,9 @@ class GradedLieQuotient(Value):
 
     def __init__(self, names, relations):
         for r in relations:
-            if r.degrees() != (2,):
+            if not r or any(len(k) != 2 for k in r):
                 raise ValueError("relations must be homogeneous of degree 2")
-            if r.terms != {k[::-1]: -c for k, c in r.terms.items()}:
+            if r != {k[::-1]: -c for k, c in r.items()}:
                 raise ValueError("relations must be Lie elements, equal to "
                                  "minus their reversal")
         super().__init__(names, relations)
@@ -115,27 +79,28 @@ class GradedLieQuotient(Value):
 
     def ideal_matrix(self, degree):
         """Iterated brackets of generators against the relations."""
-        layer = list(self.relations)
+        layer = self.relations
         for _ in range(degree - 2):
-            layer = [lie_gen(self.ngens, i).bracket(e)
-                     for e in layer for i in range(self.ngens)]
-        return IntMatrix((e.lyndon_coefficients(degree) for e in layer),
-                         len(lyndon_words(self.ngens, degree)))
+            layer = [_bracket(i, e) for e in layer for i in range(self.ngens)]
+        # a Lie element's coefficients at the Lyndon words determine it
+        columns = _lyndon_columns(self.ngens, degree)
+        return IntMatrix(({columns[w]: c for w, c in e.items() if w in columns} for e in layer),
+                         len(columns))
 
     def invariants(self, degree):
         return cokernel_invariants(self.ideal_matrix(degree))
 
 
-def enveloping_invariants(ngens, relations, top_degree):
+def enveloping_invariants(quotient, top_degree):
     """(free rank, torsion) per degree of the tensor algebra modulo the
-    two-sided ideal generated by degree-two relations."""
-    quadratic = [r.degree_component(2).terms.items() for r in relations]
+    two-sided ideal generated by a quotient's relations."""
+    ngens = quotient.ngens
     out = []
     for degree in range(1, top_degree + 1):
         index = {w: k for k, w in enumerate(product(range(ngens), repeat=degree))}
         # a relation's words are distinct, and so are their placements
-        rows = [{index[left + k + right]: c for k, c in terms}
-                for terms in quadratic for a in range(degree - 1)
+        rows = [{index[left + k + right]: c for k, c in r.items()}
+                for r in quotient.relations for a in range(degree - 1)
                 for left in product(range(ngens), repeat=a)
                 for right in product(range(ngens), repeat=degree - 2 - a)]
         out.append(cokernel_invariants(IntMatrix(rows, len(index))))
@@ -157,20 +122,12 @@ def pbw_coefficients(dims, top_degree):
     return tuple(series)
 
 
-def pbw_consistency(lie_dims, env_dims):
-    """Whether enveloping dimensions match the Poincare-Birkhoff-Witt
-    series of the Lie dimensions; env_dims starts with the degree-0
-    value 1."""
-    top = len(env_dims) - 1
-    return tuple(env_dims) == pbw_coefficients(tuple(lie_dims)[:top], top)
-
-
 def lie_quotient(pres):
     """The free Lie ring on a presentation's generators modulo the initial
     forms of its relators, which maps onto the group's associated graded
     Lie ring."""
-    return GradedLieQuotient(pres.alphabet.names, tuple(
-        LieElement.make(pres.num_gens, form) for form in pres.initial_forms() if form))
+    return GradedLieQuotient(pres.alphabet.names,
+                             tuple(form for form in pres.initial_forms() if form))
 
 
 def semidirect_check():
@@ -193,7 +150,7 @@ def semidirect_check():
     pairs = []
     for relation in quotient.relations:
         # a Lie element's terms come in pairs (i, j), (j, i)
-        acting = [(k, c) for k, c in relation.terms.items() if not fibre.issuperset(k)]
+        acting = [(k, c) for k, c in relation.items() if not fibre.issuperset(k)]
         if len(acting) != 2:
             return False
         pairs += [k for k, c in acting if k[1] in fibre and abs(c) == 1]

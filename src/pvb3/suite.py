@@ -50,7 +50,7 @@ from .grcohom import (
     stability_rank,
 )
 from .intlinalg import IntMatrix, Value, kernel_basis, rank, row_lattices_equal
-from .lie import enveloping_invariants, lie_quotient, pbw_consistency, semidirect_check
+from .lie import enveloping_invariants, lie_quotient, pbw_coefficients, semidirect_check
 from .nq import CollectionBudget, nilpotent_quotient, quotient_tower
 from .word import Alphabet, GenMap
 
@@ -330,9 +330,9 @@ def _check_lie(options: SuiteOptions):
     if lie_dims[:2] != (6, 9)[:top]:
         return FAIL, "low degrees %s, expected (6, 9)" % (lie_dims[:2],)
     env_top = min(top, 3)
-    env = enveloping_invariants(quotient.ngens, quotient.relations, env_top)
+    env = enveloping_invariants(quotient, env_top)
     env_dims = (1,) + tuple(r for r, _ in env)
-    if not pbw_consistency(lie_dims[:env_top], env_dims):
+    if env_dims != pbw_coefficients(lie_dims[:env_top], env_top):
         return FAIL, "enveloping dimensions %s break the series identity" % (
             env_dims,)
     if not semidirect_check():

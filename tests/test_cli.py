@@ -5,6 +5,7 @@ exit status; nothing here re-derives mathematics, the goal is that the
 plumbing between the parser and the library stays sound.
 """
 
+import builtins
 import importlib
 import json
 import os
@@ -774,6 +775,20 @@ def test_readme_library_example_runs():
     assert sorted(re.findall(r"`(\w+)`", exports)) == sorted(pvb3.__all__)
 
 
+def package_names():
+    """Every attribute of a pvb3 module or of a class one defines, and every
+    ``_fields`` entry: what a bare name in README.md may refer to."""
+    names = set()
+    for path in Path(pvb3.__file__).parent.glob("*.py"):
+        module = importlib.import_module("pvb3." + path.stem)
+        names.update(vars(module))
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                names.update(dir(value))
+                names.update(getattr(value, "_fields", ()))
+    return names
+
+
 def test_readme_module_references_resolve():
     # a backticked module.name, with or without the pvb3. prefix, must name
     # an attribute of that module, so a deletion takes its mention with it
@@ -784,6 +799,12 @@ def test_readme_module_references_resolve():
     assert len(references) >= 9
     assert [".".join(ref) for ref in references
             if not hasattr(importlib.import_module("pvb3." + ref[0]), ref[1])] == []
+    # so must a bare backticked identifier with an underscore or a capital
+    # first letter, unless it is a builtin
+    bare = {name for name in re.findall(r"`(_*[A-Za-z]\w*)`", README.read_text())
+            if "_" in name or name[0].isupper()}
+    assert len(bare) >= 30
+    assert sorted(bare - package_names() - set(dir(builtins))) == []
 
 
 def test_readme_commands_are_accepted(capsys):

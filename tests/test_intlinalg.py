@@ -12,7 +12,6 @@ from pvb3.fpres import pv3_new_presentation, pv_presentation
 from pvb3.intlinalg import (
     IntMatrix,
     NonSquareMatrixError,
-    SparseCombination,
     cokernel_invariants,
     determinant,
     hermite_normal_form,
@@ -666,34 +665,3 @@ def test_readers_leave_the_rows_unchanged(m):
     cokernel_invariants(m)
     kernel_basis(m)
     assert list(m.rows) == before
-
-
-@dataclass(frozen=True, eq=False)
-class Tally(SparseCombination):
-    size: int
-    terms: dict
-
-    @property
-    def _space(self):
-        return self.size
-
-    def _make(self, terms):
-        return type(self)(self.size, {k: c for k, c in terms.items() if c})
-
-
-class OtherTally(Tally):
-    pass
-
-
-def test_sparse_combinations_add_scale_and_compare_within_one_class():
-    x, y = Tally(3, {"p": 2, "q": -1}), Tally(3, {"q": 1, "r": 4})
-    assert x + y == Tally(3, {"p": 2, "r": 4})
-    assert x - x == Tally(3, {}) and not (x - x).terms
-    assert -x == Tally(3, {"p": -2, "q": 1}) == -1 * x
-    assert 3 * y == Tally(3, {"q": 3, "r": 12}) and not (0 * y).terms
-    assert hash(x + y) == hash(Tally(3, {"r": 4, "p": 2}))
-    # the space and the class both take part in equality
-    assert x != Tally(4, x.terms)
-    assert x != OtherTally(3, x.terms) and OtherTally(3, x.terms) != x
-    with pytest.raises(TypeError):
-        0.5 * x

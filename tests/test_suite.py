@@ -114,7 +114,7 @@ CASES = [
      "fiber generator a survives in the class-2 quotient"),
     ("08", "nilpotent_quotient", lambda real: flat_layers,
      "group ranks (1, 1, 1) differ from Lie dimensions (6, 9, 34)"),
-    ("08", "pbw_consistency", lambda real: lambda lie, env: False,
+    ("08", "pbw_coefficients", lambda real: lambda dims, top: (),
      "enveloping dimensions (1, 6, 30, 144) break the series identity"),
     ("08", "semidirect_check", lambda real: lambda: False,
      "g3's quadratic relations do not present the semidirect product"),

@@ -3,10 +3,13 @@ fields cannot be assigned, and copies and pickles come back equal.
 ``PcSystem``'s equality ignores its collection caches."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import pvb3
 from pvb3.autf import epsilon
 from pvb3.fpres import (
     VERIFIED,
@@ -16,14 +19,12 @@ from pvb3.fpres import (
     SearchBounds,
     pv_presentation,
 )
-from pvb3.grcohom import Exterior, ExteriorQuotient
-from pvb3.intlinalg import IntMatrix
-from pvb3.lie import lie_gen, lie_quotient
+from pvb3.grcohom import ExteriorQuotient
+from pvb3.intlinalg import IntMatrix, Value
+from pvb3.lie import lie_quotient
 from pvb3.nq import NilpotentQuotient, PcSystem, nilpotent_quotient
 from pvb3.suite import PASS, CheckResult, Report, SuiteOptions
 from pvb3.word import Alphabet, GenMap, Word
-
-WEDGE = Exterior(("x", "y", "z"))
 
 
 def _word():
@@ -36,8 +37,8 @@ def _pv3():
 
 
 def _wedge_quotient():
-    x, y, z = (WEDGE.gen(n) for n in WEDGE.names)
-    return ExteriorQuotient(WEDGE, (x * y, y * z))
+    # x y and y z over the generators x, y, z
+    return ExteriorQuotient(("x", "y", "z"), ({(0, 1): 1}, {(1, 2): 1}))
 
 
 # name -> (build a fresh value, hashable, a field to assign)
@@ -55,11 +56,9 @@ BUILDERS = {
     "ConsequenceResult": (lambda: ConsequenceResult(
         VERIFIED, (CertificateStep(_word(), 0, 1),), "found"), True, "status"),
     "Automorphism": (lambda: epsilon(3, 1, 2), True, "forward"),
-    "Exterior": (lambda: Exterior(("x", "y", "z")), True, "names"),
-    "ExtElement": (lambda: WEDGE.gen("x") * WEDGE.gen("z") + 2 * WEDGE.gen("y"), True, "terms"),
-    "ExteriorQuotient": (_wedge_quotient, True, "relations"),
-    "LieElement": (lambda: lie_gen(3, 0).bracket(lie_gen(3, 2)), True, "terms"),
-    "GradedLieQuotient": (lambda: lie_quotient(_pv3()), True, "relations"),
+    # the two quotients hold their relations as dicts
+    "ExteriorQuotient": (_wedge_quotient, False, "relations"),
+    "GradedLieQuotient": (lambda: lie_quotient(_pv3()), False, "relations"),
     "SuiteOptions": (lambda: SuiteOptions(class_=4, max_degree=4), True, "class_"),
     "CheckResult": (lambda: CheckResult("01-id", "anchor", PASS, "details", 1.5), True, "status"),
     "Report": (lambda: Report(SuiteOptions(), (CheckResult("01-id", "a", PASS, "d", 0.0),)),
@@ -68,8 +67,20 @@ BUILDERS = {
 NAMES = sorted(BUILDERS)
 
 
+def value_types(cls=Value):
+    """Every subclass of ``cls`` defined in the package, at any depth."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("pvb3."):
+            yield sub
+        yield from value_types(sub)
+
+
 def test_every_value_type_is_covered():
-    assert {type(build()).__name__ for build, _, _ in BUILDERS.values()} == set(NAMES)
+    for module in pkgutil.iter_modules(pvb3.__path__):
+        importlib.import_module("pvb3." + module.name)
+    types = {cls.__name__ for cls in value_types()}
+    assert len(types) == 16
+    assert {type(build()).__name__ for build, _, _ in BUILDERS.values()} == types == set(NAMES)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -154,10 +165,8 @@ def test_iterable_fields_are_kept_as_tuples():
 
 
 def test_quotients_over_separately_built_exterior_algebras_are_equal():
-    # an Exterior is a value over its names, so equal algebras need not be one object
-    algebra = Exterior(iter(("x", "y", "z")))
-    x, y, z = (algebra.gen(n) for n in algebra.names)
-    assert algebra == WEDGE and algebra is not WEDGE and hash(algebra) == hash(WEDGE)
-    assert ExteriorQuotient(algebra, (x * y, y * z)) == _wedge_quotient()
-    with pytest.raises(ValueError, match="duplicate generator name"):
-        Exterior(("x", "y", "x"))
+    # a quotient compares its names and relations, not the objects that hold them
+    names = tuple("xyz")
+    relations = tuple(dict(r) for r in _wedge_quotient().relations)
+    assert ExteriorQuotient(names, relations) == _wedge_quotient()
+    assert ExteriorQuotient(names, relations[:1]) != _wedge_quotient()
