@@ -1,15 +1,16 @@
 """Automorphisms of free groups, with the basis-conjugating family.
 
-An :class:`Automorphism` carries both directions of a free-group
-automorphism so that arbitrary words in automorphisms can be evaluated.
-Products are written in application order:
+An :class:`Automorphism` is a pair of free-group maps, each checked to be
+the other's inverse when it is made.  A word in automorphisms evaluates
+to a :class:`GenMap`, the forward map of the composite, in application
+order: with ``f = lambda w: word_automorphism(w, images)``,
 
-    (f * g)(w) == g(f(w))
+    f(u * v)(w) == f(v)(f(u)(w))
 
-so a product of automorphisms reads left to right, like the word it came
-from.  Both this order and the reversed one satisfy the defining relations
-of the basis-conjugating group (the relations are reversal-symmetric); one
-order has to be pinned for the package and this is it.
+so a word in automorphisms reads left to right.  Both this order and the
+reversed one satisfy the defining relations of the basis-conjugating
+group (the relations are reversal-symmetric); one order has to be pinned
+for the package and this is it.
 
 ``epsilon(n, i, j)`` is the automorphism of F_n = <x1, ..., xn> sending
 x_i to x_j^-1 x_i x_j and fixing the other generators.
@@ -36,48 +37,17 @@ class Automorphism(Value):
             raise ValueError("forward and backward maps are not mutually inverse")
         super().__init__(forward, backward)
 
-    @classmethod
-    def _unchecked(cls, forward: GenMap, backward: GenMap) -> "Automorphism":
-        """For maps known to be mutually inverse: skips the check in __init__."""
-        out = object.__new__(cls)
-        Value.__init__(out, forward, backward)
-        return out
-
     @property
     def alphabet(self) -> Alphabet:
         return self.forward.source
 
-    @staticmethod
-    def identity(alphabet: Alphabet) -> "Automorphism":
-        e = GenMap.identity(alphabet)
-        return Automorphism._unchecked(e, e)
-
-    @staticmethod
-    def inner(w: Word) -> "Automorphism":
-        """Conjugation x |-> w^-1 x w."""
-        fw = GenMap(w.alphabet, w.alphabet, tuple(x.conj(w) for x in w.alphabet.gens()))
-        bw = GenMap(w.alphabet, w.alphabet, tuple(x.conj(w.inv()) for x in w.alphabet.gens()))
-        return Automorphism(fw, bw)
-
     def __call__(self, w: Word) -> Word:
         return self.forward(w)
 
-    def inv(self) -> "Automorphism":
-        return Automorphism._unchecked(self.backward, self.forward)
 
-    def __mul__(self, other: "Automorphism") -> "Automorphism":
-        return Automorphism._unchecked(self.forward.then(other.forward),
-                                       other.backward.then(self.backward))
-
-    def is_identity(self) -> bool:
-        return self.forward == GenMap.identity(self.alphabet)
-
-    def is_inner_by(self, w: Word) -> bool:
-        return self.forward == Automorphism.inner(w).forward
-
-
-def word_automorphism(w: Word, images) -> Automorphism:
-    """Evaluate a word letter by letter in the given automorphisms.
+def word_automorphism(w: Word, images) -> GenMap:
+    """Evaluate a word letter by letter in the given automorphisms, to the
+    forward map of their composite.
 
     ``images[i]`` is substituted for generator i of the word's alphabet;
     composition is in application order, so the value of ``a b`` applies the
@@ -88,10 +58,15 @@ def word_automorphism(w: Word, images) -> Automorphism:
         raise ValueError("need %d automorphisms, got %d" % (len(w.alphabet), len(images)))
     if not images:
         raise ValueError("empty alphabet")
-    out = Automorphism.identity(images[0].alphabet)
+    out = GenMap.identity(images[0].alphabet)
     for g, s in w.letters:
-        out = out * (images[g] if s == 1 else images[g].inv())
+        out = out.then(images[g].forward if s == 1 else images[g].backward)
     return out
+
+
+def conjugation(w: Word) -> GenMap:
+    """Conjugation x |-> w^-1 x w."""
+    return GenMap(w.alphabet, w.alphabet, tuple(x.conj(w) for x in w.alphabet.gens()))
 
 
 def free_alphabet(n: int) -> Alphabet:
@@ -113,7 +88,7 @@ def epsilon(n: int, i: int, j: int) -> Automorphism:
 
 
 def _commute(f: Automorphism, g: Automorphism) -> bool:
-    return (f * g).forward == (g * f).forward
+    return f.forward.then(g.forward) == g.forward.then(f.forward)
 
 
 def mccool_disjoint_commutators(n: int) -> list[tuple[str, bool]]:
@@ -147,10 +122,10 @@ def mccool_triple_relations(n: int) -> list[tuple[str, bool]]:
     """eki ekj eij = eij ekj eki for pairwise distinct k, i, j."""
     out = []
     for k, i, j in permutations(range(1, n + 1), 3):
-        a, b, c = epsilon(n, k, i), epsilon(n, k, j), epsilon(n, i, j)
+        a, b, c = (epsilon(n, *pair).forward for pair in ((k, i), (k, j), (i, j)))
         out.append(("e%d%d e%d%d e%d%d = e%d%d e%d%d e%d%d"
                     % (k, i, k, j, i, j, i, j, k, j, k, i),
-                    (a * b * c).forward == (c * b * a).forward))
+                    a.then(b).then(c) == c.then(b).then(a)))
     return out
 
 
@@ -163,8 +138,8 @@ def pv_relators_in_cb(n: int = 3) -> list[tuple[str, bool]]:
     pres = pv_presentation(n)
     images = tuple(epsilon(n, int(name[1]), int(name[2]))
                    for name in pres.alphabet.names)
-    return [(str(r), word_automorphism(r, images).is_identity())
-            for r in pres.relators]
+    ident = GenMap.identity(free_alphabet(n))
+    return [(str(r), word_automorphism(r, images) == ident) for r in pres.relators]
 
 
 def composition_order_report() -> dict:
@@ -181,26 +156,28 @@ def hnn_identities() -> list[tuple[str, bool]]:
     """Identities exhibiting the basis-conjugating group on three letters
     as an HNN extension.
 
-    The change of generators ``pv3_new_generators``, pushed through
-    lij |-> eij, gives a1, b1, a2, b2, c1 and the stable letter c2 as
-    products of the eij (its map g), and the first block below kills each
-    relator of pv3-new on them, so that g induces a homomorphism from
-    pv3-new to the basis-conjugating group.  The second block shows that
-    the base-subgroup generators act by conjugation (x |-> w^-1 x w for the
+    The change of generators ``pv3_new_generators`` gives a1, b1, a2, b2,
+    c1 and the stable letter c2 as words in the lij (its map g), and a word
+    w of pv3-new acts as g(w) evaluated at lij |-> eij.  Evaluation is a
+    homomorphism of free groups, so this is w evaluated at the six
+    products of the eij that g gives.  The first block below kills each
+    relator of pv3-new, so that g induces a homomorphism from pv3-new to
+    the basis-conjugating group.  The second block shows that the
+    base-subgroup generators act by conjugation (x |-> w^-1 x w for the
     stated w), and the third that conjugation by the stable letter carries
     the one family of subgroup generators onto the other.
     """
     _, g = pv3_new_generators()
     eij = [epsilon(3, int(name[1]), int(name[2])) for name in g.target.names]
-    new = [word_automorphism(w, eij) for w in g.images]
-    act = lambda w: word_automorphism(w, new)
-    x1, x2, x3 = free_alphabet(3).gens()
+    act = lambda w: word_automorphism(g(w), eij)
+    ident = GenMap.identity(free_alphabet(3))
+    x1, x2, x3 = ident.images
     a1, b1, a2, b2, c1, c2 = g.source.gens()
-    out = [("%s = 1" % r, act(r).is_identity()) for r in pv3_new_presentation().relators]
-    out += [("%s is conjugation by %s" % (w, x), act(w).is_inner_by(x)) for w, x in (
+    out = [("%s = 1" % r, act(r) == ident) for r in pv3_new_presentation().relators]
+    out += [("%s is conjugation by %s" % (w, x), act(w) == conjugation(x)) for w, x in (
         (a1, x3), (a2 * c1.inv() * b1, x2), (b2, x1), (b1 * a2 * c1.inv(), x2),
         (c1 * b2 * c1.inv(), x3 * x1 * x3.inv()))]
-    out += [("%s = %s" % (w.conj(c2), v), act(w.conj(c2)).forward == act(v).forward)
+    out += [("%s = %s" % (w.conj(c2), v), act(w.conj(c2)) == act(v))
             for w, v in ((a1, a1), (b1 * a2 * c1.inv(), a2 * c1.inv() * b1),
                          (c1 * b2 * c1.inv(), b2))]
     return out

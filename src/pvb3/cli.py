@@ -105,9 +105,9 @@ def _parse_steps(pres: Presentation, specs) -> tuple[CertificateStep, ...]:
 
 
 def _epsilon_product(generators, rank=None):
-    """The generators as one word in the eij, each x_i |-> x_j^-1 x_i x_j on
-    the free group of the given rank (default: the largest index)."""
-    from .autf import Automorphism, epsilon, free_alphabet, word_automorphism
+    """The map of the generators as one word in the eij, x_i |-> x_j^-1 x_i x_j
+    on the free group of the given rank (default: the largest index)."""
+    from .autf import epsilon, free_alphabet, word_automorphism
 
     text = " ".join(generators)
     alphabet = _alphabet_from(None, text)
@@ -121,7 +121,7 @@ def _epsilon_product(generators, rank=None):
     if n < 0:
         raise ValueError("--rank must be at least 0, and is needed for a word in no eij")
     if not pairs:
-        return Automorphism.identity(free_alphabet(n))
+        return GenMap.identity(free_alphabet(n))
     return word_automorphism(w, [epsilon(n, i, j) for i, j in pairs])
 
 
@@ -250,6 +250,7 @@ def cmd_syzygy(args) -> int:
 def cmd_aut(args) -> int:
     from .autf import (
         composition_order_report,
+        conjugation,
         hnn_identities,
         mccool_disjoint_commutators,
         mccool_same_target_commutators,
@@ -259,16 +260,16 @@ def cmd_aut(args) -> int:
 
     if args.action == "compose":
         f = _epsilon_product(args.generator, args.rank)
-        for x in f.alphabet.gens():
+        for x in f.source.gens():
             print("%s -> %s" % (x, f(x)))
         if args.apply:
-            w = parse_word(args.apply, f.alphabet)
+            w = parse_word(args.apply, f.source)
             print("%s -> %s" % (w, f(w)))
         return 0
     if args.action == "inner":
         f = _epsilon_product(args.generator, args.rank)
-        by = parse_word(args.by, f.alphabet)
-        if f.is_inner_by(by):
+        by = parse_word(args.by, f.source)
+        if f == conjugation(by):
             print("conjugation by %s" % by)
             return 0
         print("not conjugation by %s" % by)

@@ -234,7 +234,7 @@ def torus_normal_form(phi, w: Word) -> tuple[Word, int]:
     """
     fiber, full = phi.alphabet, w.alphabet
     stable = full.index(STABLE_LETTER)
-    back = phi.inv()
+    back = phi.backward
     v, k = fiber.identity(), 0
     for g, s in w.letters:
         if g == stable:
@@ -292,9 +292,6 @@ class ConsequenceResult(Value):
     def __init__(self, status: str, certificate: tuple[CertificateStep, ...] | None = None,
                  detail: str = "") -> None:
         super().__init__(status, certificate, detail)
-
-    def __bool__(self) -> bool:
-        return self.status == VERIFIED
 
 
 def verify_certificate(pres: Presentation, w: Word, certificate) -> bool:

@@ -10,6 +10,7 @@ from pvb3 import autf
 from pvb3.autf import (
     Automorphism,
     composition_order_report,
+    conjugation,
     epsilon,
     free_alphabet,
     hnn_identities,
@@ -35,12 +36,23 @@ def f3_words(draw, max_len=8):
     return Word(F3, tuple(letters))
 
 
+def eij(n):
+    """The alphabet of the eij on n letters and the automorphisms it names."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    return Alphabet(tuple("e%d%d" % pair for pair in pairs)), [epsilon(n, *p) for p in pairs]
+
+
+def eij_words(alphabet, max_len=6):
+    letters = st.tuples(st.integers(0, len(alphabet) - 1), st.sampled_from((1, -1)))
+    return st.lists(letters, max_size=max_len).map(lambda ls: Word(alphabet, tuple(ls)))
+
+
 def test_epsilon_images():
     e12 = epsilon(3, 1, 2)
     assert e12(x1) == x2.inv() * x1 * x2
     assert e12(x2) == x2
     assert e12(x3) == x3
-    assert e12.inv()(x1) == x2 * x1 * x2.inv()
+    assert e12.backward(x1) == x2 * x1 * x2.inv()
 
 
 def test_epsilon_rejects_bad_indices():
@@ -74,59 +86,67 @@ def test_word_automorphism_needs_one_image_per_letter():
 
 
 def test_products_and_inverses_stay_mutually_inverse():
-    # products and inverses skip the check that a direct construction makes,
-    # so it is made here; products whose images pass 500 letters are drawn
-    # again, as substituting into them letter by letter takes seconds
+    # a word in the eij and its inverse evaluate to mutually inverse maps,
+    # which the checked constructor proves; words whose images pass 500
+    # letters are drawn again, as substituting into them letter by letter
+    # takes seconds
     rng = random.Random(25)
     for n in (3, 4):
-        ident = GenMap.identity(free_alphabet(n))
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        alphabet, eps = eij(n)
         products = []
         while len(products) < 12:
-            f = Automorphism.identity(free_alphabet(n))
             factors = rng.randint(1, 30)
-            for _ in range(factors):
-                e = epsilon(n, *rng.choice(pairs))
-                f = f * (e if rng.random() < 0.5 else e.inv())
-            if max(map(len, f.forward.images + f.backward.images)) <= 500:
+            letters = [(rng.randrange(len(alphabet)), 1 if rng.random() < 0.5 else -1)
+                       for _ in range(factors)]
+            w = Word(alphabet, tuple(letters))
+            f, g = word_automorphism(w, eps), word_automorphism(w.inv(), eps)
+            if max(map(len, f.images + g.images)) <= 500:
                 products.append(factors)
-                for g in (f, f.inv()):
-                    assert g.forward.then(g.backward) == ident
-                    assert g.backward.then(g.forward) == ident
-                    assert Automorphism(g.forward, g.backward) == g
+                assert Automorphism(f, g).forward == f
         assert max(products) >= 20
 
 
 def test_product_is_application_order():
+    alphabet, eps = eij(3)
     e12, e13 = epsilon(3, 1, 2), epsilon(3, 1, 3)
-    assert (e12 * e13)(x1) == e13(e12(x1))
+    assert word_automorphism(parse_word("e12 e13", alphabet), eps)(x1) == e13(e12(x1))
+
+
+@given(st.sampled_from((3, 4)), st.data())
+@settings(max_examples=50, deadline=None)
+def test_a_product_evaluates_to_the_composite_in_application_order(n, data):
+    alphabet, eps = eij(n)
+    u, v = data.draw(eij_words(alphabet)), data.draw(eij_words(alphabet))
+    assert word_automorphism(u * v, eps) == (
+        word_automorphism(u, eps).then(word_automorphism(v, eps)))
 
 
 def test_powers_and_inverse():
     e12 = epsilon(3, 1, 2)
     one = Alphabet(("e12",))
+    ident = GenMap.identity(F3)
     assert word_automorphism(parse_word("e12^3", one), (e12,))(x1) == x2 ** -3 * x1 * x2 ** 3
-    assert word_automorphism(parse_word("e12 e12^-1", one), (e12,)).is_identity()
-    assert (e12 * e12.inv()).is_identity()
+    assert word_automorphism(parse_word("e12 e12^-1", one), (e12,)) == ident
+    assert word_automorphism(one.identity(), (e12,)) == ident
 
 
 def test_word_automorphism_evaluates_letters_in_order():
     pair = Word(F3.__class__(("u", "v")), ((0, 1), (1, -1)))  # u v^-1
     f = word_automorphism(pair, (epsilon(3, 1, 2), epsilon(3, 1, 3)))
-    assert f.forward == (epsilon(3, 1, 2) * epsilon(3, 1, 3).inv()).forward
+    assert f == epsilon(3, 1, 2).forward.then(epsilon(3, 1, 3).backward)
 
 
 def test_inner_automorphism_convention():
-    f = Automorphism.inner(x1 * x2)
+    f = conjugation(x1 * x2)
     assert f(x3) == (x1 * x2).inv() * x3 * x1 * x2
-    assert f.is_inner_by(x1 * x2)
-    assert not f.is_inner_by(x1)
+    assert f != conjugation(x1)
+    assert Automorphism(f, conjugation((x1 * x2).inv())).forward == f
 
 
 @given(f3_words(), f3_words())
 @settings(max_examples=100)
 def test_inner_composition_multiplies_conjugators(w, v):
-    assert (Automorphism.inner(w) * Automorphism.inner(v)).is_inner_by(w * v)
+    assert conjugation(w).then(conjugation(v)) == conjugation(w * v)
 
 
 def test_disjoint_family_is_empty_on_three_letters():

@@ -236,11 +236,6 @@ def test_tampered_certificate_fails_verification():
     assert not verify_certificate(COMM, w, cert)
 
 
-def test_consequence_result_truthiness():
-    assert ConsequenceResult(VERIFIED, ())
-    assert not ConsequenceResult(REFUTED)
-
-
 def test_default_refutation_reaches_class_four():
     # a weight-four commutator with no relators to cancel against
     w = a.comm(b).comm(a).comm(a)
@@ -377,7 +372,9 @@ class MappingTorus:
     automorphism: Automorphism
 
     def twist(self, w, k):
-        phi = self.automorphism if k >= 0 else self.automorphism.inv()
+        phi = self.automorphism
+        if k < 0:
+            phi = Automorphism(phi.backward, phi.forward)
         for _ in range(abs(k)):
             w = phi(w)
         return w
@@ -433,7 +430,7 @@ def test_mapping_torus_stable_letter_conjugation():
     assert t * wa * t.inv() == torus.element(phi(a))
     aa, bb, tt = mapping_torus_presentation(phi).alphabet.gens()
     assert torus_normal_form(phi, tt * aa * tt.inv()) == (phi(a), 0)
-    assert torus_normal_form(phi, tt.inv() * aa * tt) == (phi.inv()(a), 0)
+    assert torus_normal_form(phi, tt.inv() * aa * tt) == (phi.backward(a), 0)
     assert torus_normal_form(phi, tt ** 2 * bb) == (phi(phi(b)), 2)
 
 
@@ -540,7 +537,8 @@ def test_criterion_verdict_is_relabelling_invariant(perm, data):
 
 
 def test_stable_letter_name_clash_is_rejected():
-    phi = Automorphism.identity(Alphabet(("a", "t")))
+    ident = GenMap.identity(Alphabet(("a", "t")))
+    phi = Automorphism(ident, ident)
     with pytest.raises(ValueError, match="stable letter 't' clashes"):
         mapping_torus_presentation(phi)
 

@@ -421,12 +421,14 @@ def random_automorphisms(alphabet, count, seed, length=4):
     n = len(alphabet)
     out = []
     for _ in range(count):
-        phi = Automorphism.identity(alphabet)
+        # forward maps compose in order, backward maps in reverse
+        forward = backward = GenMap.identity(alphabet)
         for _ in range(length):
             i, j = rng.sample(range(n), 2)
-            phi = phi * nielsen_transvection(alphabet, i, j, rng.choice((1, -1)),
-                                             rng.choice((1, -1)))
-        out.append(phi)
+            step = nielsen_transvection(alphabet, i, j, rng.choice((1, -1)),
+                                        rng.choice((1, -1)))
+            forward, backward = forward.then(step.forward), step.backward.then(backward)
+        out.append(Automorphism(forward, backward))
     return out
 
 

@@ -165,17 +165,23 @@ def definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
     return out
 
 
-def references(tree: ast.AST, dotted_strings: bool = False) -> Counter:
+def references(tree: ast.AST, dotted_strings: bool = False,
+               classes: frozenset = frozenset()) -> Counter:
     """How often each name is mentioned under ``tree``.  A ``Name`` or an
     imported name counts under its spelling; an attribute ``x.name``, and
     with ``dotted_strings`` a dotted part of a string constant, counts
-    under its spelling and under ``.name``, the key a method is called by."""
+    under its spelling and under ``.name``, the key a method is called by,
+    except that ``Cls.name`` for one of ``classes`` counts only under
+    ``Cls.name``, the key of that class's method alone."""
     out = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.update((node.attr, "." + node.attr))
+            if isinstance(node.value, ast.Name) and node.value.id in classes:
+                out["%s.%s" % (node.value.id, node.attr)] += 1
+            else:
+                out.update((node.attr, "." + node.attr))
         elif isinstance(node, ast.alias):
             out[node.name.split(".")[-1]] += 1
         elif dotted_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -190,18 +196,23 @@ def uncalled(package: dict[str, str], others: dict[str, str],
     refers to outside their own definition; ``others`` refer by names and
     ``string_sources`` also by their dotted strings.  A method counts as
     referred to only as an attribute or a dotted string, never through a
-    bare name of the same spelling."""
+    bare name of the same spelling, and through a package class's name
+    only for that class.  A method reached only through instances still
+    counts as used by any instance attribute of its name."""
     trees = {module: ast.parse(source) for module, source in package.items()}
+    classes = frozenset(node.name for tree in trees.values() for node in tree.body
+                        if isinstance(node, ast.ClassDef))
     seen = Counter()
     for tree in [*trees.values(), *map(ast.parse, others.values())]:
-        seen += references(tree)
+        seen += references(tree, classes=classes)
     for source in string_sources.values():
         seen += references(ast.parse(source), dotted_strings=True)
     out = []
     for module, tree in sorted(trees.items()):
         for qual, node in definitions(tree):
-            key = "." + node.name if "." in qual else node.name
-            if seen[key] <= references(node)[key]:
+            keys = ("." + node.name, qual) if "." in qual else (node.name,)
+            own = references(node, classes=classes)
+            if sum(seen[key] for key in keys) <= sum(own[key] for key in keys):
                 out.append("%s.%s" % (module, qual))
     return out
 
@@ -226,6 +237,20 @@ def test_the_checker_sees_names_without_a_caller():
     assert uncalled(package, {}, {}) == ["m.K", "m.K.used", "m.K.lonely", "m.K.traced",
                                          "m.K.shadowed", "m.recursive", "m.caller",
                                          "m.imported"]
+
+
+def test_the_checker_tells_apart_methods_of_classes_named_alike():
+    # a method named after another class's method is not called through
+    # that class's name; an instance attribute still counts for both
+    package = {"m": ("class A:\n"
+                     "    def identity(): return 1\n"
+                     "    def inv(self): return 2\n"
+                     "class B:\n"
+                     "    def identity(): return 3\n"
+                     "    def inv(self): return 4\n")}
+    client = "from m import A, B\nB.identity()\nA().inv()\n"
+    assert uncalled(package, {"client": client}, {}) == ["m.A.identity"]
+    assert uncalled(package, {"client": client + "B().identity()\n"}, {}) == []
 
 
 def test_every_package_name_has_a_caller():
@@ -275,3 +300,29 @@ def test_only_value_hooks_attribute_assignment():
     found = {"%s: %s" % (p.name, hook) for p in PACKAGE.glob("*.py")
              for hook in attribute_hooks(p.read_text())}
     assert found == {"intlinalg.py: Value.__setattr__", "intlinalg.py: Value.__delattr__"}
+
+
+def object_new_calls(source: str) -> list[str]:
+    """Lines that name ``object.__new__``, the way round a class's ``__init__``."""
+    return ["line %d" % line for line in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object")]
+
+
+def test_the_checker_sees_object_new():
+    source = ("class K:\n"
+              "    @classmethod\n"
+              "    def make(cls):\n"
+              "        out = object.__new__(cls)\n"
+              "        object.__setattr__(out, 'x', 1)\n"
+              "        return out\n"
+              "new = object.__new__\n"
+              "k = K.__new__(K)\n")
+    assert object_new_calls(source) == ["line 4", "line 7"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_value_is_made_through_its_init(path):
+    # a checking constructor cannot be skipped
+    assert object_new_calls(path.read_text()) == []

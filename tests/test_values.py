@@ -10,7 +10,7 @@ import pkgutil
 import pytest
 
 import pvb3
-from pvb3.autf import epsilon
+from pvb3.autf import Automorphism, epsilon
 from pvb3.fpres import (
     VERIFIED,
     CertificateStep,
@@ -142,13 +142,14 @@ def test_defaults_and_keyword_construction():
     assert ConsequenceResult(VERIFIED) == ConsequenceResult(VERIFIED, None, "")
 
 
-def test_presentation_caches_and_unchecked_automorphisms_survive():
+def test_presentation_caches_and_swapped_automorphisms_survive():
     pres = Presentation(Alphabet(("a", "b")), (Alphabet(("a", "b")).gen("a") ** 2,))
     assert pres._abelian is pres._abelian
     nilpotent_quotient(pres, 1)
     assert len(pres._tower) == 1
     f = epsilon(3, 1, 2)
-    assert (f * f.inv()).is_identity()
+    g = Automorphism(f.backward, f.forward)  # checked, as every automorphism is
+    assert f.forward.then(g.forward) == GenMap.identity(f.alphabet)
 
 
 def test_iterable_fields_are_kept_as_tuples():
