@@ -463,19 +463,12 @@ def is_consequence(pres: Presentation, w: Word,
                              "certificate found by descent" if links else "")
 
 
-def check_homomorphism_free(pres: Presentation, images: GenMap) -> list[tuple[str, bool]]:
-    """Relator-by-relator check that a substitution kills the relators in a
-    free group (so the map factors through the presented group)."""
-    if images.source != pres.alphabet:
-        raise ValueError("substitution source does not match the presentation")
-    return [(str(r), images(r).is_identity) for r in pres.relators]
-
-
 def check_homomorphism_presented(
         pres: Presentation, images: GenMap, target: Presentation,
         bounds: SearchBounds = SearchBounds()) -> list[tuple[str, ConsequenceResult]]:
-    """As above, but the relator images only need to die in the target
-    presentation; each gets a consequence search."""
+    """Relator-by-relator check that a substitution kills the relators in a
+    target presentation (so the map induces a homomorphism of the presented
+    groups): each relator image gets a consequence search."""
     if images.source != pres.alphabet:
         raise ValueError("substitution source does not match the presentation")
     if images.target != target.alphabet:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .word import NAME_CHARS, Alphabet, Word, free_reduce, inverse
+from .word import NAME_CHARS, Alphabet, Word, free_reduce, inverse, is_name
 
 
 class ParseError(ValueError):
@@ -50,7 +50,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
             line, line_start = line + 1, m.end()
             continue
         piece, col = m.group(), m.start() - line_start + 1
-        if kind == "BAD" or (kind == "NAME" and not piece[0].isalpha()):
+        if kind == "BAD" or (kind == "NAME" and not is_name(piece)):
             raise ParseError("unexpected character %r" % piece[0], line, col)
         tokens.append((piece if kind == "PUNCT" else kind, piece, line, col))
     # a comment runs to the end of its line and does not move the column

@@ -19,10 +19,6 @@ from math import gcd
 from operator import attrgetter
 
 
-class NonSquareMatrixError(ValueError):
-    """Raised when a determinant is requested for a rectangular matrix."""
-
-
 def _check_ints(values) -> None:
     for x in values:
         if not isinstance(x, int) or isinstance(x, bool):
@@ -153,7 +149,7 @@ def determinant(mat: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     n = mat.nrows
     if n != mat.ncols:
-        raise NonSquareMatrixError("determinant of %dx%d matrix" % (mat.nrows, mat.ncols))
+        raise ValueError("determinant of %dx%d matrix" % (mat.nrows, mat.ncols))
     if n == 0:
         return 1
     a = [list(row) for row in mat.entries]

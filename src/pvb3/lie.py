@@ -23,11 +23,10 @@ from functools import lru_cache
 from itertools import product
 from math import comb
 
-from .fpres import g3_presentation, semidirect_presentation
+from .fpres import g3_actions, g3_presentation, semidirect_presentation
 from .intlinalg import IntMatrix, Value, cokernel_invariants, row_lattices_equal
 
 
-@lru_cache(maxsize=None)
 def lyndon_words(ngens, degree):
     """All Lyndon words of one length, lexicographically, as index tuples."""
     out = []
@@ -146,7 +145,9 @@ def semidirect_check():
     ``lie_quotient(g3_presentation())`` is that ring.
     """
     quotient = lie_quotient(pres := semidirect_presentation())
-    fibre = {pres.alphabet.index(name) for name in ("a1", "a2", "c1")}
+    actions = g3_actions(pres.alphabet)
+    base = {pres.alphabet.index(str(b)) for b, _ in actions}
+    fibre = {pres.alphabet.index(str(x)) for x, _ in actions[0][1]}
     pairs = []
     for relation in quotient.relations:
         # a Lie element's terms come in pairs (i, j), (j, i)
@@ -154,6 +155,5 @@ def semidirect_check():
         if len(acting) != 2:
             return False
         pairs += [k for k, c in acting if k[1] in fibre and abs(c) == 1]
-    base = set(range(pres.num_gens)) - fibre
     return sorted(pairs) == sorted(product(base, fibre)) and row_lattices_equal(
         quotient.ideal_matrix(2), lie_quotient(g3_presentation()).ideal_matrix(2))

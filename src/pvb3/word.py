@@ -109,9 +109,6 @@ class Word(Value):
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
     @property
     def is_identity(self) -> bool:
         return not self.letters

@@ -305,16 +305,14 @@ def test_exponent_past_the_integer_string_limit_is_positioned(capsys):
 
 
 def test_syzygy_cancelling_pair(capsys):
-    code, out, _ = run(capsys, "syzygy", "g3", "--step", ":0:1",
-                       "--step", ":0:-1")
-    assert code == 0
-    assert "identity among relations" in out
+    # an identity among relations is a certificate for the word 1
+    assert run(capsys, "consequence", "g3", "1", "--step", ":0:1", "--step", ":0:-1") == \
+        (0, "certificate verifies: the product reduces to 1\n", "")
 
 
 def test_syzygy_single_relator_fails(capsys):
-    code, out, _ = run(capsys, "syzygy", "g3", "--step", ":0:1")
-    assert code == 1
-    assert out.startswith("not")
+    assert run(capsys, "consequence", "g3", "1", "--step", ":0:1") == \
+        (1, "certificate does not reduce to 1\n", "")
 
 
 def test_aut_compose_prints_images(capsys):
@@ -602,10 +600,12 @@ def test_suite_default_all_pass(capsys):
     assert out.splitlines()[-1] == "10 checks: 10 PASS"
 
 
-def test_paper_suite_alias(capsys):
-    code, out, _ = run(capsys, "paper-suite")
-    assert code == 0
-    assert out.splitlines()[-1] == "10 checks: 10 PASS"
+@pytest.mark.parametrize("command", ["syzygy", "paper-suite"])
+def test_retired_commands_are_usage_errors(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "g3"])
+    assert exc.value.code == 2
+    assert "invalid choice: %r" % command in capsys.readouterr().err
 
 
 def test_suite_class_one_degrades_to_unknown(capsys):
@@ -682,7 +682,7 @@ def test_search_bounds_accept_zero(capsys):
     assert out.startswith("REFUTED")
 
 
-@pytest.mark.parametrize("command", ["check-hom", "consequence", "suite", "paper-suite"])
+@pytest.mark.parametrize("command", ["check-hom", "consequence", "suite"])
 def test_search_bounds_help_is_one_text_naming_both_bounds(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
@@ -755,13 +755,24 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def readme_commands():
-    """The pvb3 lines of the README's sh blocks as argv lists, with
-    backslash continuations joined and comments stripped."""
+    """The pvb3 lines of the README's sh blocks as (argv, stdout) pairs, with
+    backslash continuations joined and comments stripped from the argv.  The
+    stdout is a trailing ``# -> X`` comment's X, or the comment lines right
+    under the command, each without its ``# ``; otherwise it is None."""
     blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
-    commands = [shlex.split(line, comments=True) for line in lines]
-    return [argv[1:] for argv in commands
-            if argv[:1] == ["pvb3"] and not any("path/to/" in a for a in argv)]
+    commands, under = [], False  # under: the comment lines so far are output
+    for line in lines:
+        if under and line.startswith("#"):
+            argv, out = commands[-1]
+            commands[-1] = argv, (out or "") + line[2:] + "\n"
+            continue
+        argv = shlex.split(line, comments=True)
+        under = argv[:1] == ["pvb3"] and not any("path/to/" in a for a in argv)
+        if under:
+            arrow = re.search(r" # -> (.*)$", line)
+            commands.append((argv[1:], arrow and arrow.group(1) + "\n"))
+    return commands
 
 
 def test_readme_library_example_runs():
@@ -810,12 +821,17 @@ def test_readme_module_references_resolve():
 def test_readme_commands_are_accepted(capsys):
     commands = readme_commands()
     assert len(commands) >= 12
-    rejected = []
-    for argv in commands:
+    assert sum(out is not None for _, out in commands) >= 5
+    rejected, misprinted = [], []
+    for argv, expected in commands:
         try:
             code = main(argv)
         except SystemExit as exit:  # argparse refused the line
             code = exit.code
+        out = capsys.readouterr().out
         if code == 2:
             rejected.append(" ".join(argv))
+        elif expected is not None and out != expected:
+            misprinted.append((" ".join(argv), out))
     assert rejected == []
+    assert misprinted == []

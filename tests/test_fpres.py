@@ -21,7 +21,6 @@ from pvb3.fpres import (
     ConsequenceResult,
     Presentation,
     SearchBounds,
-    check_homomorphism_free,
     STABLE_LETTER,
     check_homomorphism_presented,
     g3_actions,
@@ -297,24 +296,12 @@ def test_presentation_inputs_must_match_their_alphabets():
             (lambda: pv_presentation(1), "need at least two strands"),
             (lambda: residual_nilpotence_criterion(to_c), "need an endomorphism"),
             (lambda: is_consequence(pres, c), "word is not over the presentation alphabet"),
-            (lambda: check_homomorphism_free(pres, GenMap.identity(c.alphabet)),
-             "substitution source does not match the presentation"),
             (lambda: check_homomorphism_presented(pres, GenMap.identity(c.alphabet), pres),
              "substitution source does not match the presentation"),
             (lambda: check_homomorphism_presented(pres, to_c, pres),
              "substitution target does not match the target presentation")):
         with pytest.raises(ValueError, match="^%s$" % message):
             call()
-
-
-def test_check_homomorphism_free():
-    pres = Presentation(AB, (a.comm(b),))
-    z = Alphabet(("x",))
-    x, = z.gens()
-    collapse = GenMap.from_dict(AB, z, {"a": x, "b": x})
-    assert check_homomorphism_free(pres, collapse) == [(str(a.comm(b)), True)]
-    apart = GenMap.identity(AB)
-    assert check_homomorphism_free(pres, apart)[0][1] is False
 
 
 def test_check_homomorphism_presented_certifies_the_change_of_generators():

@@ -8,6 +8,7 @@ import sys
 import weakref
 from bisect import bisect_right
 from itertools import combinations
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from pvb3.fpres import (
 from pvb3.grammar import parse_word
 from pvb3.grcohom import beer_rank
 from pvb3.intlinalg import _subtract, cokernel_invariants, hermite_normal_form, smith_normal_form
-from pvb3.lie import pbw_coefficients
+from pvb3.lie import lie_quotient, pbw_coefficients
 from pvb3.nq import CollectionBudget, PcSystem, nilpotent_quotient, quotient_tower
 from pvb3.word import Alphabet, GenMap, Word
 
@@ -718,6 +719,72 @@ def test_pv4_class_four_layers_match_the_koszul_dual_series():
                            for r in range(1, min(d, 3) + 1)))
     assert series == [1, 12, 108, 888, 7056]
     assert pbw_coefficients([free for free, _ in layers], 4) == tuple(series)
+
+
+def labute_polynomial(ranks):
+    """prod_k (1 - t^k)^phi_k through t^c, for the ranks phi_1 .. phi_c."""
+    top = len(ranks)
+    poly = [1] + [0] * top
+    for k, rank in enumerate(ranks, start=1):
+        factor = [0] * (top + 1)
+        for m in range(top // k + 1):
+            factor[k * m] = (-1) ** m * comb(rank, m)
+        poly = [sum(poly[i] * factor[d - i] for i in range(d + 1)) for d in range(top + 1)]
+    return poly
+
+
+def random_word(rng, gens, shortest, longest):
+    w = gens[0].alphabet.identity()
+    for _ in range(rng.randint(shortest, longest)):
+        w = w * rng.choice(gens) ** rng.choice((1, -1))
+    return w
+
+
+def one_relator_samples():
+    """The genus-2 surface group, then seeded one-relator groups on 2-4
+    generators whose relator is a product of one to three conjugated
+    commutators [u, v]^w, each with the class it is checked through."""
+    genus2 = Alphabet(("a1", "b1", "a2", "b2"))
+    a1, b1, a2, b2 = genus2.gens()
+    yield Presentation(genus2, (a1.comm(b1) * a2.comm(b2),)), 5
+    rng = random.Random(15)
+    for k in range(24):
+        alphabet = Alphabet(["x%d" % i for i in range(1, rng.randint(2, 4) + 1)])
+        gens = alphabet.gens()
+        r = alphabet.identity()
+        for _ in range(rng.randint(1, 3)):
+            u, v = (random_word(rng, gens, 1, 3) for _ in "uv")
+            r = r * u.comm(v).conj(random_word(rng, gens, 0, 2))
+        yield Presentation(alphabet, (r,)), 4 + k % 2
+
+
+def test_one_relator_layers_match_labutes_series():
+    # Labute (J. Algebra 14, 1970): if the relator's degree-2 initial form has
+    # coprime coefficients, every layer is free abelian and
+    # prod_k (1 - t^k)^-phi_k = 1 / (1 - n t + t^2), n the number of generators
+    checked, skipped, stopped = [], 0, 0
+    for pres, class_ in one_relator_samples():
+        form, = pres.initial_forms()
+        if gcd(*(c for (i, j), c in form.items() if i < j)) != 1:
+            skipped += 1  # the relator is trivial or a proper multiple modulo gamma_3
+            continue
+        layers = ()
+        try:
+            for q in quotient_tower(pres, class_):
+                layers = q.layers
+        except CollectionBudget:
+            stopped += 1  # checked through the classes built before the stop
+        ranks = [free for free, _ in layers]
+        n, top = pres.num_gens, len(layers)
+        assert [torsion for _, torsion in layers] == [()] * top, pres
+        assert labute_polynomial(ranks) == ([1, -n, 1] + [0] * top)[:top + 1], pres
+        ring = lie_quotient(pres)  # what `pvb3 lie dims` prints
+        assert [ring.invariants(d) for d in range(1, top + 1)] == list(layers), pres
+        checked.append(ranks)
+    assert checked[0] == [4, 5, 16, 45, 144]  # the genus-2 surface group
+    # one 30-letter relator on four generators passes the collection budget
+    # at class 5 and is checked through class 4
+    assert (len(checked), skipped, stopped) == (19, 6, 1)
 
 
 def reference_conjugate(system, cache, j, sj, i, si):
