@@ -249,10 +249,10 @@ def cmd_aut(args) -> int:
 
     if args.action == "compose":
         f = _epsilon_product(args.generator, args.rank)
+        w = None if args.apply is None else parse_word(args.apply, f.source)
         for x in f.source.gens():
             print("%s -> %s" % (x, f(x)))
-        if args.apply:
-            w = parse_word(args.apply, f.source)
+        if w is not None:
             print("%s -> %s" % (w, f(w)))
         return 0
     if args.action == "inner":
@@ -355,8 +355,10 @@ def cmd_lie(args) -> int:
 def cmd_suite(args) -> int:
     from .suite import SuiteOptions, run_suite
 
+    if args.json == "":
+        raise ValueError("--json needs a path, or '-' for stdout")
     report = run_suite(SuiteOptions(class_=args.class_, max_degree=args.max_degree,
-                                    bounds=args.search_bounds, timings=args.timings))
+                                    timings=args.timings))
     if args.json == "-":
         sys.stdout.write(report.to_json())
     else:
@@ -458,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=3)
     p.set_defaults(handler=cmd_lie)
 
-    p = sub.add_parser("suite", parents=[bounds], help="run the ten-check verification battery")
+    p = sub.add_parser("suite", help="run the ten-check verification battery")
     p.add_argument("--class", dest="class_", type=int, default=3,
                    help="nilpotency class for the main-group checks (default 3)")
     p.add_argument("--max-degree", type=int, default=3,

@@ -39,7 +39,7 @@ from heapq import heappop, heappush
 from itertools import permutations
 
 from . import nq
-from .grammar import parse_presentation_text
+from .grammar import parse_presentation_text, parse_word
 from .intlinalg import IntMatrix, Value, _in_hermite_span, determinant, hermite_normal_form
 from .word import Alphabet, GenMap, Word, free_reduce, inverse
 
@@ -207,6 +207,34 @@ def pv3_new_generators() -> tuple[GenMap, GenMap]:
         "c2": l["l13"],
     })
     return f, g
+
+
+_PV3_NEW_STEPS = (
+    ((("c2^-1 b1 a1", 0, -1),), (("b1 a2 c1^-1 b1^-1 c1", 2, -1),), (("b2", 3, 1),),
+     (("c2^-1 a1 b2 a1^-1 c1 b2^-1", 3, 1), ("c2^-1 a1 b2 a1^-1 c1 b2^-2 a1 b2", 4, 1),
+      ("c2^-1 a1 b2 a1^-1 c1", 3, -1)),
+     (("c2^-1 c1", 2, -1), ("c2^-1 b1 c1", 5, -1), ("c2^-1 b1 a2 c1 a2^-1 b1^-1 a2", 2, 1)),
+     (("a2 b2", 1, 1),)),
+    ((("l23^-1 l13^-1 l12^-1", 0, -1),), (("l31^-1 l32^-1 l31^-1 l21^-1", 5, 1),),
+     (("l31^-1 l12 l13 l32^-1 l12^-1 l13^-1", 1, -1),),
+     (("l31^-1 l23 l13 l21^-1 l23^-1 l13^-1", 2, 1),),
+     (("l31^-1 l13^-1 l21 l31 l13 l21^-1 l23^-1 l13^-1", 2, 1),
+      ("l31^-1 l13^-1 l21 l31 l23^-1 l21^-1 l31^-1", 3, 1),
+      ("l31^-1 l13^-1 l23^-1 l21^-1", 2, -1)),
+     (("l31^-1 l13^-1 l32 l31 l13 l32^-1 l12^-1 l13^-1", 1, -1),
+      ("l31^-1 l13^-1 l32 l31 l12^-1 l32^-1 l31^-1", 4, -1),
+      ("l31^-1 l13^-1 l12^-1 l32^-1", 1, 1))),
+)
+
+
+def pv3_new_certificates() -> tuple[tuple, tuple]:
+    """For each map of ``pv3_new_generators``, old to new then new to old, a
+    consequence certificate of each source relator's image, in relator order:
+    the steps (conjugator, relator index, sign) that check_homomorphism_presented
+    finds at the default bounds, with the conjugators parsed over the target."""
+    return tuple(tuple(tuple(CertificateStep(parse_word(u, m.target), i, s) for u, i, s in steps)
+                       for steps in certificates)
+                 for m, certificates in zip(pv3_new_generators(), _PV3_NEW_STEPS))
 
 
 STABLE_LETTER = "t"

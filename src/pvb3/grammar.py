@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 import sys
 
-from .word import NAME_CHARS, Alphabet, Word, free_reduce, inverse, is_name
+from .word import NAME_CHARS, Alphabet, Word, free_reduce, inverse, is_name_run
 
 
 class ParseError(ValueError):
@@ -32,8 +32,8 @@ class ParseError(ValueError):
 
 
 # Tokens are (kind, text, line, col) tuples; the kind of a punctuation
-# token is its text.  NAME also takes runs that is_name refuses, those not
-# starting with a letter, so that such a run is reported at its first character.
+# token is its text.  NAME takes every run of NAME_CHARS, and is_name_run refuses
+# those not starting with a letter, so that such a run is reported at its first character.
 _BLANKS = " \t\r"
 _TOKEN = re.compile(r"(?P<NUMBER>\d+)|(?P<NAME>%s)|(?P<PUNCT>[\^\[\](),*-])"
                     r"|(?P<SKIP>[%s]+|#[^\n]*)|(?P<NEWLINE>\n)|(?P<BAD>.)" % (NAME_CHARS, _BLANKS))
@@ -50,7 +50,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
             line, line_start = line + 1, m.end()
             continue
         piece, col = m.group(), m.start() - line_start + 1
-        if kind == "BAD" or (kind == "NAME" and not is_name(piece)):
+        if kind == "BAD" or (kind == "NAME" and not is_name_run(piece)):
             raise ParseError("unexpected character %r" % piece[0], line, col)
         tokens.append((piece if kind == "PUNCT" else kind, piece, line, col))
     # a comment runs to the end of its line and does not move the column

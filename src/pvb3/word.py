@@ -20,14 +20,19 @@ from .intlinalg import IntMatrix, Value
 Letter = tuple[int, int]
 
 # In a str pattern \w is exactly str.isalnum() or "_", but no class is
-# exactly str.isalpha(), so is_name checks the first character apart.
+# exactly str.isalpha(), so is_name_run checks the first character apart.
 NAME_CHARS = r"\w+"
 _NAME_RUN = re.compile(NAME_CHARS)
 
 
+def is_name_run(run: str) -> bool:
+    """Whether a run of NAME_CHARS is a generator name: whether it starts with a letter."""
+    return run[:1].isalpha()
+
+
 def is_name(text: str) -> bool:
     """A generator name: a letter, then letters, digits or '_'."""
-    return text[:1].isalpha() and _NAME_RUN.fullmatch(text) is not None
+    return is_name_run(text) and _NAME_RUN.fullmatch(text) is not None
 
 
 class Alphabet(Value):

@@ -356,6 +356,15 @@ def test_aut_rank_zero_is_rejected_not_replaced(capsys, argv, message):
     assert err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("argv", [("reduce", ""), ("aut", "compose", "e12", "--apply", ""),
+                                  ("aut", "inner", "e12", "--by", "")])
+def test_an_empty_word_argument_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 1, col 1: empty word\n"
+
+
 def test_aut_generators_form_one_word(capsys):
     code, grouped, _ = run(capsys, "aut", "compose", "(e12 e13)^2", "--apply", "x1")
     assert code == 0
@@ -630,7 +639,8 @@ def test_suite_json_stdout_is_deterministic(capsys):
     assert code == 0
     assert first == second
     report = json.loads(first)
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
+    assert report["options"] == {"class": 3, "max_degree": 3, "timings": False}
     assert len(report["checks"]) == 10
     assert all("wall_ms" not in c for c in report["checks"])
 
@@ -651,14 +661,21 @@ def test_suite_timings_flag_adds_wall_ms(capsys):
     assert all(c["wall_ms"] >= 0 for c in report["checks"])
 
 
-def test_suite_without_search_leaves_the_splitting_unknown(capsys):
-    code, out, _ = run(capsys, "suite", "--search-bounds", "0,0", "--json", "-")
-    assert code == 0
-    report = json.loads(out)
-    assert report["options"]["search_bounds"] == [0, 0]
-    check, = [c for c in report["checks"] if c["id"] == "06-free-product-splitting"]
-    assert check["status"] == "UNKNOWN"
-    assert "0 of 12 relator images certified" in check["details"]
+def test_suite_json_needs_a_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "suite", "--json", "")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --json needs a path, or '-' for stdout\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_suite_takes_no_search_bounds(capsys):
+    # the splitting's certificates are stored, so the suite searches for none
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "--search-bounds", "0,0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --search-bounds 0,0" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -682,7 +699,7 @@ def test_search_bounds_accept_zero(capsys):
     assert out.startswith("REFUTED")
 
 
-@pytest.mark.parametrize("command", ["check-hom", "consequence", "suite"])
+@pytest.mark.parametrize("command", ["check-hom", "consequence"])
 def test_search_bounds_help_is_one_text_naming_both_bounds(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])

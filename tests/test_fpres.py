@@ -28,6 +28,7 @@ from pvb3.fpres import (
     g3_presentation,
     is_consequence,
     mapping_torus_presentation,
+    pv3_new_certificates,
     pv3_new_generators,
     pv3_new_presentation,
     pv_alphabet,
@@ -312,6 +313,18 @@ def test_check_homomorphism_presented_certifies_the_change_of_generators():
     for r, (_, res) in zip(old.relators, results):
         assert res.status == VERIFIED
         assert verify_certificate(new, f(r), res.certificate)
+
+
+def test_the_stored_splitting_certificates_are_the_ones_the_search_finds():
+    f, g = pv3_new_generators()
+    old, new = pv_presentation(3), pv3_new_presentation()
+    searched = tuple(tuple(res.certificate for _, res in check_homomorphism_presented(*args))
+                     for args in ((old, f, new), (new, g, old)))
+    assert pv3_new_certificates() == searched, (
+        "regenerate fpres._PV3_NEW_STEPS, per map and relator, from "
+        "[(str(s.conjugator), s.relator_index, s.sign) for s in res.certificate] "
+        "for each result res of check_homomorphism_presented at the default bounds")
+    assert sum(map(len, searched[0] + searched[1])) == 20
 
 
 def test_check_homomorphism_presented_refutes_a_surviving_relator():
@@ -681,7 +694,8 @@ def assert_descent_only_adds(res, old):
 
 
 def test_descent_keeps_the_splitting_certificates():
-    # suite check 06: the relator images both ways; the descent certifies
+    # the splitting's relator images both ways, whose certificates suite
+    # check 06 keeps (pv3_new_certificates); the descent certifies
     # all but the images of pv3's relators 3 and 4 in pv3-new, whose cores
     # have no shorter child, and the level search certifies those two
     f, g = pv3_new_generators()

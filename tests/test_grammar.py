@@ -138,6 +138,22 @@ def test_gens_names_split_at_commas_and_blanks():
     assert alphabet.names == ("a", "b", "c")
 
 
+@pytest.mark.parametrize("text, parsed", [
+    ("_a", "line 1, col 1: unexpected character '_'"),
+    ("\u00b2a", "line 1, col 1: unexpected character '\u00b2'"),  # a digit to isalnum only
+    ("\u00e91", ((1, 1),)),
+    ("1a", ((0, 1),)),  # the identity, then a
+    ("a_1", ((2, 1),)),
+], ids=["underscore-a", "superscript-two-a", "e-acute-1", "1a", "a_1"])
+def test_a_run_of_name_characters_is_a_name_when_it_starts_with_a_letter(text, parsed):
+    alphabet = Alphabet(("a", "\u00e91", "a_1"))
+    if isinstance(parsed, str):
+        with pytest.raises(ParseError, match="^%s$" % re.escape(parsed)):
+            parse_word(text, alphabet)
+    else:
+        assert parse_word(text, alphabet).letters == parsed
+
+
 def test_exponent_digits_are_decimal_digits_only():
     # a superscript two is a digit to str.isdigit but not to int()
     with pytest.raises(ParseError) as exc:

@@ -12,8 +12,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from pvb3 import suite
-from pvb3.fpres import REFUTED, ConsequenceResult
+from pvb3 import fpres, suite
+from pvb3.fpres import CertificateStep
 from pvb3.intlinalg import IntMatrix
 from pvb3.nq import CollectionBudget
 from pvb3.word import GenMap
@@ -52,6 +52,17 @@ def zero_last_column(real):
 def broken_inverse(real):
     f, g = real()
     return lambda: (f, GenMap(g.source, g.target, (g.images[0] ** 2,) + g.images[1:]))
+
+
+def one_sign_flipped(real):
+    """The stored certificates, with the sign of the first step for pv3's
+    fourth relator flipped."""
+    def make():
+        there, back = real()
+        step, *rest = there[3]
+        wrong = CertificateStep(step.conjugator, step.relator_index, -step.sign)
+        return there[:3] + ((wrong, *rest),) + there[4:], back
+    return make
 
 
 def flat_layers(pres, c):
@@ -101,9 +112,8 @@ CASES = [
     ("05", "hnn_identities", lambda real: lambda: [("c2^-1 a1 c2 = a1", False)],
      "failed identities: stable-letter identities: c2^-1 a1 c2 = a1"),
     ("06", "pv3_new_generators", broken_inverse, "round trip failed on l23"),
-    ("06", "check_homomorphism_presented",
-     lambda real: lambda *args: [("r", ConsequenceResult(REFUTED, None, "nonzero"))],
-     "image of relator r refuted: nonzero"),
+    ("06", "pv3_new_certificates", one_sign_flipped,
+     "the stored certificate of relator l23 l21 l31 l23^-1 l21^-1 l31^-1 does not verify"),
     ("07", "nilpotent_quotient", lambda real: lambda pres, c: SimpleNamespace(layers=()),
      "free group of rank 2: layers ()"),
     ("07", "torus_normal_form", on_call(1, None),
@@ -144,6 +154,14 @@ def test_a_wrong_engine_answer_fails_its_check(monkeypatch, number, name, fake, 
 
 def test_every_check_has_a_fault_case():
     assert sorted({case[0] for case in CASES}) == sorted(CHECKS)
+
+
+def test_the_suite_searches_for_no_certificate(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fpres, "is_consequence", lambda *args: calls.append(args))
+    report = suite.run_suite(suite.SuiteOptions(class_=4, max_degree=4))
+    assert [c.status for c in report.checks] == [suite.PASS] * len(suite.CHECKS)
+    assert calls == []
 
 
 def test_low_degrees_off_the_paper_fail_the_graded_check(monkeypatch):

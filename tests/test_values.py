@@ -136,9 +136,8 @@ def test_defaults_and_keyword_construction():
     assert (bounds.max_steps, bounds.max_prefix, bounds.max_states, bounds.refute_class) \
         == (12, 8, 300, 4)
     options = SuiteOptions(class_=4, max_degree=4)
-    assert (options.class_, options.max_degree, options.bounds, options.timings) \
-        == (4, 4, SearchBounds(), False)
-    assert SuiteOptions() == SuiteOptions(3, 3, SearchBounds(), False)
+    assert (options.class_, options.max_degree, options.timings) == (4, 4, False)
+    assert SuiteOptions() == SuiteOptions(3, 3, False)
     assert ConsequenceResult(VERIFIED) == ConsequenceResult(VERIFIED, None, "")
 
 
